@@ -1535,7 +1535,7 @@ fn e12_probe_request() -> aorta_core::ActionRequest {
         event_kind: aorta_device::DeviceKind::Sensor,
         device_binding: None,
         args: Vec::new(),
-        candidates: Vec::new(),
+        candidates: Default::default(),
         created_at: aorta_sim::SimTime::ZERO,
         deadline: aorta_sim::SimTime::MAX,
         degraded: false,

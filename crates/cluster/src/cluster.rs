@@ -2272,7 +2272,7 @@ mod tests {
             event_kind: DeviceKind::Sensor,
             device_binding: None,
             args: Vec::new(),
-            candidates: Vec::new(),
+            candidates: Default::default(),
             created_at: SimTime::ZERO,
             deadline: SimTime::MAX,
             degraded: false,

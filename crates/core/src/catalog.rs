@@ -1,6 +1,7 @@
 //! The engine catalog: registered actions, queries, and virtual tables.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use aorta_sql::validate::ValidationContext;
 
@@ -110,19 +111,29 @@ impl Catalog {
         self.queries.len()
     }
 
-    /// Builds the SQL validation context: the three virtual tables plus all
+    /// Builds the SQL validation context: the virtual tables plus all
     /// registered actions and scalar builtins as functions.
+    ///
+    /// The tables and scalar builtins are constants of the program — the
+    /// built-in XML catalogs — so they are parsed once per process; only the
+    /// action list, the one part `CREATE ACTION` changes, is derived per
+    /// call.
     pub fn validation_context(&self) -> ValidationContext {
-        let mut ctx = ValidationContext::new();
-        for kind in aorta_device::DeviceKind::ALL {
-            let catalog_xml = aorta_device::catalog_for(kind);
-            let schema =
-                aorta_device::parse_catalog(&catalog_xml).expect("built-in catalogs always parse");
-            ctx = ctx.with_table(schema);
-        }
-        for (name, arity) in BUILTIN_FUNCTIONS {
-            ctx = ctx.with_function(*name, *arity);
-        }
+        static TABLES_AND_BUILTINS: OnceLock<ValidationContext> = OnceLock::new();
+        let mut ctx = TABLES_AND_BUILTINS
+            .get_or_init(|| {
+                let mut ctx = ValidationContext::new();
+                for kind in aorta_device::DeviceKind::ALL {
+                    let schema = aorta_device::parse_catalog(&aorta_device::catalog_for(kind))
+                        .expect("built-in catalogs always parse");
+                    ctx = ctx.with_table(schema);
+                }
+                for (name, arity) in BUILTIN_FUNCTIONS {
+                    ctx = ctx.with_function(*name, *arity);
+                }
+                ctx
+            })
+            .clone();
         for def in self.actions.values() {
             ctx = ctx.with_function(def.name.clone(), def.arity());
         }
@@ -176,6 +187,23 @@ mod tests {
         )
         .unwrap();
         assert_eq!(ctx.validate(&stmts[0]), Ok(()));
+    }
+
+    /// The table part of the context is built once per process; an action
+    /// registered after it was first built must still reach the next one.
+    #[test]
+    fn an_action_registered_after_the_first_context_is_visible_to_the_next() {
+        let mut c = Catalog::with_builtins();
+        let stmts = parse("SELECT late_action(s.id) FROM sensor s WHERE s.light < 100").unwrap();
+        let before = c.validation_context().validate(&stmts[0]).unwrap_err();
+        assert!(before.to_string().contains("late_action"), "{before}");
+        let mut custom = ActionDef::builtin_beep();
+        custom.name = "late_action".into();
+        c.register_action(custom).unwrap();
+        assert_eq!(c.validation_context().validate(&stmts[0]), Ok(()));
+        // And it stays this catalog's action: another catalog does not see it.
+        let other = Catalog::with_builtins().validation_context();
+        assert!(other.validate(&stmts[0]).is_err());
     }
 
     #[test]

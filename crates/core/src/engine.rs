@@ -959,6 +959,29 @@ mod tests {
         );
     }
 
+    /// `execute_sql` validates every statement against a context whose
+    /// table part is cached: a `CREATE ACTION` between two statements must
+    /// be visible to the second.
+    #[test]
+    fn create_action_after_the_first_statement_is_visible_to_the_next() {
+        const USES_IT: &str = r#"CREATE AQ late AS
+            SELECT late_action(s.id) FROM sensor t, sensor s WHERE s.accel_x > 500"#;
+        let mut aorta = Aorta::with_lab(EngineConfig::seeded(12), quiet_lab());
+        let err = aorta.execute_sql(USES_IT).unwrap_err();
+        assert!(err.to_string().contains("late_action"), "{err}");
+        aorta.register_handler(
+            "late_action",
+            std::sync::Arc::new(|_, _, _, now, _| Ok(now)),
+        );
+        aorta
+            .execute_sql(
+                r#"CREATE ACTION late_action(Int sensor_id) AS "lib/late.dll"
+                   PROFILE "profiles/sensor/late.xml""#,
+            )
+            .unwrap();
+        aorta.execute_sql(USES_IT).unwrap();
+    }
+
     #[test]
     fn sendphoto_delivers_mms() {
         let mut aorta = Aorta::with_lab(EngineConfig::seeded(11), eventful_lab());

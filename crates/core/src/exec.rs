@@ -10,9 +10,10 @@
 //! lock devices for the assigned window (§4), and execute on the simulated
 //! hardware.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
-use aorta_data::{Tuple, Value};
+use aorta_data::{Location, Tuple, Value};
 use aorta_device::pushdown::numeric_sample;
 use aorta_device::{
     DeviceId, DeviceKind, PhotoError, PhotoOutcome, PhotoSize, PhysicalStatus, PtzPosition,
@@ -22,11 +23,11 @@ use aorta_obs::{detect_metrics, push_metrics, MetricsRegistry, SpanKind};
 use aorta_sim::{FaultEvent, LinkModel, SimDuration, SimTime};
 use aorta_wal::{LifecycleStage, WalRecord};
 
-use crate::actions::{ActionDef, ActionHandler};
+use crate::actions::{ActionDef, ActionHandler, ActionProfile};
 use crate::cost::{estimate_action_cost, CostContext};
 use crate::expr::{eval_expr, eval_predicate, Env, EvalContext};
 use crate::pindex::{GroupEpoch, TupleOutcome};
-use crate::shared::ActionRequest;
+use crate::shared::{ActionRequest, Aim, CandidateBlock, EpochScans};
 use crate::{Aorta, DispatchPolicy};
 
 /// Events on the engine's internal virtual-time queue.
@@ -702,13 +703,9 @@ impl Aorta {
         }
         let def = self.catalog.action(&request.action).cloned()?;
         let candidates = self.recompute_candidates(request);
-        if candidates.is_empty() {
-            return None;
-        }
-        let mut probe_req = request.clone();
-        probe_req.candidates = candidates;
+        let aim = request.aim(&def, &self.registry);
         let mut best: Option<(SimDuration, DeviceId)> = None;
-        for (d, _) in &probe_req.candidates {
+        for (d, tuple) in candidates.iter() {
             // Breaker-open devices are not routable: quoting a cost for a
             // device the dispatcher will refuse to probe just wastes a hop.
             if self
@@ -721,7 +718,8 @@ impl Aorta {
             let Some(st) = self.unprobed_status(*d) else {
                 continue;
             };
-            let Some(cost) = self.estimate_request_cost(&def, &probe_req, *d, &st) else {
+            let Some((cost, _)) = self.estimate_request_cost(&def, &aim, request, *d, tuple, &st)
+            else {
                 continue;
             };
             if best.is_none_or(|b| (cost, *d) < b) {
@@ -734,23 +732,23 @@ impl Aorta {
     /// Re-evaluates the query's device predicates against a fresh scan of
     /// this engine's registry — candidate sets are never cached across
     /// shards (or across epochs; see `handle_sample`).
-    fn recompute_candidates(&mut self, request: &ActionRequest) -> Vec<(DeviceId, Tuple)> {
+    fn recompute_candidates(&mut self, request: &ActionRequest) -> CandidateBlock {
         let Some(plan) = self
             .catalog
             .queries()
             .find(|p| p.query_id == request.query_id)
             .cloned()
         else {
-            return Vec::new();
+            return CandidateBlock::default();
         };
         let Some(device_part) = &plan.device else {
-            return Vec::new();
+            return CandidateBlock::default();
         };
         let kind = device_part.kind;
-        let mut cache: BTreeMap<DeviceKind, Vec<Tuple>> = BTreeMap::new();
+        let mut cache = EpochScans::default();
         let scan = ScanOperator::new(kind).run(&mut self.registry, self.now, &mut self.rng);
-        cache.insert(kind, scan);
-        self.candidates_for(&plan, &request.event_tuple, &cache)
+        cache.scans.insert(kind, scan);
+        self.candidates_for(&plan, 0, &request.event_tuple, &cache)
     }
 
     /// The instant of this engine's next pending work — the earlier of the
@@ -824,8 +822,7 @@ impl Aorta {
     fn failover_reselect(&mut self, request: &ActionRequest, failed: DeviceId) -> bool {
         let mut retry = request.clone();
         retry.attempts += 1;
-        retry
-            .candidates
+        Arc::make_mut(&mut retry.candidates)
             .retain(|(d, _)| *d != failed && self.registry.get(*d).is_some_and(|e| e.online));
         if retry.candidates.is_empty() {
             return false;
@@ -884,9 +881,9 @@ impl Aorta {
                 kinds
             }
         };
-        let mut cache: BTreeMap<DeviceKind, Vec<Tuple>> = BTreeMap::new();
+        let mut cache = EpochScans::default();
         for kind in kinds {
-            cache.insert(
+            cache.scans.insert(
                 kind,
                 ScanOperator::new(kind).run(&mut self.registry, self.now, &mut self.rng),
             );
@@ -919,7 +916,7 @@ impl Aorta {
     /// only `push_stats` and obs counters — no RNG draws, no trace
     /// lines, no `raw_stats` — which is what keeps a pushdown run
     /// byte-identical to a baseline run.
-    fn account_pushdown(&mut self, cache: &BTreeMap<DeviceKind, Vec<Tuple>>) {
+    fn account_pushdown(&mut self, cache: &EpochScans) {
         // The placement program is derived state, invalidated on
         // register/drop and rebuilt lazily here (cf. `scan_kinds`).
         if self.placement.is_none() {
@@ -934,7 +931,7 @@ impl Aorta {
         // every earlier sample from the same source this epoch — exactly the
         // order detection will replay below against the real bank.
         let mut bank = self.windows.clone();
-        for (kind, tuples) in cache {
+        for (kind, tuples) in &cache.scans {
             let schema = self.registry.schema(*kind).clone();
             let id_idx = schema.index_of("id");
             let mut shipped = 0u64;
@@ -981,14 +978,14 @@ impl Aorta {
         self.placement = Some(program);
     }
 
-    fn detect_events(&mut self, plan: &crate::AqPlan, cache: &BTreeMap<DeviceKind, Vec<Tuple>>) {
+    fn detect_events(&mut self, plan: &crate::AqPlan, cache: &EpochScans) {
         let event_schema = self.registry.schema(plan.event_kind).clone();
         let id_idx = event_schema.index_of("id").expect("catalogs define id");
         // The cache lives in `handle_sample`'s frame, so the scan result is
         // borrowed rather than cloned per query per epoch.
-        let event_tuples = cache.get(&plan.event_kind).expect("scanned above");
+        let event_tuples = cache.scans.get(&plan.event_kind).expect("scanned above");
 
-        for tuple in event_tuples {
+        for (t, tuple) in event_tuples.iter().enumerate() {
             // Rising edges are tracked per source device. A tuple without a
             // usable id cannot participate: folding every id-less tuple onto
             // one shared key would let the first one flip the edge and mask
@@ -1078,7 +1075,7 @@ impl Aorta {
             if !matched || was {
                 continue; // not a rising edge
             }
-            self.fire_event(plan, tuple, cache);
+            self.fire_event(plan, t, tuple, cache);
         }
     }
 
@@ -1122,12 +1119,7 @@ impl Aorta {
     /// Shared rising-edge firing path: event counters and trace, candidate
     /// filtering, admission verdicts, and one `ActionRequest` per action
     /// call — everything downstream of "this tuple is a rising edge".
-    fn fire_event(
-        &mut self,
-        plan: &crate::AqPlan,
-        tuple: &Tuple,
-        cache: &BTreeMap<DeviceKind, Vec<Tuple>>,
-    ) {
+    fn fire_event(&mut self, plan: &crate::AqPlan, t: usize, tuple: &Tuple, cache: &EpochScans) {
         let id_idx = self
             .registry
             .schema(plan.event_kind)
@@ -1156,7 +1148,7 @@ impl Aorta {
         );
 
         // Candidate filtering per event.
-        let candidates = self.candidates_for(plan, tuple, cache);
+        let candidates = self.candidates_for(plan, t, tuple, cache);
         // The deadline derives from the AQ's trigger cadence: a periodic
         // detection is stale once the next period's event supersedes it.
         let deadline = match self.config.deadline {
@@ -1239,18 +1231,18 @@ impl Aorta {
     /// requests — because affected plans are visited in catalog name order
     /// (the scalar iteration order) and each replay walks the batch
     /// tuple-by-tuple exactly as the scalar loop would have.
-    fn detect_vectorized(&mut self, cache: &BTreeMap<DeviceKind, Vec<Tuple>>) {
+    fn detect_vectorized(&mut self, cache: &EpochScans) {
         let outcomes = {
             let ctx = EvalContext {
                 registry: &self.registry,
             };
-            self.pindex.plan_epoch(cache, &ctx)
+            self.pindex.plan_epoch(&cache.scans, &ctx)
         };
         if let Some(m) = &self.obs {
             m.incr(detect_metrics::INDEXED_EVALS, &[], outcomes.tally.indexed);
             m.incr(detect_metrics::FALLBACK_EVALS, &[], outcomes.tally.fallback);
             m.incr(detect_metrics::CONJUNCT_EVALS, &[], outcomes.tally.total);
-            for (kind, tuples) in cache {
+            for (kind, tuples) in &cache.scans {
                 let kind = kind.to_string();
                 m.incr(
                     detect_metrics::BATCH_TUPLES,
@@ -1309,9 +1301,9 @@ impl Aorta {
     /// epoch. The cache-membership guard matters for externally supplied
     /// single-kind batches ([`Aorta::detect_on_batch`]): a windowed plan
     /// over a kind absent from the batch has nothing to detect.
-    fn detect_windowed_plan(&mut self, name: &str, cache: &BTreeMap<DeviceKind, Vec<Tuple>>) {
+    fn detect_windowed_plan(&mut self, name: &str, cache: &EpochScans) {
         if let Some(plan) = self.catalog.query(name).cloned() {
-            if cache.contains_key(&plan.event_kind) {
+            if cache.scans.contains_key(&plan.event_kind) {
                 self.detect_events(&plan, cache);
             }
         }
@@ -1325,9 +1317,9 @@ impl Aorta {
         epoch: &GroupEpoch,
         sources: &[Option<i64>],
         pending: Option<&BTreeSet<i64>>,
-        cache: &BTreeMap<DeviceKind, Vec<Tuple>>,
+        cache: &EpochScans,
     ) {
-        let tuples = cache.get(&plan.event_kind).expect("scanned above");
+        let tuples = cache.scans.get(&plan.event_kind).expect("scanned above");
         // This member's view of the per-source edge within the batch: a
         // source seen earlier in the same batch overrides the pre-epoch
         // state, exactly like the scalar loop's in-place `edge.insert`.
@@ -1377,7 +1369,7 @@ impl Aorta {
             if !matched || was {
                 continue; // not a rising edge
             }
-            self.fire_event(plan, tuple, cache);
+            self.fire_event(plan, t, tuple, cache);
         }
     }
 
@@ -1387,8 +1379,8 @@ impl Aorta {
     /// the public API surface.
     #[doc(hidden)]
     pub fn detect_on_batch(&mut self, kind: DeviceKind, tuples: Vec<Tuple>) {
-        let mut cache: BTreeMap<DeviceKind, Vec<Tuple>> = BTreeMap::new();
-        cache.insert(kind, tuples);
+        let mut cache = EpochScans::default();
+        cache.scans.insert(kind, tuples);
         if self.config.pushdown {
             self.account_pushdown(&cache);
         }
@@ -1408,65 +1400,32 @@ impl Aorta {
         self.dispatch_pending();
     }
 
+    /// The candidate block of one fired event. The device part's join over
+    /// the epoch's device scan runs once per (join group, event tuple) and
+    /// every query joining the same way shares the block; what the join
+    /// found wrong — erroring conjuncts, unusable ids — is counted, deduped
+    /// and traced per query, so it is replayed here for each of them.
     fn candidates_for(
         &mut self,
         plan: &crate::AqPlan,
+        t: usize,
         event_tuple: &Tuple,
-        cache: &BTreeMap<DeviceKind, Vec<Tuple>>,
-    ) -> Vec<(DeviceId, Tuple)> {
+        cache: &EpochScans,
+    ) -> CandidateBlock {
         let Some(device_part) = &plan.device else {
-            return Vec::new();
+            return CandidateBlock::default();
         };
-        let device_schema = self.registry.schema(device_part.kind).clone();
-        let event_schema = self.registry.schema(plan.event_kind).clone();
-        let id_idx = device_schema.index_of("id").expect("catalogs define id");
-        let mut out = Vec::new();
-        // Eval errors and unusable ids are collected during the pass (the
-        // eval context borrows the registry) and surfaced after it. A
-        // device-join conjunct that *errors* excludes the candidate — same
-        // as false — but is counted and traced like an event-conjunct
-        // error: folding it into false would hide a permanently broken
-        // join predicate forever.
-        let mut errors: Vec<(usize, String)> = Vec::new();
-        let mut bad_ids: Vec<Option<i64>> = Vec::new();
-        {
-            let ctx = EvalContext {
-                registry: &self.registry,
-            };
-            for dt in cache.get(&device_part.kind).into_iter().flatten() {
-                let env = Env::new()
-                    .bind(&plan.event_binding, &event_schema, event_tuple)
-                    .bind(&device_part.binding, &device_schema, dt);
-                let mut pass = true;
-                for (idx, c) in device_part.conjuncts.iter().enumerate() {
-                    match eval_predicate(c, &env, &ctx) {
-                        Ok(true) => {}
-                        Ok(false) => {
-                            pass = false;
-                            break;
-                        }
-                        Err(e) => {
-                            errors.push((idx, e.to_string()));
-                            pass = false;
-                            break;
-                        }
-                    }
-                }
-                if !pass {
-                    continue;
-                }
-                // A device id outside the u32 range cannot address a real
-                // device: `as u32` would silently truncate it onto some
-                // *other* device's id. Reject and count instead.
-                match dt.get(id_idx).and_then(Value::as_i64) {
-                    Some(raw) if u32::try_from(raw).is_ok() => {
-                        out.push((DeviceId::new(device_part.kind, raw as u32), dt.clone()));
-                    }
-                    other => bad_ids.push(other),
-                }
-            }
+        #[cfg(test)]
+        if crate::shared::PER_PLAN_REFERENCE.get() {
+            return Arc::new(fire_tests::candidates_for_reference(
+                self,
+                plan,
+                event_tuple,
+                cache,
+            ));
         }
-        for (idx, msg) in errors {
+        let outcome = cache.join(plan, device_part, t, event_tuple, &self.registry);
+        for (idx, msg) in &outcome.errors {
             // Dedup in the same (query, conjunct) space as event-conjunct
             // errors, offset past the event conjuncts so a device conjunct
             // can never collide with an event conjunct's key.
@@ -1481,10 +1440,10 @@ impl Aorta {
                 );
             }
         }
-        for raw in bad_ids {
-            self.note_bad_device_id(plan, device_part.kind, raw);
+        for raw in &outcome.bad_ids {
+            self.note_bad_device_id(plan, device_part.kind, *raw);
         }
-        out
+        outcome.candidates.clone()
     }
 
     /// Bookkeeping for a joined device tuple whose `id` cannot name a
@@ -1529,21 +1488,41 @@ impl Aorta {
         }
     }
 
-    fn dispatch_batch(&mut self, action: &str, mut batch: Vec<ActionRequest>) {
+    fn dispatch_batch(&mut self, action: &str, batch: Vec<ActionRequest>) {
         let Some(def) = self.catalog.action(action).cloned() else {
             self.raw_stats.action_errors += batch.len() as u64;
             return;
         };
 
-        // Probe every distinct candidate once per batch (§4).
-        let mut devices: Vec<DeviceId> = batch
+        // The batch's distinct candidate blocks, in first-seen order, and
+        // which one each request holds. Requests fired by one event share
+        // theirs, so everything below that depends only on the block — the
+        // device list, the LERFA key — is derived per block, not per
+        // (request, candidate) pair. The address map is only ever looked
+        // up, never iterated, so it cannot leak into the order of anything.
+        let mut blocks: Vec<CandidateBlock> = Vec::new();
+        let mut seen: HashMap<*const Vec<(DeviceId, Tuple)>, usize> = HashMap::new();
+        let mut batch: Vec<(ActionRequest, usize)> = batch
+            .into_iter()
+            .map(|r| {
+                let b = *seen.entry(Arc::as_ptr(&r.candidates)).or_insert_with(|| {
+                    blocks.push(r.candidates.clone());
+                    blocks.len() - 1
+                });
+                (r, b)
+            })
+            .collect();
+
+        // Probe every distinct candidate once per batch (§4). `status`,
+        // `predicted` and `free_at` are indexed by position in `devices`.
+        let mut devices: Vec<DeviceId> = blocks
             .iter()
-            .flat_map(|r| r.candidates.iter().map(|(d, _)| *d))
+            .flat_map(|b| b.iter().map(|(d, _)| *d))
             .collect();
         devices.sort_unstable();
         devices.dedup();
-        let mut status: BTreeMap<DeviceId, PhysicalStatus> = BTreeMap::new();
-        for &d in &devices {
+        let mut status: Vec<Option<PhysicalStatus>> = vec![None; devices.len()];
+        for (i, &d) in devices.iter().enumerate() {
             // An open breaker excludes the device before any probe is spent
             // on it; a half-open one admits exactly one probation attempt.
             if let Some(bank) = self.breakers.as_mut() {
@@ -1580,56 +1559,64 @@ impl Aorta {
             if self.config.probe_enabled {
                 self.breaker_note(d, probed.is_some());
             }
-            match probed {
-                Some(s) => {
-                    status.insert(d, s);
-                }
-                None => self.trace.emit(
+            if probed.is_none() {
+                self.trace.emit(
                     self.now,
                     "probe",
                     format!("{d} unavailable, excluded from device selection"),
-                ),
+                );
             }
+            status[i] = probed;
         }
+        let positions: Vec<Vec<usize>> = blocks
+            .iter()
+            .map(|b| {
+                b.iter()
+                    .map(|(d, _)| devices.binary_search(d).expect("collected from the blocks"))
+                    .collect()
+            })
+            .collect();
 
         // LERFA ordering: least eligible (fewest available candidates) first.
         if self.config.dispatch == DispatchPolicy::Scheduled && batch.len() > 1 {
-            batch.sort_by_key(|r| {
-                r.candidates
-                    .iter()
-                    .filter(|(d, _)| status.contains_key(d))
-                    .count()
-            });
+            let eligible: Vec<usize> = positions
+                .iter()
+                .map(|p| p.iter().filter(|&&i| status[i].is_some()).count())
+                .collect();
+            batch.sort_by_key(|(_, b)| eligible[*b]);
         }
 
         // Per-device predicted state over the batch.
-        let mut free_at: BTreeMap<DeviceId, SimTime> = BTreeMap::new();
-        let mut predicted: BTreeMap<DeviceId, PhysicalStatus> = status.clone();
-        for &d in status.keys() {
-            let free = if self.config.sync_enabled {
-                self.locks.locked_until(d, self.now).unwrap_or(self.now)
-            } else {
-                self.now
-            };
-            free_at.insert(d, free);
-        }
+        let mut predicted = status.clone();
+        let mut free_at: Vec<SimTime> = devices
+            .iter()
+            .map(|&d| match self.config.sync_enabled {
+                true => self.locks.locked_until(d, self.now).unwrap_or(self.now),
+                false => self.now,
+            })
+            .collect();
 
-        // Phase 1: assignment (LERFA's min workload-plus-cost rule).
+        // Phase 1: assignment (LERFA's min workload-plus-cost rule). Lanes
+        // are keyed by device position, which orders them like device ids.
         let batch_size = batch.len();
-        let mut lanes: BTreeMap<DeviceId, Vec<(ActionRequest, SimDuration)>> = BTreeMap::new();
-        for request in batch {
-            let mut best: Option<(SimTime, SimDuration, DeviceId)> = None;
-            for (d, _) in &request.candidates {
-                let Some(st) = predicted.get(d) else { continue };
-                let Some(cost) = self.estimate_request_cost(&def, &request, *d, st) else {
+        let mut lanes: BTreeMap<usize, Vec<(ActionRequest, SimDuration, Option<PtzPosition>)>> =
+            BTreeMap::new();
+        for (request, b) in batch {
+            let aim = request.aim(&def, &self.registry);
+            let mut best: Option<(SimTime, SimDuration, usize, Option<PtzPosition>)> = None;
+            for ((d, tuple), &i) in blocks[b].iter().zip(&positions[b]) {
+                let Some(st) = &predicted[i] else { continue };
+                let Some((cost, head)) =
+                    self.estimate_request_cost(&def, &aim, &request, *d, tuple, st)
+                else {
                     continue;
                 };
-                let finish = free_at[d] + cost;
-                if best.is_none_or(|(bf, _, _)| finish < bf) {
-                    best = Some((finish, cost, *d));
+                let finish = free_at[i] + cost;
+                if best.is_none_or(|(bf, ..)| finish < bf) {
+                    best = Some((finish, cost, i, head));
                 }
             }
-            let Some((finish, cost, d)) = best else {
+            let Some((finish, cost, i, head)) = best else {
                 if self.config.escalate_exhausted {
                     self.escalate(request);
                 } else {
@@ -1643,7 +1630,8 @@ impl Aorta {
                 }
                 continue;
             };
-            let start = free_at[&d];
+            let d = devices[i];
+            let start = free_at[i];
             if start > request.created_at + self.config.request_timeout {
                 self.raw_stats.timed_out += 1;
                 self.wal_stage(request.query_id, LifecycleStage::TimedOut);
@@ -1686,12 +1674,12 @@ impl Aorta {
             // workload, so it never queues — every request fires at once
             // and interference ensues (§6.2).
             if self.config.sync_enabled {
-                free_at.insert(d, finish);
+                free_at[i] = finish;
             }
-            if let Some(next) = self.predict_next_status(&def, &request, d, &predicted[&d]) {
-                predicted.insert(d, next);
+            if let Some(head) = head {
+                predicted[i] = Some(PhysicalStatus::CameraHead(head));
             }
-            lanes.entry(d).or_default().push((request, cost));
+            lanes.entry(i).or_default().push((request, cost, head));
         }
 
         if let Some(m) = &self.obs {
@@ -1704,7 +1692,8 @@ impl Aorta {
         }
 
         // Phase 2: per-device SRFE ordering + scheduling of Execute events.
-        for (d, mut lane) in lanes {
+        for (i, mut lane) in lanes {
+            let d = devices[i];
             let base = if self.config.sync_enabled {
                 self.locks.locked_until(d, self.now).unwrap_or(self.now)
             } else {
@@ -1736,7 +1725,7 @@ impl Aorta {
                     self.now
                 };
                 let mut holder = None;
-                for (req, cost) in lane {
+                for (req, cost, _) in lane {
                     holder.get_or_insert(req.query_id);
                     let start = if self.config.sync_enabled {
                         t.max(self.now)
@@ -1765,28 +1754,22 @@ impl Aorta {
                 continue;
             }
             let mut ordered: Vec<(ActionRequest, SimDuration)> = Vec::with_capacity(lane.len());
-            let mut st = status.get(&d).cloned();
+            let mut st = status[i].expect("only probed-available devices are assigned");
             while !lane.is_empty() {
-                let (idx, cost) = {
-                    let mut best = (0usize, SimDuration::MAX);
-                    for (i, (req, est)) in lane.iter().enumerate() {
-                        let c = match &st {
-                            Some(s) => self.estimate_request_cost(&def, req, d, s).unwrap_or(*est),
-                            None => *est,
-                        };
-                        if c < best.1 {
-                            best = (i, c);
-                        }
-                    }
-                    best
-                };
-                let (req, _) = lane.swap_remove(idx);
-                if let Some(s) = &st {
-                    if let Some(next) = self.predict_next_status(&def, &req, d, s) {
-                        st = Some(next);
+                let mut best = (0usize, SimDuration::MAX);
+                for (n, (req, est, head)) in lane.iter().enumerate() {
+                    let c = self
+                        .action_cost(&def, req.degraded, &st, *head)
+                        .unwrap_or(*est);
+                    if c < best.1 {
+                        best = (n, c);
                     }
                 }
-                ordered.push((req, cost));
+                let (req, _, head) = lane.swap_remove(best.0);
+                if let Some(head) = head {
+                    st = PhysicalStatus::CameraHead(head);
+                }
+                ordered.push((req, best.1));
             }
 
             // Cost estimates are rounded to whole microseconds, so queued
@@ -1839,18 +1822,39 @@ impl Aorta {
         })
     }
 
-    /// Cost estimate for one request on one device (profile-driven, §2.3).
+    /// Cost estimate for one request on one candidate (profile-driven,
+    /// §2.3), with the head position the action would leave the device at
+    /// (`None` for actions that move no camera head).
     fn estimate_request_cost(
         &self,
         def: &ActionDef,
+        aim: &Aim,
         request: &ActionRequest,
         device: DeviceId,
+        tuple: &Tuple,
         status: &PhysicalStatus,
+    ) -> Option<(SimDuration, Option<PtzPosition>)> {
+        let head = match aim {
+            Aim::NoHead => None,
+            Aim::At(loc) => Some(self.aim_camera(device, loc.as_ref()?)?),
+            Aim::PerCandidate => Some(self.photo_target(request, device, Some(tuple))?),
+        };
+        let cost = self.action_cost(def, request.degraded, status, head)?;
+        Some((cost, head))
+    }
+
+    /// The cost of the action from `status`, aiming at `head` when it is a
+    /// camera action.
+    fn action_cost(
+        &self,
+        def: &ActionDef,
+        degraded: bool,
+        status: &PhysicalStatus,
+        head: Option<PtzPosition>,
     ) -> Option<SimDuration> {
         let mut ctx = CostContext::from_status(status);
-        if def.kind() == DeviceKind::Camera {
-            let target = self.photo_target(request, device)?;
-            ctx = ctx.with_target(target);
+        if let Some(head) = head {
+            ctx = ctx.with_target(head);
             // A probe may be absent for unprobed dispatch; default home.
             if ctx.from.is_none() {
                 ctx.from = Some(PtzPosition::HOME);
@@ -1860,8 +1864,8 @@ impl Aorta {
         // Brownout: a degraded photo request is costed (and later executed)
         // at lo-res, whose capture op is cheaper than the full-quality one.
         let lo_res;
-        let profile = if request.degraded && def.kind() == DeviceKind::Camera {
-            lo_res = crate::actions::ActionProfile::photo_lo_res();
+        let profile = if degraded && def.kind() == DeviceKind::Camera {
+            lo_res = ActionProfile::photo_lo_res();
             &lo_res
         } else {
             &def.profile
@@ -1869,55 +1873,43 @@ impl Aorta {
         estimate_action_cost(profile, table, &ctx).ok()
     }
 
-    fn predict_next_status(
-        &self,
-        def: &ActionDef,
-        request: &ActionRequest,
-        device: DeviceId,
-        status: &PhysicalStatus,
-    ) -> Option<PhysicalStatus> {
-        if def.kind() == DeviceKind::Camera {
-            self.photo_target(request, device)
-                .map(PhysicalStatus::CameraHead)
-        } else {
-            Some(*status)
-        }
-    }
-
     /// The head position a photo request aims `device` at: the first
     /// Location-typed argument, projected through the camera's mount.
-    fn photo_target(&self, request: &ActionRequest, device: DeviceId) -> Option<PtzPosition> {
+    fn photo_target(
+        &self,
+        request: &ActionRequest,
+        device: DeviceId,
+        device_tuple: Option<&Tuple>,
+    ) -> Option<PtzPosition> {
         let loc = self
-            .arg_values(request, device)?
+            .arg_values(request, device_tuple)?
             .into_iter()
             .find_map(|v| v.as_location().copied())?;
+        self.aim_camera(device, &loc)
+    }
+
+    fn aim_camera(&self, device: DeviceId, loc: &Location) -> Option<PtzPosition> {
         let cam = self.registry.camera(device)?;
-        Some(cam.spec().clamp(cam.aim_at(&loc)))
+        Some(cam.spec().clamp(cam.aim_at(loc)))
     }
 
     /// Evaluates the request's argument expressions against the event tuple
-    /// and (when available) the device's candidate tuple.
-    fn arg_values(&self, request: &ActionRequest, device: DeviceId) -> Option<Vec<Value>> {
-        let event_schema = self.registry.schema(request.event_kind).clone();
-        let device_tuple = request
-            .candidates
-            .iter()
-            .find(|(d, _)| *d == device)
-            .map(|(_, t)| t.clone());
-        let device_schema = request
-            .device_binding
-            .as_ref()
-            .map(|(_, k)| self.registry.schema(*k).clone());
+    /// and (when it has one) the selected device's candidate tuple.
+    fn arg_values(
+        &self,
+        request: &ActionRequest,
+        device_tuple: Option<&Tuple>,
+    ) -> Option<Vec<Value>> {
         let ctx = EvalContext {
             registry: &self.registry,
         };
-        let mut env = Env::new().bind(&request.event_binding, &event_schema, &request.event_tuple);
-        if let (Some((binding, _)), Some(schema), Some(tuple)) = (
-            request.device_binding.as_ref(),
-            device_schema.as_ref(),
-            device_tuple.as_ref(),
-        ) {
-            env = env.bind(binding, schema, tuple);
+        let mut env = Env::new().bind(
+            &request.event_binding,
+            self.registry.schema(request.event_kind),
+            &request.event_tuple,
+        );
+        if let (Some((binding, kind)), Some(tuple)) = (&request.device_binding, device_tuple) {
+            env = env.bind(binding, self.registry.schema(*kind), tuple);
         }
         let mut out = Vec::with_capacity(request.args.len());
         for a in &request.args {
@@ -1938,7 +1930,7 @@ impl Aorta {
         }
         let mut retry = request.clone();
         retry.attempts += 1;
-        retry.candidates.retain(|(d, _)| *d != failed_device);
+        Arc::make_mut(&mut retry.candidates).retain(|(d, _)| *d != failed_device);
         if retry.candidates.is_empty() {
             return false;
         }
@@ -2111,7 +2103,8 @@ impl Aorta {
             return;
         };
         self.wal_stage(request.query_id, LifecycleStage::Executing);
-        let args = self.arg_values(request, device).unwrap_or_default();
+        let device_tuple = request.candidate_tuple(device);
+        let args = self.arg_values(request, device_tuple).unwrap_or_default();
         match &def.handler {
             ActionHandler::Photo => self.execute_photo(request, device),
             ActionHandler::SendPhoto => {
@@ -2198,7 +2191,8 @@ impl Aorta {
     }
 
     fn execute_photo(&mut self, request: &ActionRequest, device: DeviceId) {
-        let Some(target) = self.photo_target(request, device) else {
+        let Some(target) = self.photo_target(request, device, request.candidate_tuple(device))
+        else {
             self.raw_stats.action_errors += 1;
             self.wal_stage(request.query_id, LifecycleStage::Failed);
             return;
@@ -2294,6 +2288,10 @@ impl Aorta {
         }
     }
 }
+
+#[cfg(test)]
+#[path = "fire_tests.rs"]
+mod fire_tests;
 
 #[cfg(test)]
 mod tests {
@@ -2599,7 +2597,6 @@ mod tests {
     #[test]
     fn idless_tuples_are_skipped_not_folded_onto_one_edge_key() {
         use aorta_data::{Tuple, Value};
-        use std::collections::BTreeMap;
 
         let mut aorta = Aorta::with_lab(EngineConfig::seeded(22), PervasiveLab::standard());
         aorta.execute_sql(SNAPSHOT).unwrap();
@@ -2610,8 +2607,8 @@ mod tests {
         let mut values = vec![Value::Null; schema.len()];
         values[accel_idx] = Value::Int(600); // matches `s.accel_x > 500`
         assert!(values[id_idx].is_null());
-        let mut cache = BTreeMap::new();
-        cache.insert(
+        let mut cache = crate::shared::EpochScans::default();
+        cache.scans.insert(
             DeviceKind::Sensor,
             vec![Tuple::new(values.clone()), Tuple::new(values)],
         );
@@ -2671,7 +2668,6 @@ mod tests {
     #[test]
     fn out_of_range_device_ids_are_rejected_not_truncated() {
         use aorta_data::{Tuple, Value};
-        use std::collections::BTreeMap;
 
         const BEEP: &str =
             r#"CREATE AQ b AS SELECT beep(t.id) FROM sensor t, sensor s WHERE s.accel_x > 500"#;
@@ -2685,8 +2681,8 @@ mod tests {
             values[id_idx] = id;
             Tuple::new(values)
         };
-        let mut cache = BTreeMap::new();
-        cache.insert(
+        let mut cache = crate::shared::EpochScans::default();
+        cache.scans.insert(
             DeviceKind::Sensor,
             vec![
                 sensor_tuple(Value::Int(u32::MAX as i64 + 4)), // truncates to 3
@@ -2696,7 +2692,7 @@ mod tests {
             ],
         );
         let event = sensor_tuple(Value::Int(0));
-        let candidates = aorta.candidates_for(&plan, &event, &cache);
+        let candidates = aorta.candidates_for(&plan, 0, &event, &cache);
         assert_eq!(
             candidates.iter().map(|(d, _)| *d).collect::<Vec<_>>(),
             vec![DeviceId::new(DeviceKind::Sensor, 1)],

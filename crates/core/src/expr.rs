@@ -215,9 +215,12 @@ fn call_builtin(name: &str, args: &[Value], ctx: &EvalContext<'_>) -> Result<Val
             let loc = args[1]
                 .as_location()
                 .ok_or_else(|| EngineError::Eval("coverage() expects a location".into()))?;
-            let covered = ctx
-                .registry
-                .camera(aorta_device::DeviceId::camera(id as u32))
+            // An id outside the u32 range names no camera: `as u32` would
+            // alias it onto some *other* camera's id. Not covered, like any
+            // camera that does not exist.
+            let covered = u32::try_from(id)
+                .ok()
+                .and_then(|idx| ctx.registry.camera(aorta_device::DeviceId::camera(idx)))
                 .is_some_and(|c| c.covers(loc));
             Ok(Value::Bool(covered))
         }
@@ -471,6 +474,34 @@ mod tests {
         )
         .unwrap();
         assert_eq!(unknown, Value::Bool(false));
+    }
+
+    /// `id as u32` used to alias ids past the u32 range onto real cameras
+    /// (2^32 → camera 0, 2^32 + k → camera k, -1 → camera u32::MAX).
+    #[test]
+    fn coverage_rejects_ids_that_cannot_name_a_camera() {
+        let reg = registry();
+        let ctx = EvalContext { registry: &reg };
+        let mote_loc = reg
+            .get(aorta_device::DeviceId::sensor(0))
+            .unwrap()
+            .sim
+            .location()
+            .unwrap();
+        let coverage = |id: i64| {
+            call_builtin(
+                "coverage",
+                &[Value::Int(id), Value::Location(mote_loc)],
+                &ctx,
+            )
+            .unwrap()
+        };
+        for k in [0, 1] {
+            assert_eq!(coverage(k), Value::Bool(true), "camera {k} covers mote 0");
+            assert_eq!(coverage((1 << 32) + k), Value::Bool(false));
+        }
+        assert_eq!(coverage(-1), Value::Bool(false));
+        assert_eq!(coverage(i64::MIN), Value::Bool(false));
     }
 
     #[test]

@@ -64,4 +64,4 @@ pub use recovery::{
     genesis_fingerprint, recover_engine, recover_from_log, request_from_wire, restore_from_image,
     wire_from_request, GenesisSpec, Recovered,
 };
-pub use shared::{ActionRequest, SharedActionOperator};
+pub use shared::{ActionRequest, CandidateBlock, SharedActionOperator};

@@ -10,6 +10,8 @@
 //! by the verify sink, so a replay that diverges from the original run by
 //! even one transition fails loudly instead of resuming from a wrong state.
 
+use std::sync::Arc;
+
 use aorta_net::DeviceRegistry;
 use aorta_sim::FaultPlan;
 use aorta_wal::{RecoveryError, SnapshotImage, WalHandle, WalRecord, WireRequest};
@@ -74,7 +76,7 @@ pub fn wire_from_request(request: &ActionRequest) -> WireRequest {
         event_kind: request.event_kind,
         device_binding: request.device_binding.clone(),
         args: request.args.iter().map(|a| a.to_string()).collect(),
-        candidates: request.candidates.clone(),
+        candidates: request.candidates.to_vec(),
         created_at: request.created_at,
         deadline: request.deadline,
         degraded: request.degraded,
@@ -106,7 +108,7 @@ pub fn request_from_wire(wire: &WireRequest) -> Result<ActionRequest, RecoveryEr
         event_kind: wire.event_kind,
         device_binding: wire.device_binding.clone(),
         args,
-        candidates: wire.candidates.clone(),
+        candidates: Arc::new(wire.candidates.clone()),
         created_at: wire.created_at,
         deadline: wire.deadline,
         degraded: wire.degraded,

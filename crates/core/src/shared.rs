@@ -10,13 +10,32 @@
 //! the batching point: all requests pending in one dispatch epoch are handed
 //! to the optimizer together, which is what enables the §5 workload
 //! scheduling.
+//!
+//! Sharing goes further than the operator: queries whose device parts join
+//! an event tuple the same way share one [`CandidateBlock`] (the join runs
+//! once per epoch, see [`EpochScans`]), and a request works out once, not
+//! per candidate, where its action aims ([`ActionRequest::aim`]).
 
+use std::cell::{RefCell, RefMut};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use aorta_data::Tuple;
+use aorta_data::{Location, Tuple, Value, ValueType};
 use aorta_device::{DeviceId, DeviceKind};
+use aorta_net::DeviceRegistry;
 use aorta_sim::SimTime;
 use aorta_sql::ast::Expr;
+
+use crate::actions::ActionDef;
+use crate::expr::{eval_expr, eval_predicate, Env, EvalContext};
+use crate::plan::{AqPlan, DevicePart};
+
+/// The candidate devices of one fired event, with their scan tuples: the
+/// 1-to-many side of event → candidates, kept as one immutable list. Every
+/// query whose device part joins the same event tuple the same way holds the
+/// same block, as does every later copy of a request (event queue, snapshot
+/// forks, retries) — it is written only through [`Arc::make_mut`].
+pub type CandidateBlock = Arc<Vec<(DeviceId, Tuple)>>;
 
 /// One instantiated action request — "the request from a query for the
 /// execution of an action with instantiated input parameter values" (§5).
@@ -43,7 +62,7 @@ pub struct ActionRequest {
     /// device at execution).
     pub args: Vec<Expr>,
     /// Candidate devices with their scan tuples, from the candidate filter.
-    pub candidates: Vec<(DeviceId, Tuple)>,
+    pub candidates: CandidateBlock,
     /// When the triggering event was detected.
     pub created_at: SimTime,
     /// Absolute virtual-time deadline: the action must *complete* by this
@@ -62,6 +81,226 @@ pub struct ActionRequest {
     /// sibling shard. Caps reroute loops: the gateway drops a request once
     /// it has visited every shard. Always zero on a standalone engine.
     pub hops: u32,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Puts this test thread's engines on the reference path the shared one
+    /// is compared against: every fired event joins its own candidates
+    /// (`fire_tests::candidates_for_reference`) and every (request,
+    /// candidate) pair evaluates its own arguments.
+    pub(crate) static PER_PLAN_REFERENCE: std::cell::Cell<bool> =
+        const { std::cell::Cell::new(false) };
+}
+
+impl ActionRequest {
+    /// The scan tuple `device` carried into this request's candidate block.
+    pub(crate) fn candidate_tuple(&self, device: DeviceId) -> Option<&Tuple> {
+        let (_, tuple) = self.candidates.iter().find(|(d, _)| *d == device)?;
+        Some(tuple)
+    }
+
+    /// Where costing this request on a candidate gets the camera head
+    /// target from, derived once per request. The target location is
+    /// shared when every argument is either free of the device binding
+    /// (evaluated here, once) or a plain device column whose schema type is
+    /// not `Location` — it cannot supply the target and, being a bare
+    /// column, cannot fail to evaluate.
+    pub(crate) fn aim(&self, def: &ActionDef, registry: &DeviceRegistry) -> Aim {
+        if def.kind() != DeviceKind::Camera {
+            return Aim::NoHead;
+        }
+        #[cfg(test)]
+        if PER_PLAN_REFERENCE.get() {
+            return Aim::PerCandidate;
+        }
+        let event_schema = registry.schema(self.event_kind);
+        let device = self
+            .device_binding
+            .as_ref()
+            .map(|(binding, kind)| (binding.as_str(), registry.schema(*kind)));
+        if device.is_some_and(|(binding, _)| binding == self.event_binding) {
+            return Aim::PerCandidate;
+        }
+        let ctx = EvalContext { registry };
+        let env = Env::new().bind(&self.event_binding, event_schema, &self.event_tuple);
+        // A column that resolves (or could resolve) to the device binding.
+        let on_device = |qualifier: &Option<String>, name: &str| match qualifier {
+            Some(q) => device.is_some_and(|(binding, _)| q == binding),
+            None => event_schema.index_of(name).is_none(),
+        };
+        let mut target = None;
+        for arg in &self.args {
+            let mut device_free = true;
+            arg.walk(&mut |e| {
+                if let Expr::Column { qualifier, name } = e {
+                    device_free &= !on_device(qualifier, name);
+                }
+            });
+            if device_free {
+                match eval_expr(arg, &env, &ctx) {
+                    Ok(v) if target.is_none() => target = v.as_location().copied(),
+                    Ok(_) => {}
+                    // Fails the same way whichever candidate is bound.
+                    Err(_) => return Aim::At(None),
+                }
+                continue;
+            }
+            let inert = match (arg, device) {
+                (Expr::Column { name, .. }, Some((_, schema))) => schema
+                    .index_of(name)
+                    .and_then(|i| schema.attr(i))
+                    .is_some_and(|a| a.value_type() != ValueType::Location),
+                _ => false,
+            };
+            if !inert {
+                return Aim::PerCandidate;
+            }
+        }
+        Aim::At(target)
+    }
+}
+
+/// Where costing a request on a candidate gets the camera head target from
+/// (see [`ActionRequest::aim`]).
+#[derive(Debug)]
+pub(crate) enum Aim {
+    /// The action moves no camera head.
+    NoHead,
+    /// Every candidate aims at this location; `None`: the arguments yield
+    /// no location, so no candidate can be costed.
+    At(Option<Location>),
+    /// The location depends on the candidate's own tuple.
+    PerCandidate,
+}
+
+/// What one run of a device part's candidate join over one event tuple
+/// produced: the block, plus the findings each joining query accounts for
+/// itself (its own error counters, dedup keys and trace lines).
+#[derive(Debug, Default)]
+pub(crate) struct JoinOutcome {
+    pub candidates: CandidateBlock,
+    /// Device conjuncts that failed to evaluate, in scan order:
+    /// (conjunct index, error message).
+    pub errors: Vec<(usize, String)>,
+    /// Ids of joined device tuples that cannot name a device, in scan order.
+    pub bad_ids: Vec<Option<i64>>,
+}
+
+impl JoinOutcome {
+    /// The candidate join itself: every tuple of the device `scan` that
+    /// satisfies all of the device part's conjuncts against `event_tuple`.
+    /// A conjunct that *errors* excludes the candidate, same as false, and
+    /// is reported rather than folded away: silence would hide a
+    /// permanently broken join predicate forever.
+    fn compute(
+        plan: &AqPlan,
+        device_part: &DevicePart,
+        event_tuple: &Tuple,
+        scan: &[Tuple],
+        registry: &DeviceRegistry,
+    ) -> JoinOutcome {
+        let device_schema = registry.schema(device_part.kind);
+        let event_schema = registry.schema(plan.event_kind);
+        let id_idx = device_schema.index_of("id").expect("catalogs define id");
+        let ctx = EvalContext { registry };
+        let mut candidates = Vec::new();
+        let mut outcome = JoinOutcome::default();
+        for dt in scan {
+            let env = Env::new()
+                .bind(&plan.event_binding, event_schema, event_tuple)
+                .bind(&device_part.binding, device_schema, dt);
+            let mut pass = true;
+            for (idx, c) in device_part.conjuncts.iter().enumerate() {
+                match eval_predicate(c, &env, &ctx) {
+                    Ok(true) => {}
+                    Ok(false) => {
+                        pass = false;
+                        break;
+                    }
+                    Err(e) => {
+                        outcome.errors.push((idx, e.to_string()));
+                        pass = false;
+                        break;
+                    }
+                }
+            }
+            if !pass {
+                continue;
+            }
+            // A device id outside the u32 range cannot address a real
+            // device: `as u32` would silently truncate it onto some
+            // *other* device's id. Reject and count instead.
+            let raw = dt.get(id_idx).and_then(Value::as_i64);
+            match raw.and_then(|r| u32::try_from(r).ok()) {
+                Some(idx) => candidates.push((DeviceId::new(device_part.kind, idx), dt.clone())),
+                None => outcome.bad_ids.push(raw),
+            }
+        }
+        outcome.candidates = Arc::new(candidates);
+        outcome
+    }
+}
+
+/// The candidate joins of one epoch that read the same things from their
+/// plans — event table, both bindings, device part — and so find the same
+/// candidates for the same event tuple, whichever plan runs them. Plans are
+/// compared as expressions, never as text (`2` and `2.0` print alike and
+/// divide differently): `Value`'s derived equality keeps `Int` and `Float`
+/// apart, and the only floats `==` conflates, `0.0` and `-0.0`, cannot both
+/// be literals — the lexer reads unsigned digits, a sign is a `Unary` node.
+#[derive(Debug)]
+struct JoinGroup {
+    event_kind: DeviceKind,
+    event_binding: String,
+    part: DevicePart,
+    /// Outcomes by the event tuple's index in its scan batch.
+    by_tuple: BTreeMap<usize, JoinOutcome>,
+}
+
+/// One sampling epoch's scan batches, one per device kind, and the
+/// candidate joins already run over them, one [`JoinGroup`] per distinct
+/// join (a handful; found by comparison). It is a local of the epoch, never
+/// engine state, so snapshots, digests and the gateway paths (which rescan)
+/// cannot see a stale block.
+#[derive(Debug, Default)]
+pub(crate) struct EpochScans {
+    pub scans: BTreeMap<DeviceKind, Vec<Tuple>>,
+    joins: RefCell<Vec<JoinGroup>>,
+}
+
+impl EpochScans {
+    /// The outcome of `plan`'s join over `part` for `event_tuple`, the
+    /// `t`-th tuple of its batch: run on first use, shared afterwards.
+    pub(crate) fn join(
+        &self,
+        plan: &AqPlan,
+        part: &DevicePart,
+        t: usize,
+        event_tuple: &Tuple,
+        registry: &DeviceRegistry,
+    ) -> RefMut<'_, JoinOutcome> {
+        RefMut::map(self.joins.borrow_mut(), |joins| {
+            let same = |g: &JoinGroup| {
+                g.event_kind == plan.event_kind
+                    && g.event_binding == plan.event_binding
+                    && g.part == *part
+            };
+            let group = joins.iter().position(same).unwrap_or_else(|| {
+                joins.push(JoinGroup {
+                    event_kind: plan.event_kind,
+                    event_binding: plan.event_binding.clone(),
+                    part: part.clone(),
+                    by_tuple: BTreeMap::new(),
+                });
+                joins.len() - 1
+            });
+            joins[group].by_tuple.entry(t).or_insert_with(|| {
+                let scan = self.scans.get(&part.kind).map_or(&[][..], Vec::as_slice);
+                JoinOutcome::compute(plan, part, event_tuple, scan, registry)
+            })
+        })
+    }
 }
 
 /// The per-action-name shared operator: a request accumulator with
@@ -90,6 +329,12 @@ impl SharedActionOperator {
     /// Drains every pending request for batch dispatch.
     pub fn drain(&mut self) -> Vec<ActionRequest> {
         std::mem::take(&mut self.pending)
+    }
+
+    /// The requests currently pending, in arrival order.
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> &[ActionRequest] {
+        &self.pending
     }
 
     /// Requests currently pending.
@@ -126,10 +371,10 @@ mod tests {
             event_kind: DeviceKind::Sensor,
             device_binding: Some(("c".into(), DeviceKind::Camera)),
             args: Vec::new(),
-            candidates: vec![
+            candidates: Arc::new(vec![
                 (DeviceId::camera(0), Tuple::new(vec![])),
                 (DeviceId::camera(1), Tuple::new(vec![])),
-            ],
+            ]),
             created_at: SimTime::ZERO,
             deadline: SimTime::MAX,
             degraded: false,

@@ -189,7 +189,7 @@ fn stale_probe() -> aorta::engine::ActionRequest {
         event_kind: DeviceKind::Sensor,
         device_binding: None,
         args: Vec::new(),
-        candidates: Vec::new(),
+        candidates: Default::default(),
         created_at: SimTime::ZERO,
         deadline: SimTime::MAX,
         degraded: false,
