@@ -1,9 +1,9 @@
 //! # aorta-bench — the reproduction harness
 //!
 //! One function per table/figure of the paper's §6, each returning
-//! structured rows that the `repro` binary prints and the criterion benches
-//! wrap. See `DESIGN.md` (experiment index) and `EXPERIMENTS.md`
-//! (paper-vs-measured) at the repository root.
+//! structured rows that the `repro` binary prints. See `DESIGN.md`
+//! (experiment index) and `EXPERIMENTS.md` (paper-vs-measured) at the
+//! repository root.
 
 #![warn(missing_docs)]
 

@@ -109,17 +109,6 @@ pub struct EngineConfig {
     /// engine behavior — but it is off by default so the seed experiments
     /// stay bit-for-bit unchanged *and* pay no recording cost.
     pub observability: bool,
-    /// Detect events through the shared predicate index (vectorized batch
-    /// pipeline, the default): distinct comparisons are evaluated once per
-    /// scan batch and fanned out to the queries sharing them, so detection
-    /// cost follows the number of *distinct* predicates rather than the
-    /// number of registered AQs. When off, the engine runs the original
-    /// tuple-at-a-time scalar loop — retained as the oracle for the
-    /// differential-testing harness. Both paths produce byte-identical
-    /// traces, counters and requests; the flag selects only the execution
-    /// strategy, which is why vectorized can be the default without
-    /// perturbing the committed seed artifacts.
-    pub vectorized_detect: bool,
     /// Enable in-network operator pushdown: the placement pass compiles
     /// each query's maximal pushable prefix (indexable comparisons and
     /// windowed aggregate comparisons) into device-side programs, and
@@ -149,7 +138,6 @@ impl Default for EngineConfig {
             admission: None,
             breaker: None,
             observability: false,
-            vectorized_detect: true,
             pushdown: false,
         }
     }
@@ -230,14 +218,6 @@ impl EngineConfig {
         self
     }
 
-    /// Selects the original tuple-at-a-time scalar detection loop instead
-    /// of the vectorized predicate-index pipeline — the differential-testing
-    /// oracle configuration.
-    pub fn with_scalar_detect(mut self) -> Self {
-        self.vectorized_detect = false;
-        self
-    }
-
     /// Enables in-network operator pushdown, builder style.
     pub fn with_pushdown(mut self) -> Self {
         self.pushdown = true;
@@ -276,16 +256,6 @@ mod tests {
         assert_eq!(c.breaker, None);
         assert!(!c.observability, "observability must be opt-in");
         assert!(EngineConfig::default().with_observability().observability);
-    }
-
-    #[test]
-    fn vectorized_detection_is_default_with_a_scalar_oracle() {
-        assert!(EngineConfig::default().vectorized_detect);
-        assert!(
-            !EngineConfig::default()
-                .with_scalar_detect()
-                .vectorized_detect
-        );
     }
 
     #[test]

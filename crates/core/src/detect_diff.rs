@@ -1,0 +1,600 @@
+//! Differential tests of index detection against the scalar reference it
+//! replaced: the original per-plan, tuple-at-a-time walk with its own
+//! rising-edge map, kept here as test support only.
+//!
+//! Detection through the predicate index must be *observably
+//! indistinguishable* from that walk: same events, same rising-edge
+//! transitions, same counters, byte-identical traces. These properties are
+//! checked over randomized workloads — random AQ sets with mixed attributes,
+//! operators and constants (drawn from small pools so duplicates and
+//! overlaps are common), non-indexable predicates, error-prone predicates,
+//! windowed aggregates, interleaved register/drop churn, and random tuple
+//! batches including id-less and NULL-valued tuples. Both sides also replay
+//! with pushdown accounting enabled and must stay observably identical
+//! (suppression is bookkeeping, never behaviour), with a wire ledger that
+//! never exceeds the ship-everything baseline.
+
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+
+use aorta_data::{Location, Schema, Tuple, Value};
+use aorta_device::pushdown::numeric_sample;
+use aorta_device::{DeviceKind, PervasiveLab};
+use aorta_sim::{SimDuration, SimRng};
+use aorta_sql::ast::Statement;
+
+use crate::expr::{eval_predicate, Env, EvalContext};
+use crate::shared::EpochScans;
+use crate::{Aorta, AqPlan, Catalog, EngineConfig, PushdownStats};
+
+/// Rising-edge state per (query, event source): true while the event
+/// predicate currently holds, so one physical event fires one request.
+type EdgeMap = BTreeMap<(u32, i64), bool>;
+
+thread_local! {
+    /// The edge map of the engine this thread is driving as the reference;
+    /// `None` means detection runs through the index as in production.
+    static REFERENCE_EDGE: RefCell<Option<EdgeMap>> = const { RefCell::new(None) };
+}
+
+/// The reference's rising-edge state, one per reference engine (the harness
+/// steps several engines in lock-step on one thread). Entries of dropped
+/// queries are never collected: ids are not reused, so they are inert.
+#[derive(Default)]
+struct Reference {
+    edge: EdgeMap,
+}
+
+impl Reference {
+    /// Runs `f` with this thread's detection routed through the scalar
+    /// walk over this state.
+    fn run<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        struct Restore<'a>(&'a mut EdgeMap);
+        impl Drop for Restore<'_> {
+            fn drop(&mut self) {
+                *self.0 = REFERENCE_EDGE.take().unwrap_or_default();
+            }
+        }
+        REFERENCE_EDGE.set(Some(std::mem::take(&mut self.edge)));
+        let _restore = Restore(&mut self.edge);
+        f()
+    }
+}
+
+/// The `cfg(test)` hook at the top of `Aorta::detect`: when this thread is
+/// inside [`Reference::run`], walks every plan whose event kind was scanned,
+/// in catalog name order, and reports the epoch as handled.
+pub(super) fn reference_detect(engine: &mut Aorta, cache: &EpochScans) -> bool {
+    let Some(mut edge) = REFERENCE_EDGE.take() else {
+        return false;
+    };
+    let plans: Vec<AqPlan> = engine
+        .catalog
+        .queries()
+        .filter(|p| cache.scans.contains_key(&p.event_kind))
+        .cloned()
+        .collect();
+    for plan in &plans {
+        detect_events(engine, plan, cache, &mut edge);
+    }
+    REFERENCE_EDGE.set(Some(edge));
+    true
+}
+
+/// Event detection as it was before the predicate index: one plan, one
+/// tuple at a time, side effects applied in place.
+fn detect_events(engine: &mut Aorta, plan: &AqPlan, cache: &EpochScans, edge: &mut EdgeMap) {
+    let event_schema = engine.registry.schema(plan.event_kind).clone();
+    let id_idx = event_schema.index_of("id").expect("catalogs define id");
+    let event_tuples = cache.scans.get(&plan.event_kind).expect("scanned above");
+
+    for (t, tuple) in event_tuples.iter().enumerate() {
+        let Some(source) = tuple.get(id_idx).and_then(Value::as_i64) else {
+            engine.note_idless(plan);
+            continue;
+        };
+        // Windows advance on *every* scanned tuple before the conjunct
+        // walk, so a windowed conjunct observes the window including the
+        // current sample.
+        for w in &plan.windowed {
+            let attr = event_schema
+                .index_of(&w.attr)
+                .expect("windowed attrs are validated at plan time");
+            engine.windows.advance(
+                plan.query_id,
+                w.idx,
+                source,
+                w.window,
+                numeric_sample(tuple.get(attr)),
+            );
+        }
+        let matched = {
+            let ctx = EvalContext {
+                registry: &engine.registry,
+            };
+            let env = Env::new().bind(&plan.event_binding, &event_schema, tuple);
+            let mut all = true;
+            for (idx, conjunct) in plan.event_conjuncts.iter().enumerate() {
+                let outcome = match plan.windowed.iter().find(|w| w.idx == idx) {
+                    Some(w) => {
+                        match engine
+                            .windows
+                            .aggregate(plan.query_id, w.idx, source, w.agg)
+                        {
+                            // No numeric sample in the window: false, not
+                            // an error.
+                            None => Ok(false),
+                            Some(v) => v
+                                .compare(&w.constant)
+                                .map(|ord| w.op.matches(ord))
+                                .map_err(|e| crate::EngineError::Eval(e.to_string())),
+                        }
+                    }
+                    None => eval_predicate(conjunct, &env, &ctx),
+                };
+                match outcome {
+                    Ok(true) => {}
+                    Ok(false) => {
+                        all = false;
+                        break;
+                    }
+                    Err(e) => {
+                        if engine.record_eval_error(plan, idx) {
+                            engine.trace.emit(
+                                engine.now,
+                                "eval_error",
+                                format!(
+                                    "query {} conjunct {idx} failed to evaluate: {e}",
+                                    plan.query_id
+                                ),
+                            );
+                        }
+                        all = false;
+                        break;
+                    }
+                }
+            }
+            all
+        };
+        // A source never observed is low by definition.
+        let was = edge
+            .insert((plan.query_id, source), matched)
+            .unwrap_or(false);
+        if !matched || was {
+            continue; // not a rising edge
+        }
+        engine.fire_event(plan, t, tuple, cache);
+    }
+}
+
+/// One scripted step, applied identically to every engine.
+#[derive(Debug, Clone)]
+enum Op {
+    /// Register a new AQ with the given event predicate.
+    Add(String),
+    /// Drop the i-th (mod live count) currently registered AQ.
+    Drop(usize),
+    /// Feed one synthetic scan batch to detection.
+    Batch(Vec<Tuple>),
+    /// Advance virtual time (real scans, dispatch, device events).
+    Run(u64),
+}
+
+/// Predicates prefixed `CAM ` plan as photo-on-camera AQs: the camera
+/// device part leaves the sensor kind suppressible (no query targets
+/// sensors as devices), so scripts that drop their last beep query flip
+/// sensors between suppressible and not under pushdown, mid-run.
+fn plan_for(pred: &str) -> AqPlan {
+    let sql = if let Some(p) = pred.strip_prefix("CAM ") {
+        format!(
+            r#"SELECT photo(c.ip, s.loc, "p") FROM sensor s, camera c
+               WHERE {p} AND coverage(c.id, s.loc)"#
+        )
+    } else {
+        format!("SELECT beep(t.id) FROM sensor t, sensor s WHERE {pred}")
+    };
+    let stmts = aorta_sql::parse(&sql).expect("generated predicates parse");
+    let Statement::Select(select) = stmts.into_iter().next().expect("one statement") else {
+        panic!("expected SELECT");
+    };
+    AqPlan::plan("template", &select, &Catalog::with_builtins()).expect("generated plans are valid")
+}
+
+/// A random conjunct from a deliberately small vocabulary: small pools of
+/// attributes, operators and constants make duplicate and overlapping
+/// comparisons (the sharing the index exploits) the common case, while
+/// variants 0–2 cover what the comparison lanes *cannot* serve: call and OR
+/// conjuncts (fallback slots) and a type-mismatched comparison that errors
+/// on every tuple. Variants 3–4 produce windowed aggregates, so random AQ
+/// sets mix singleton windowed groups with shared ones, and windowed
+/// comparisons land at random depths of the pushdown prefix.
+fn random_conjunct(rng: &mut SimRng) -> String {
+    let int_attrs = ["accel_x", "accel_y", "light", "depth"];
+    let all_attrs = ["accel_x", "accel_y", "light", "depth", "temp", "battery"];
+    let aggs = ["AVG", "MAX", "MIN", "COUNT"];
+    let ops = [">", ">=", "<", "<=", "=", "<>"];
+    let consts = [-500i64, -1, 0, 1, 40, 100, 500, 501];
+    match rng.range(0..=11u64) {
+        0 => "distance(s.loc, s.loc) < 1.0".to_string(),
+        // Parenthesized: joined with AND by `random_pred`, a bare OR would
+        // re-associate (`a AND b OR c` is `(a AND b) OR c`) and swallow
+        // neighbouring conjuncts into the fallback slot.
+        1 => format!(
+            "(s.{} > {} OR s.{} <= {})",
+            rng.pick(&int_attrs).unwrap(),
+            rng.pick(&consts).unwrap(),
+            rng.pick(&int_attrs).unwrap(),
+            rng.pick(&consts).unwrap(),
+        ),
+        2 => "s.loc > 500".to_string(),
+        // Windowed comparisons take a plain literal on the right (a negative
+        // number parses as unary minus, which the planner rejects), so draw
+        // from the non-negative half of the constant pool.
+        3 | 4 => format!(
+            "{}(s.{}) OVER LAST {} {} {}",
+            rng.pick(&aggs).unwrap(),
+            rng.pick(&all_attrs).unwrap(),
+            rng.range(2..=4u64),
+            rng.pick(&ops).unwrap(),
+            rng.pick(&consts[3..]).unwrap(),
+        ),
+        _ => format!(
+            "s.{} {} {}",
+            rng.pick(&all_attrs).unwrap(),
+            rng.pick(&ops).unwrap(),
+            rng.pick(&consts).unwrap(),
+        ),
+    }
+}
+
+fn random_pred(rng: &mut SimRng) -> String {
+    let n = rng.range(1..=3u64);
+    let conjuncts: Vec<String> = (0..n).map(|_| random_conjunct(rng)).collect();
+    let pred = conjuncts.join(" AND ");
+    // A third of the AQs dispatch photos instead of beeps (see `plan_for`),
+    // mixing device-part kinds so pushdown suppressibility varies with the
+    // live query set.
+    if rng.chance(0.33) {
+        format!("CAM {pred}")
+    } else {
+        pred
+    }
+}
+
+/// A random sensor tuple: a small source-id pool (so rising/falling edges
+/// recur per source), occasional id-less tuples, occasional NULLs, and
+/// values straddling the constant pool's thresholds.
+fn random_tuple(rng: &mut SimRng, schema: &Schema) -> Tuple {
+    let mut values = vec![Value::Null; schema.len()];
+    let set = |name: &str, v: Value, values: &mut Vec<Value>| {
+        values[schema.index_of(name).expect("sensor attribute")] = v;
+    };
+    if !rng.chance(0.15) {
+        set("id", Value::Int(rng.range(0..=5i64)), &mut values);
+    }
+    if !rng.chance(0.2) {
+        set("loc", Value::Location(Location::ORIGIN), &mut values);
+    }
+    set("accel_x", Value::Int(rng.range(-600..=600i64)), &mut values);
+    if !rng.chance(0.1) {
+        set("accel_y", Value::Int(rng.range(-600..=600i64)), &mut values);
+    }
+    set("light", Value::Int(rng.range(0..=1200i64)), &mut values);
+    set("depth", Value::Int(rng.range(1..=4i64)), &mut values);
+    if !rng.chance(0.1) {
+        set("temp", Value::Float(15.0 + rng.unit() * 20.0), &mut values);
+    }
+    set("battery", Value::Float(2.0 + rng.unit()), &mut values);
+    Tuple::new(values)
+}
+
+/// Generates the whole script up front so every engine replays exactly the
+/// same operations in the same order.
+fn random_script(seed: u64, steps: usize) -> Vec<Op> {
+    let mut rng = SimRng::seed(seed);
+    let registry = aorta_net::DeviceRegistry::from_lab(PervasiveLab::standard());
+    let schema = registry.schema(DeviceKind::Sensor).clone();
+    let mut script = Vec::with_capacity(steps + 1);
+    // Always start with at least one query so batches have something to hit.
+    script.push(Op::Add(random_pred(&mut rng)));
+    for _ in 0..steps {
+        script.push(match rng.range(0..=9u64) {
+            0 | 1 => Op::Add(random_pred(&mut rng)),
+            2 => Op::Drop(rng.range(0..=31u64) as usize),
+            3 => Op::Run(rng.range(1..=5u64)),
+            _ => {
+                let n = rng.range(1..=12u64);
+                Op::Batch((0..n).map(|_| random_tuple(&mut rng, &schema)).collect())
+            }
+        });
+    }
+    script
+}
+
+/// One engine under test: detecting through the index (`reference: None`)
+/// or through the scalar walk over its own edge state.
+struct Replay {
+    aorta: Aorta,
+    reference: Option<Reference>,
+    live: Vec<String>,
+    next_id: usize,
+}
+
+impl Replay {
+    fn new(config: EngineConfig, lab: PervasiveLab, reference: bool) -> Replay {
+        Replay {
+            aorta: Aorta::with_lab(config, lab),
+            reference: reference.then(Reference::default),
+            live: Vec::new(),
+            next_id: 0,
+        }
+    }
+
+    /// Runs `f` on the engine, on the reference path when this replay is one.
+    fn drive(&mut self, f: impl FnOnce(&mut Aorta)) {
+        let aorta = &mut self.aorta;
+        match &mut self.reference {
+            Some(reference) => reference.run(|| f(aorta)),
+            None => f(aorta),
+        }
+    }
+
+    fn apply(&mut self, op: &Op) {
+        match op {
+            Op::Add(pred) => {
+                let mut plan = plan_for(pred);
+                plan.name = format!("q{:03}", self.next_id);
+                self.next_id += 1;
+                self.live.push(plan.name.clone());
+                self.aorta
+                    .register_query_plan(plan)
+                    .expect("names are unique");
+            }
+            Op::Drop(i) => {
+                if self.live.is_empty() {
+                    return;
+                }
+                let name = self.live.remove(i % self.live.len());
+                self.aorta.deregister_query(&name).expect("was live");
+            }
+            Op::Batch(tuples) => {
+                self.drive(|a| a.detect_on_batch(DeviceKind::Sensor, tuples.clone()));
+            }
+            Op::Run(secs) => self.drive(|a| a.run_for(SimDuration::from_secs(*secs))),
+        }
+    }
+}
+
+/// The four arms every comparison runs: {index, reference} × {pushdown off,
+/// pushdown on}, in that order.
+fn four_arms(seed: u64, lab: &PervasiveLab) -> [Replay; 4] {
+    [(false, false), (true, false), (false, true), (true, true)].map(|(reference, pushdown)| {
+        let mut config = EngineConfig::seeded(seed);
+        if pushdown {
+            config = config.with_pushdown();
+        }
+        Replay::new(config, lab.clone(), reference)
+    })
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+    /// The core differential property: for any seed, any random AQ set
+    /// (windowed aggregates included) and any interleaving of synthetic
+    /// batches, real scan epochs and register/drop churn, the index and the
+    /// scalar reference agree on every counter after every step and render
+    /// byte-identical traces — with pushdown accounting off or on — while
+    /// pushdown never claims more wire bytes than the baseline.
+    #[test]
+    fn index_detection_matches_the_scalar_reference(seed in 0u64..1_000_000) {
+        let script = random_script(seed, 40);
+        let lab = PervasiveLab::standard()
+            .with_periodic_events(SimDuration::from_secs(30), SimDuration::from_secs(3));
+        let [mut index, mut reference, mut index_push, mut reference_push] =
+            four_arms(seed, &lab);
+        for (step, op) in script.iter().enumerate() {
+            index.apply(op);
+            for (arm, other) in [
+                ("reference", &mut reference),
+                ("index + pushdown", &mut index_push),
+                ("reference + pushdown", &mut reference_push),
+            ] {
+                other.apply(op);
+                proptest::prop_assert_eq!(
+                    index.aorta.stats(),
+                    other.aorta.stats(),
+                    "{} stats diverged at step {} ({:?})",
+                    arm,
+                    step,
+                    op
+                );
+            }
+        }
+        let trace = index.aorta.trace().render();
+        for (arm, other) in [
+            ("reference", &reference),
+            ("index + pushdown", &index_push),
+            ("reference + pushdown", &reference_push),
+        ] {
+            proptest::prop_assert_eq!(
+                index.aorta.pending_requests(),
+                other.aorta.pending_requests()
+            );
+            let other_trace = other.aorta.trace().render();
+            proptest::prop_assert!(
+                trace == other_trace,
+                "trace bytes diverged for seed {}:\nindex:\n{}\n{}:\n{}",
+                seed,
+                trace,
+                arm,
+                other_trace
+            );
+        }
+        // Accounting invariants: pushdown is off by default (no counters on
+        // the plain replays), both pushdown arms keep the same ledger, and
+        // the wire never costs more than shipping everything.
+        proptest::prop_assert_eq!(index.aorta.pushdown_stats(), PushdownStats::default());
+        let push = index_push.aorta.pushdown_stats();
+        proptest::prop_assert_eq!(push, reference_push.aorta.pushdown_stats());
+        proptest::prop_assert!(
+            push.wire_bytes() <= push.baseline_bytes,
+            "pushdown made the wire more expensive: {:?}",
+            push
+        );
+        proptest::prop_assert_eq!(
+            push.saved_bytes(),
+            push.baseline_bytes - push.wire_bytes()
+        );
+    }
+}
+
+/// A deterministic end-to-end twin of the property: a fixed mixed workload
+/// (firing, never-firing, erroring, fallback, duplicated, windowed
+/// predicates) over several minutes of simulated periodic events, compared
+/// on stats and trace bytes — the case a CI failure can bisect without a
+/// proptest seed.
+#[test]
+fn fixed_mixed_workload_is_byte_identical_to_the_reference() {
+    let preds = [
+        "s.accel_x > 450",
+        "s.accel_x > 450", // duplicate: shares one group
+        "s.accel_x >= 500",
+        "s.loc > 500",                                        // errors every tuple
+        "distance(s.loc, s.loc) < 1.0 AND s.accel_x > 480",   // fallback
+        "s.temp > 1000",                                      // never fires
+        "AVG(s.accel_x) OVER LAST 3 > 300",                   // windowed, smoothed
+        "COUNT(s.temp) OVER LAST 2 >= 1 AND s.accel_x > 470", // windowed + indexed
+    ];
+    let lab = PervasiveLab::standard()
+        .with_periodic_events(SimDuration::from_mins(1), SimDuration::from_secs(2));
+    let arms = four_arms(0xD1FF, &lab).map(|mut replay| {
+        for (i, p) in preds.iter().enumerate() {
+            let mut plan = plan_for(p);
+            plan.name = format!("fx{i}");
+            replay
+                .aorta
+                .register_query_plan(plan)
+                .expect("fixture plans");
+        }
+        replay.drive(|a| a.run_for(SimDuration::from_mins(4)));
+        replay.aorta
+    });
+    let [index, reference, index_push, reference_push] = &arms;
+    assert!(index.stats().events_detected > 0, "workload must fire");
+    assert!(index.stats().eval_errors > 0, "workload must error");
+    // Pushdown accounting must be invisible on either side: same stats,
+    // same trace bytes, and the two pushdown arms agree on the byte ledger.
+    for other in [reference, index_push, reference_push] {
+        assert_eq!(other.stats(), index.stats());
+        assert_eq!(other.trace().render(), index.trace().render());
+    }
+    assert_eq!(index_push.pushdown_stats(), reference_push.pushdown_stats());
+    let push = index_push.pushdown_stats();
+    assert!(push.shipped_tuples > 0, "real scans must ship something");
+    assert!(
+        push.wire_bytes() <= push.baseline_bytes,
+        "pushdown made the wire more expensive: {push:?}"
+    );
+    assert_eq!(index.pushdown_stats(), PushdownStats::default());
+}
+
+/// The index must handle `eval_predicate` type mismatches exactly like the
+/// scalar walk: same error count, the same single deduplicated structured
+/// trace event per (query, conjunct), and byte-identical trace output — the
+/// error message included.
+#[test]
+fn eval_errors_match_the_reference() {
+    const TYPE_MISMATCH: &str = r#"CREATE AQ mismatch AS
+        SELECT photo(c.ip, s.loc, "photos/admin")
+        FROM sensor s, camera c
+        WHERE s.loc > 500 AND coverage(c.id, s.loc)"#;
+    let run = |reference: bool| {
+        let lab = PervasiveLab::standard()
+            .with_periodic_events(SimDuration::from_mins(1), SimDuration::ZERO);
+        let mut replay = Replay::new(EngineConfig::seeded(21), lab, reference);
+        replay.aorta.execute_sql(TYPE_MISMATCH).unwrap();
+        replay.drive(|a| a.run_for(SimDuration::from_secs(30)));
+        replay.aorta
+    };
+    let index = run(false);
+    let reference = run(true);
+    assert!(index.stats().eval_errors > 0);
+    assert_eq!(index.stats(), reference.stats());
+    let dedup = |a: &Aorta| {
+        a.trace()
+            .iter()
+            .filter(|e| e.subsystem == "eval_error")
+            .count()
+    };
+    assert_eq!(dedup(&index), 1, "the index must dedupe the trace");
+    assert_eq!(dedup(&reference), 1);
+    assert_eq!(index.trace().render(), reference.trace().render());
+}
+
+/// Feeds one single-tuple sensor batch per `accel_x` value (source 0) and
+/// returns the cumulative event count after each, plus the trace.
+fn feed_accel(sql: &str, seed: u64, reference: bool, feed: &[i64]) -> (Vec<u64>, String) {
+    let mut replay = Replay::new(
+        EngineConfig::seeded(seed),
+        PervasiveLab::standard(),
+        reference,
+    );
+    replay.aorta.execute_sql(sql).unwrap();
+    let schema = replay.aorta.registry.schema(DeviceKind::Sensor).clone();
+    let mut detected = Vec::new();
+    for &accel in feed {
+        let mut values = vec![Value::Null; schema.len()];
+        values[schema.index_of("id").unwrap()] = Value::Int(0);
+        values[schema.index_of("accel_x").unwrap()] = Value::Int(accel);
+        replay.drive(|a| a.detect_on_batch(DeviceKind::Sensor, vec![Tuple::new(values)]));
+        detected.push(replay.aorta.stats().events_detected);
+    }
+    (detected, replay.aorta.trace().render())
+}
+
+/// Windowed semantics end to end: `AVG(s.accel_x) OVER LAST 3` smooths the
+/// signal, so a lone spike never fires but a sustained one does — and the
+/// rising edge re-arms when the window average falls. The windowed slot in
+/// the index and the reference walk must agree byte for byte.
+#[test]
+fn windowed_aggregates_fire_on_sustained_signal_not_spikes() {
+    const SMOOTH: &str = r#"CREATE AQ smooth AS
+        SELECT beep(t.id) FROM sensor t, sensor s
+        WHERE AVG(s.accel_x) OVER LAST 3 > 700"#;
+    // A lone 300→900 step only reaches avg 700 at the third 900 (not >
+    // 700), fires at the fourth; the 0-stretch drains the window
+    // (re-arming the edge) and the second sustained 900 run fires again.
+    let feed = [300, 900, 900, 900, 900, 0, 0, 0, 900, 900, 900];
+    let (index_detected, index_trace) = feed_accel(SMOOTH, 33, false, &feed);
+    let (reference_detected, reference_trace) = feed_accel(SMOOTH, 33, true, &feed);
+    assert_eq!(index_detected, vec![0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 2]);
+    assert_eq!(index_detected, reference_detected);
+    assert_eq!(index_trace, reference_trace);
+}
+
+/// A windowed conjunct compared against a mismatched-type literal errors on
+/// every defined window. The message is produced in the batch phase — by
+/// replay time the window has moved on — and must be traced once, the same
+/// line the reference walk emits.
+#[test]
+fn windowed_type_mismatch_traces_the_reference_error_once() {
+    const BROKEN: &str = r#"CREATE AQ broken AS
+        SELECT beep(t.id) FROM sensor t, sensor s
+        WHERE s.accel_x > 0 AND AVG(s.accel_x) OVER LAST 2 > "high""#;
+    let feed = [10, 20, -5, 30];
+    let (detected, index_trace) = feed_accel(BROKEN, 35, false, &feed);
+    let (_, reference_trace) = feed_accel(BROKEN, 35, true, &feed);
+    assert_eq!(
+        detected.last(),
+        Some(&0),
+        "an erroring conjunct never fires"
+    );
+    assert_eq!(index_trace, reference_trace);
+    let traced: Vec<&str> = index_trace
+        .lines()
+        .filter(|l| l.contains("failed to evaluate"))
+        .collect();
+    assert_eq!(traced.len(), 1, "deduplicated: {traced:?}");
+    assert!(traced[0].contains("conjunct 1"), "{traced:?}");
+}

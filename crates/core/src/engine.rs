@@ -54,18 +54,15 @@ pub struct Aorta {
     pub(crate) now: SimTime,
     pub(crate) queue: EventQueue<EngineEvent>,
     pub(crate) operators: BTreeMap<String, SharedActionOperator>,
-    /// Rising-edge state per (query, event-device): true while the event
-    /// predicate currently holds, so one physical event fires one request.
-    pub(crate) edge: BTreeMap<(u32, i64), bool>,
     /// (query, conjunct) pairs whose eval error has already been traced, so
     /// a permanently broken predicate emits one trace event, not one per
     /// tuple per epoch (the `eval_errors` counter still counts every one).
     pub(crate) eval_error_reported: BTreeSet<(u32, usize)>,
-    /// The shared predicate index driving vectorized detection: interned
-    /// distinct comparisons, attribute lanes, and query groups with their
-    /// shared rising-edge state. Kept in lockstep with the catalog on
-    /// `CREATE AQ` / `DROP AQ` regardless of the detection mode, so mode is
-    /// purely a per-epoch execution choice.
+    /// The shared predicate index driving detection: interned distinct
+    /// comparisons, attribute lanes, and query groups with their shared
+    /// rising-edge state (true while a group's predicate holds for a
+    /// source, so one physical event fires one request per member). Kept in
+    /// lockstep with the catalog on `CREATE AQ` / `DROP AQ`.
     pub(crate) pindex: PredicateIndex,
     /// Per-(query, conjunct, source) sliding-window buffers backing
     /// `AGG(attr) OVER LAST n` conjuncts. Conceptually device-resident —
@@ -197,7 +194,6 @@ impl Aorta {
             now: SimTime::ZERO,
             queue,
             operators: BTreeMap::new(),
-            edge: BTreeMap::new(),
             eval_error_reported: BTreeSet::new(),
             pindex: PredicateIndex::new(),
             windows: WindowBank::new(),
@@ -313,7 +309,6 @@ impl Aorta {
             now: self.now,
             queue: self.queue.clone(),
             operators: self.operators.clone(),
-            edge: self.edge.clone(),
             eval_error_reported: self.eval_error_reported.clone(),
             pindex: self.pindex.clone(),
             windows: self.windows.clone(),
@@ -359,7 +354,7 @@ impl Aorta {
         fnv(&mut h, format!("{:?}", self.rng.state()).as_bytes());
         fnv(&mut h, self.trace.render().as_bytes());
         fnv(&mut h, format!("{:?}", self.locks).as_bytes());
-        fnv(&mut h, format!("{:?}", self.edge).as_bytes());
+        self.pindex.digest_edge_state(|bytes| fnv(&mut h, bytes));
         fnv(&mut h, format!("{:?}", self.escalated).as_bytes());
         fnv(&mut h, format!("{:?}", self.latency_samples).as_bytes());
         fnv(&mut h, format!("{:?}", self.loss_stack).as_bytes());
@@ -469,12 +464,12 @@ impl Aorta {
     }
 
     /// Number of rising-edge entries currently tracked, in per-query units
-    /// (one per live (query, event-source) pair). The vectorized path
-    /// stores one edge map per *query group* and fans it out to members;
-    /// this reports the per-query equivalent so soak tests can assert the
-    /// state stays bounded across register/drop cycles in either mode.
+    /// (one per live (query, event-source) pair). The index stores one edge
+    /// map per *query group* and fans it out to members; this reports the
+    /// per-query equivalent so soak tests can assert the state stays
+    /// bounded across register/drop cycles.
     pub fn rising_edge_entries(&self) -> usize {
-        self.edge.len() + self.pindex.edge_entries()
+        self.pindex.edge_entries()
     }
 
     /// The shared predicate index (introspection: distinct comparison and
@@ -673,12 +668,7 @@ impl Aorta {
         let id = self.catalog.register_query(plan)?;
         let registered = self.catalog.query(&name).expect("just registered");
         let schema = self.registry.schema(registered.event_kind);
-        // Windowed plans carry per-source aggregate state the stateless
-        // predicate index cannot represent; they detect through the scalar
-        // walk (merged into the vectorized pass in catalog name order).
-        if registered.windowed.is_empty() {
-            self.pindex.register(registered, schema);
-        }
+        self.pindex.register(registered, schema);
         self.scan_kinds = None;
         self.placement = None;
         self.wal_emit(|| WalRecord::AqRegistered {
@@ -698,15 +688,11 @@ impl Aorta {
     /// [`EngineError`] when no query with that name is registered.
     pub fn deregister_query(&mut self, name: &str) -> Result<(), EngineError> {
         let dropped = self.catalog.drop_query(name)?;
-        // GC the dropped query's rising-edge entries. Query IDs are
-        // never reused, so these keys can never match again; without
-        // eviction the map grows by one generation of entries per
-        // register/drop cycle, forever. Entries for other queries
-        // (including ones on currently-offline devices) must survive.
-        self.edge.retain(|(q, _), _| *q != dropped.query_id);
-        if dropped.windowed.is_empty() {
-            self.pindex.unregister(&dropped);
-        }
+        // Leaving the group collects the query's rising-edge entries with
+        // it. Query IDs are never reused, so state keyed on one could
+        // never match again and would otherwise grow by one generation
+        // per register/drop cycle, forever.
+        self.pindex.unregister(&dropped);
         self.windows.drop_query(dropped.query_id);
         self.scan_kinds = None;
         self.placement = None;

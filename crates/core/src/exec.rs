@@ -14,7 +14,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use aorta_data::{Location, Tuple, Value};
-use aorta_device::pushdown::numeric_sample;
 use aorta_device::{
     DeviceId, DeviceKind, PhotoError, PhotoOutcome, PhotoSize, PhysicalStatus, PtzPosition,
 };
@@ -892,14 +891,7 @@ impl Aorta {
         if self.config.pushdown {
             self.account_pushdown(&cache);
         }
-        if self.config.vectorized_detect {
-            self.detect_vectorized(&cache);
-        } else {
-            let plans: Vec<crate::AqPlan> = self.catalog.queries().cloned().collect();
-            for plan in &plans {
-                self.detect_events(plan, &cache);
-            }
-        }
+        self.detect(&cache);
         self.dispatch_pending();
     }
 
@@ -978,110 +970,11 @@ impl Aorta {
         self.placement = Some(program);
     }
 
-    fn detect_events(&mut self, plan: &crate::AqPlan, cache: &EpochScans) {
-        let event_schema = self.registry.schema(plan.event_kind).clone();
-        let id_idx = event_schema.index_of("id").expect("catalogs define id");
-        // The cache lives in `handle_sample`'s frame, so the scan result is
-        // borrowed rather than cloned per query per epoch.
-        let event_tuples = cache.scans.get(&plan.event_kind).expect("scanned above");
-
-        for (t, tuple) in event_tuples.iter().enumerate() {
-            // Rising edges are tracked per source device. A tuple without a
-            // usable id cannot participate: folding every id-less tuple onto
-            // one shared key would let the first one flip the edge and mask
-            // all the others' events. Skip them, counted, never silently.
-            let Some(source) = tuple.get(id_idx).and_then(Value::as_i64) else {
-                self.note_idless(plan);
-                continue;
-            };
-            // Windows advance on *every* scanned tuple before the conjunct
-            // walk — the mote sees every sample it takes, whether or not
-            // pushdown later suppresses the reply — so a windowed conjunct
-            // observes the window including the current sample. Non-numeric
-            // samples (a lossy scan's NULLs) still occupy a slot: `LAST n`
-            // means the last n samples taken, not the last n that parsed.
-            for w in &plan.windowed {
-                let attr = event_schema
-                    .index_of(&w.attr)
-                    .expect("windowed attrs are validated at plan time");
-                self.windows.advance(
-                    plan.query_id,
-                    w.idx,
-                    source,
-                    w.window,
-                    numeric_sample(tuple.get(attr)),
-                );
-            }
-            let matched = {
-                let ctx = EvalContext {
-                    registry: &self.registry,
-                };
-                let env = Env::new().bind(&plan.event_binding, &event_schema, tuple);
-                let mut all = true;
-                for (idx, conjunct) in plan.event_conjuncts.iter().enumerate() {
-                    let outcome = match plan.windowed.iter().find(|w| w.idx == idx) {
-                        Some(w) => {
-                            match self.windows.aggregate(plan.query_id, w.idx, source, w.agg) {
-                                // An all-NULL (or empty) window has no aggregate:
-                                // the conjunct is false, not an error — a mote
-                                // warming up or a lossy stretch is normal
-                                // operation, not a broken query.
-                                None => Ok(false),
-                                Some(v) => v
-                                    .compare(&w.constant)
-                                    .map(|ord| w.op.matches(ord))
-                                    .map_err(|e| crate::EngineError::Eval(e.to_string())),
-                            }
-                        }
-                        None => eval_predicate(conjunct, &env, &ctx),
-                    };
-                    match outcome {
-                        Ok(true) => {}
-                        Ok(false) => {
-                            all = false;
-                            break;
-                        }
-                        Err(e) => {
-                            // An eval error is not "false": it usually means
-                            // the predicate can *never* be decided (e.g. a
-                            // type-mismatched comparison), and folding it
-                            // into false hides the broken query forever.
-                            // Treat the conjunct as unmatched but count the
-                            // error, and trace the first occurrence per
-                            // (query, conjunct) so the trace is not flooded
-                            // once per tuple per epoch.
-                            if self.record_eval_error(plan, idx) {
-                                self.trace.emit(
-                                    self.now,
-                                    "eval_error",
-                                    format!(
-                                        "query {} conjunct {idx} failed to evaluate: {e}",
-                                        plan.query_id
-                                    ),
-                                );
-                            }
-                            all = false;
-                            break;
-                        }
-                    }
-                }
-                all
-            };
-            let key = (plan.query_id, source);
-            // Audited fold: `None` here is not a swallowed error — it is
-            // the map's encoding for "source never observed", and an edge
-            // that has never been observed is low by definition.
-            let was = self.edge.insert(key, matched).unwrap_or(false);
-            if !matched || was {
-                continue; // not a rising edge
-            }
-            self.fire_event(plan, t, tuple, cache);
-        }
-    }
-
-    /// Shared idless-tuple bookkeeping: counter, obs metric, trace line.
-    /// Called per (plan, tuple) by both detection paths so the side effects
-    /// stay literally the same code.
+    /// Idless-tuple bookkeeping: counter, obs metric, trace line. Rising
+    /// edges are tracked per source device, so a tuple without a usable id
+    /// cannot participate: folding every id-less tuple onto one shared key
+    /// would let the first one flip the edge and mask all the others'
+    /// events. They are skipped per (plan, tuple) — counted, never silently.
     fn note_idless(&mut self, plan: &crate::AqPlan) {
         self.raw_stats.idless_skipped += 1;
         if let Some(m) = &self.obs {
@@ -1098,10 +991,14 @@ impl Aorta {
         );
     }
 
-    /// Shared eval-error bookkeeping: counter and obs metric, then returns
-    /// whether this is the first error for `(query, conjunct)` — the caller
-    /// owns the trace line because only it has the error value (the scalar
-    /// path has it in hand; the vectorized path re-evaluates lazily).
+    /// Eval-error bookkeeping: counter and obs metric, then returns whether
+    /// this is the first error for `(query, conjunct)` — the caller owns
+    /// the trace line because only it has the error text. An eval error is
+    /// not "false": it usually means the predicate can *never* be decided
+    /// (e.g. a type-mismatched comparison), and folding it into false hides
+    /// the broken query forever. The conjunct is treated as unmatched, every
+    /// error is counted, and only the first per (query, conjunct) is traced
+    /// so the trace is not flooded once per tuple per epoch.
     fn record_eval_error(&mut self, plan: &crate::AqPlan, idx: usize) -> bool {
         self.raw_stats.eval_errors += 1;
         if let Some(m) = &self.obs {
@@ -1222,21 +1119,25 @@ impl Aorta {
         }
     }
 
-    /// Vectorized detection (the default path): one batch phase over the
-    /// shared [`crate::PredicateIndex`], a per-plan replay of side effects
-    /// for the few *affected* plans, and a commit of the shared edge state.
+    /// Event detection: one batch phase over the shared
+    /// [`crate::PredicateIndex`], a per-plan replay of side effects for the
+    /// few *affected* plans, and a commit of the shared edge state.
     ///
-    /// The replay reproduces the scalar loop's observable behaviour byte for
-    /// byte — same counters, same trace lines in the same order, same
-    /// requests — because affected plans are visited in catalog name order
-    /// (the scalar iteration order) and each replay walks the batch
-    /// tuple-by-tuple exactly as the scalar loop would have.
-    fn detect_vectorized(&mut self, cache: &EpochScans) {
+    /// The replay is observably a per-plan, tuple-at-a-time walk — same
+    /// counters, same trace lines in the same order, same requests —
+    /// because affected plans are visited in catalog name order and each
+    /// replay walks the batch tuple by tuple.
+    fn detect(&mut self, cache: &EpochScans) {
+        #[cfg(test)]
+        if detect_diff::reference_detect(self, cache) {
+            return;
+        }
         let outcomes = {
             let ctx = EvalContext {
                 registry: &self.registry,
             };
-            self.pindex.plan_epoch(&cache.scans, &ctx)
+            self.pindex
+                .plan_epoch(&cache.scans, &ctx, &mut self.windows)
         };
         if let Some(m) = &self.obs {
             m.incr(detect_metrics::INDEXED_EVALS, &[], outcomes.tally.indexed);
@@ -1261,24 +1162,7 @@ impl Aorta {
                 self.pindex.group_count() as i64,
             );
         }
-        // Windowed plans never register in the predicate index — their
-        // per-source aggregate state has no stateless batch form — so they
-        // always detect through the scalar walk. Merging them into the
-        // affected list *by catalog name* preserves the scalar loop's
-        // plan order, which is what keeps the two detection modes'
-        // traces byte-identical.
-        let windowed: Vec<String> = self
-            .catalog
-            .queries()
-            .filter(|p| !p.windowed.is_empty())
-            .map(|p| p.name.clone())
-            .collect();
-        let mut windowed = windowed.into_iter().peekable();
         for (name, qid) in &outcomes.affected {
-            while windowed.peek().is_some_and(|w| w.as_str() < name.as_str()) {
-                let wname = windowed.next().expect("peeked above");
-                self.detect_windowed_plan(&wname, cache);
-            }
             // The plan clone is per *affected* plan, not per registered plan:
             // in the steady state (no edges, no errors) an epoch clones
             // nothing at all, which is what keeps detection sub-linear in the
@@ -1291,26 +1175,11 @@ impl Aorta {
             let pending = outcomes.pending.get(qid);
             self.replay_plan(&plan, epoch, sources, pending, cache);
         }
-        for wname in windowed {
-            self.detect_windowed_plan(&wname, cache);
-        }
         self.pindex.commit_epoch(outcomes.commits);
     }
 
-    /// Runs one windowed plan through the scalar walk during a vectorized
-    /// epoch. The cache-membership guard matters for externally supplied
-    /// single-kind batches ([`Aorta::detect_on_batch`]): a windowed plan
-    /// over a kind absent from the batch has nothing to detect.
-    fn detect_windowed_plan(&mut self, name: &str, cache: &EpochScans) {
-        if let Some(plan) = self.catalog.query(name).cloned() {
-            if cache.scans.contains_key(&plan.event_kind) {
-                self.detect_events(&plan, cache);
-            }
-        }
-    }
-
-    /// Phase B: replays the scalar loop's per-tuple side effects for one
-    /// affected plan from the batch outcomes computed in phase A.
+    /// Phase B: replays the per-tuple side effects of one affected plan
+    /// from the batch outcomes computed in phase A.
     fn replay_plan(
         &mut self,
         plan: &crate::AqPlan,
@@ -1321,8 +1190,7 @@ impl Aorta {
     ) {
         let tuples = cache.scans.get(&plan.event_kind).expect("scanned above");
         // This member's view of the per-source edge within the batch: a
-        // source seen earlier in the same batch overrides the pre-epoch
-        // state, exactly like the scalar loop's in-place `edge.insert`.
+        // source seen earlier in the same batch overrides the pre-epoch state.
         let mut local: BTreeMap<i64, bool> = BTreeMap::new();
         for (t, tuple) in tuples.iter().enumerate() {
             let matched = match epoch.stops[t] {
@@ -1332,16 +1200,21 @@ impl Aorta {
                 }
                 TupleOutcome::Stop { idx, error } => {
                     if error && self.record_eval_error(plan, idx) {
-                        // First error for this (query, conjunct): re-evaluate
-                        // the conjunct to recover the error message the
-                        // scalar path would have traced. Evaluation is pure
-                        // over the tuple, so the error is deterministic.
-                        let schema = self.registry.schema(plan.event_kind);
-                        let ctx = EvalContext {
-                            registry: &self.registry,
-                        };
-                        let env = Env::new().bind(&plan.event_binding, schema, tuple);
-                        if let Err(e) = eval_predicate(&plan.event_conjuncts[idx], &env, &ctx) {
+                        // First error for this (query, conjunct). A windowed
+                        // slot's message came out of phase A; any other
+                        // conjunct is pure over the tuple, so re-evaluating
+                        // it recovers the message deterministically.
+                        let message = epoch.window_errors.get(&idx).cloned().or_else(|| {
+                            let schema = self.registry.schema(plan.event_kind);
+                            let ctx = EvalContext {
+                                registry: &self.registry,
+                            };
+                            let env = Env::new().bind(&plan.event_binding, schema, tuple);
+                            eval_predicate(&plan.event_conjuncts[idx], &env, &ctx)
+                                .err()
+                                .map(|e| e.to_string())
+                        });
+                        if let Some(e) = message {
                             self.trace.emit(
                                 self.now,
                                 "eval_error",
@@ -1360,8 +1233,7 @@ impl Aorta {
             let was = match local.get(&source) {
                 Some(&w) => w,
                 // A source this member has never observed (it joined the
-                // group after the shared edge was recorded) reads as false,
-                // matching the scalar map's "absent" state.
+                // group after the shared edge was recorded) reads as false.
                 None if pending.is_some_and(|p| p.contains(&source)) => false,
                 None => epoch.pre_edge.get(&source).copied().unwrap_or(false),
             };
@@ -1373,10 +1245,11 @@ impl Aorta {
         }
     }
 
-    /// Runs one detection pass over an externally supplied scan batch,
-    /// honouring `EngineConfig::vectorized_detect`, then dispatches whatever
-    /// it produced. Test-only hook for the differential harness; not part of
-    /// the public API surface.
+    /// Runs one detection pass over an externally supplied scan batch, then
+    /// dispatches whatever it produced. A kind absent from the batch is
+    /// simply not scanned this epoch: groups over it keep their edge and
+    /// window state untouched. Hook for the differential harness and the
+    /// perf probes; not part of the public API surface.
     #[doc(hidden)]
     pub fn detect_on_batch(&mut self, kind: DeviceKind, tuples: Vec<Tuple>) {
         let mut cache = EpochScans::default();
@@ -1384,19 +1257,7 @@ impl Aorta {
         if self.config.pushdown {
             self.account_pushdown(&cache);
         }
-        if self.config.vectorized_detect {
-            self.detect_vectorized(&cache);
-        } else {
-            let plans: Vec<crate::AqPlan> = self
-                .catalog
-                .queries()
-                .filter(|p| p.event_kind == kind)
-                .cloned()
-                .collect();
-            for plan in &plans {
-                self.detect_events(plan, &cache);
-            }
-        }
+        self.detect(&cache);
         self.dispatch_pending();
     }
 
@@ -2294,6 +2155,10 @@ impl Aorta {
 mod fire_tests;
 
 #[cfg(test)]
+#[path = "detect_diff.rs"]
+mod detect_diff;
+
+#[cfg(test)]
 mod tests {
     use crate::{Aorta, EngineConfig};
     use aorta_device::{DeviceId, DeviceKind, PervasiveLab};
@@ -2557,39 +2422,6 @@ mod tests {
         assert_eq!(snap.counter_total("aorta_eval_errors"), stats.eval_errors);
     }
 
-    /// The batch path must handle `eval_predicate` type mismatches exactly
-    /// like the scalar loop: same error count, the same single deduplicated
-    /// structured trace event per (query, conjunct), and byte-identical
-    /// trace output — the error message included.
-    #[test]
-    fn batch_path_eval_errors_match_scalar_path() {
-        const TYPE_MISMATCH: &str = r#"CREATE AQ mismatch AS
-            SELECT photo(c.ip, s.loc, "photos/admin")
-            FROM sensor s, camera c
-            WHERE s.loc > 500 AND coverage(c.id, s.loc)"#;
-        let run = |config: EngineConfig| {
-            let lab = PervasiveLab::standard()
-                .with_periodic_events(SimDuration::from_mins(1), SimDuration::ZERO);
-            let mut aorta = Aorta::with_lab(config, lab);
-            aorta.execute_sql(TYPE_MISMATCH).unwrap();
-            aorta.run_for(SimDuration::from_secs(30));
-            aorta
-        };
-        let vectorized = run(EngineConfig::seeded(21));
-        let scalar = run(EngineConfig::seeded(21).with_scalar_detect());
-        assert!(vectorized.stats().eval_errors > 0);
-        assert_eq!(vectorized.stats(), scalar.stats());
-        let dedup = |a: &Aorta| {
-            a.trace()
-                .iter()
-                .filter(|e| e.subsystem == "eval_error")
-                .count()
-        };
-        assert_eq!(dedup(&vectorized), 1, "batch path must dedupe the trace");
-        assert_eq!(dedup(&scalar), 1);
-        assert_eq!(vectorized.trace().render(), scalar.trace().render());
-    }
-
     /// Two simultaneous matches from id-less tuples used to share the one
     /// `(query, -1)` rising-edge key: the first flipped the edge and the
     /// second was masked entirely. Now both are skipped — counted, never
@@ -2600,19 +2432,16 @@ mod tests {
 
         let mut aorta = Aorta::with_lab(EngineConfig::seeded(22), PervasiveLab::standard());
         aorta.execute_sql(SNAPSHOT).unwrap();
-        let plan = aorta.catalog.queries().next().unwrap().clone();
         let schema = aorta.registry.schema(DeviceKind::Sensor).clone();
         let id_idx = schema.index_of("id").unwrap();
         let accel_idx = schema.index_of("accel_x").unwrap();
         let mut values = vec![Value::Null; schema.len()];
         values[accel_idx] = Value::Int(600); // matches `s.accel_x > 500`
         assert!(values[id_idx].is_null());
-        let mut cache = crate::shared::EpochScans::default();
-        cache.scans.insert(
+        aorta.detect_on_batch(
             DeviceKind::Sensor,
             vec![Tuple::new(values.clone()), Tuple::new(values)],
         );
-        aorta.detect_events(&plan, &cache);
         let stats = aorta.stats();
         assert_eq!(
             stats.events_detected, 0,
@@ -2705,48 +2534,6 @@ mod tests {
             .filter(|e| e.message.contains("unusable id"))
             .count();
         assert_eq!(traced, 1, "bad-id trace is deduplicated per query");
-    }
-
-    /// The tentpole semantics end to end: `AVG(s.accel_x) OVER LAST 3`
-    /// smooths the signal, so a lone spike never fires but a sustained one
-    /// does — and the rising edge re-arms when the window average falls.
-    /// Both detection modes must agree byte for byte (windowed plans run
-    /// the scalar walk merged into the vectorized pass in name order).
-    #[test]
-    fn windowed_aggregates_fire_on_sustained_signal_not_spikes() {
-        use aorta_data::{Tuple, Value};
-
-        const SMOOTH: &str = r#"CREATE AQ smooth AS
-            SELECT beep(t.id) FROM sensor t, sensor s
-            WHERE AVG(s.accel_x) OVER LAST 3 > 700"#;
-        let run = |config: EngineConfig| {
-            let mut aorta = Aorta::with_lab(config, PervasiveLab::standard());
-            aorta.execute_sql(SMOOTH).unwrap();
-            let schema = aorta.registry.schema(DeviceKind::Sensor).clone();
-            let id_idx = schema.index_of("id").unwrap();
-            let accel_idx = schema.index_of("accel_x").unwrap();
-            let mut detected = Vec::new();
-            // Windows over the feed: a lone 300→900 step only reaches
-            // avg 700 at the third 900 (not > 700), fires at the fourth;
-            // the 0-stretch drains the window (re-arming the edge) and the
-            // second sustained 900 run fires again.
-            for accel in [300, 900, 900, 900, 900, 0, 0, 0, 900, 900, 900] {
-                let mut values = vec![Value::Null; schema.len()];
-                values[id_idx] = Value::Int(0);
-                values[accel_idx] = Value::Int(accel);
-                aorta.detect_on_batch(DeviceKind::Sensor, vec![Tuple::new(values)]);
-                detected.push(aorta.stats().events_detected);
-            }
-            (detected, aorta.trace().render())
-        };
-        let (vec_detected, vec_trace) = run(EngineConfig::seeded(33));
-        let (sca_detected, sca_trace) = run(EngineConfig::seeded(33).with_scalar_detect());
-        assert_eq!(vec_detected, vec![0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 2]);
-        assert_eq!(vec_detected, sca_detected);
-        assert_eq!(
-            vec_trace, sca_trace,
-            "detection modes must agree byte for byte"
-        );
     }
 
     /// Pushdown is accounting-only: a run with the flag on is byte-identical

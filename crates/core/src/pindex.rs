@@ -15,23 +15,29 @@
 //!   match bit of every threshold),
 //! * queries with identical conjunct lists share one **query group** with a
 //!   single per-source rising-edge state, so a firing group fans out to its
-//!   members instead of being recomputed per query.
+//!   members instead of being recomputed per query,
+//! * a conjunct comparing a **windowed aggregate** (`AGG(attr) OVER LAST n`)
+//!   is a stateful slot reading the query's own device-resident window, so a
+//!   plan with one is a group of its own: window state is per query and two
+//!   queries registered at different times hold different samples.
 //!
-//! Detection runs in three phases (see `exec.rs`): a side-effect-free batch
-//! phase here ([`PredicateIndex::plan_epoch`]), a per-plan replay phase in
-//! the engine that reproduces the scalar path's traces and counters byte
-//! for byte for the few *affected* plans, and a commit phase
-//! ([`PredicateIndex::commit_epoch`]) that advances the shared edge state.
+//! Detection runs in three phases (see `exec.rs`): a batch phase here
+//! ([`PredicateIndex::plan_epoch`]) that touches no engine state beyond
+//! advancing the window bank, a per-plan replay phase in the engine that
+//! emits the traces and counters of the few *affected* plans, and a commit
+//! phase ([`PredicateIndex::commit_epoch`]) that advances the shared edge
+//! state.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 use aorta_data::{Schema, Tuple, Value};
+use aorta_device::pushdown::{numeric_sample, WindowBank};
 use aorta_device::DeviceKind;
 use aorta_sql::ast::Expr;
 
 use crate::expr::{eval_predicate, extract_comparison, CmpOp, Env, EvalContext};
-use crate::plan::AqPlan;
+use crate::plan::{AqPlan, WindowedCmp};
 
 /// Canonical, orderable key form of an indexable comparison constant.
 /// Floats are keyed by bit pattern: two spellings that compare equal but
@@ -86,16 +92,26 @@ enum ConjunctSlot {
     /// Non-indexable conjunct: evaluate the expression per tuple (still
     /// only once per *group*, not once per member query).
     Fallback(Expr),
+    /// Windowed aggregate comparison: read the owning query's window for
+    /// the tuple's source from the [`WindowBank`] and compare the aggregate.
+    Windowed {
+        cmp: WindowedCmp,
+        /// Column of the aggregated attribute in the event schema.
+        col: usize,
+    },
 }
 
 /// Identity of a query group: queries agree on event kind, event binding and
 /// the exact conjunct list (signature = `Debug`-rendered conjuncts, which
-/// distinguishes `> 1` from `> 1.0` where `Display` would not).
+/// distinguishes `> 1` from `> 1.0` where `Display` would not). A plan with
+/// windowed conjuncts also keys on its query id — its windows hold the
+/// samples taken since *it* registered, so it shares with nobody.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct GroupKey {
     kind: DeviceKind,
     binding: String,
     signature: String,
+    windowed_query: Option<u32>,
 }
 
 impl GroupKey {
@@ -111,6 +127,7 @@ impl GroupKey {
             kind: plan.event_kind,
             binding: plan.event_binding.clone(),
             signature,
+            windowed_query: (!plan.windowed.is_empty()).then_some(plan.query_id),
         }
     }
 }
@@ -180,6 +197,10 @@ pub(crate) struct GroupEpoch {
     pub stops: Vec<TupleOutcome>,
     /// The group's shared edge state as of the start of the epoch.
     pub pre_edge: BTreeMap<i64, bool>,
+    /// Conjunct index → message of the first windowed-slot error there this
+    /// epoch. The window has moved on by replay time, so the text the trace
+    /// needs cannot be recovered by re-evaluating.
+    pub window_errors: BTreeMap<usize, String>,
 }
 
 /// Everything phase A computed: replay instructions for affected plans and
@@ -198,7 +219,8 @@ pub(crate) struct EpochOutcomes {
     pub pending: BTreeMap<u32, BTreeSet<i64>>,
     /// Per kind: the id of each batch tuple (`None` = id-less).
     pub sources: BTreeMap<DeviceKind, Vec<Option<i64>>>,
-    /// Per group: the final per-source match state to commit.
+    /// Per group with anything to write: the per-source match states that
+    /// changed this epoch (every observed source while members are pending).
     pub commits: Vec<(GroupKey, BTreeMap<i64, bool>)>,
     /// Logical conjunct-evaluation counts for the obs counters.
     pub tally: EvalTally,
@@ -296,12 +318,34 @@ impl PredicateIndex {
     }
 
     /// Rising-edge entries tracked, in per-query units: each group's edge
-    /// map counts once per member, matching the scalar map's granularity.
+    /// map counts once per member (one per live (query, source) pair).
     pub(crate) fn edge_entries(&self) -> usize {
         self.groups
             .values()
             .map(|g| g.edge.len() * g.members.len())
             .sum()
+    }
+
+    /// Feeds the rising-edge state [`crate::Aorta::state_digest`] folds in:
+    /// every group's shared edge map and its members' non-empty pending
+    /// sets, in group-key order, length-prefixed so runs cannot alias.
+    pub(crate) fn digest_edge_state(&self, mut feed: impl FnMut(&[u8])) {
+        for group in self.groups.values() {
+            feed(&group.edge.len().to_le_bytes());
+            for (source, high) in &group.edge {
+                feed(&source.to_le_bytes());
+                feed(&[u8::from(*high)]);
+            }
+            for (query, member) in &group.members {
+                if !member.pending.is_empty() {
+                    feed(&query.to_le_bytes());
+                    feed(&member.pending.len().to_le_bytes());
+                    for source in &member.pending {
+                        feed(&source.to_le_bytes());
+                    }
+                }
+            }
+        }
     }
 
     /// Registers a planned query's event conjuncts. Joins an existing group
@@ -331,10 +375,18 @@ impl PredicateIndex {
         let mut slots = Vec::with_capacity(plan.event_conjuncts.len());
         let mut indexed_prefix = Vec::with_capacity(plan.event_conjuncts.len() + 1);
         indexed_prefix.push(0u32);
-        for conjunct in &plan.event_conjuncts {
-            let slot = match extract_comparison(conjunct, &plan.event_binding, schema) {
-                Some(cmp) => ConjunctSlot::Indexed(self.intern(plan.event_kind, cmp)),
-                None => ConjunctSlot::Fallback(conjunct.clone()),
+        for (idx, conjunct) in plan.event_conjuncts.iter().enumerate() {
+            let slot = if let Some(w) = plan.windowed.iter().find(|w| w.idx == idx) {
+                ConjunctSlot::Windowed {
+                    cmp: w.clone(),
+                    col: schema
+                        .index_of(&w.attr)
+                        .expect("windowed attrs are validated at plan time"),
+                }
+            } else if let Some(cmp) = extract_comparison(conjunct, &plan.event_binding, schema) {
+                ConjunctSlot::Indexed(self.intern(plan.event_kind, cmp))
+            } else {
+                ConjunctSlot::Fallback(conjunct.clone())
             };
             let prev = *indexed_prefix.last().expect("seeded");
             indexed_prefix.push(prev + matches!(slot, ConjunctSlot::Indexed(_)) as u32);
@@ -535,11 +587,16 @@ impl PredicateIndex {
 
     /// Phase A: evaluates each distinct comparison once per batch, walks
     /// every group's conjunct list per tuple, and computes which plans need
-    /// side effects replayed. Pure — no engine state is touched.
+    /// side effects replayed. The only state it moves is `windows`: a
+    /// windowed group's windows advance on every tuple that has an id,
+    /// before the walk, so a windowed slot sees the window including the
+    /// current sample — `LAST n` is the last n samples taken, and a
+    /// non-numeric one (a lossy scan's NULL) still occupies a slot.
     pub(crate) fn plan_epoch(
         &self,
         cache: &BTreeMap<DeviceKind, Vec<Tuple>>,
         ctx: &EvalContext<'_>,
+        windows: &mut WindowBank,
     ) -> EpochOutcomes {
         let mut out = EpochOutcomes::default();
         let mut batches: BTreeMap<DeviceKind, CmpBatch> = BTreeMap::new();
@@ -567,16 +624,27 @@ impl PredicateIndex {
 
             let mut stops = Vec::with_capacity(tuples.len());
             let mut final_edge: BTreeMap<i64, bool> = BTreeMap::new();
+            let has_pending = !group.pending_union.is_empty();
             let mut rising_shared = false;
             let mut pending_rising = false;
             let mut any_error = false;
             let mut reached_indexed = 0u64;
             let mut reached_fallback = 0u64;
+            let mut window_errors: BTreeMap<usize, String> = BTreeMap::new();
             for (t, tuple) in tuples.iter().enumerate() {
+                // An id-less tuple has no source, hence no window to advance.
                 let Some(source) = sources[t] else {
                     stops.push(TupleOutcome::Idless);
                     continue;
                 };
+                if let Some(query) = key.windowed_query {
+                    for slot in &group.slots {
+                        if let ConjunctSlot::Windowed { cmp, col } = slot {
+                            let sample = numeric_sample(tuple.get(*col));
+                            windows.advance(query, cmp.idx, source, cmp.window, sample);
+                        }
+                    }
+                }
                 let mut stop: Option<(usize, bool)> = None;
                 for (si, slot) in group.slots.iter().enumerate() {
                     let ok = match slot {
@@ -592,6 +660,27 @@ impl PredicateIndex {
                             match eval_predicate(expr, &env, ctx) {
                                 Ok(b) => b,
                                 Err(_) => {
+                                    stop = Some((si, true));
+                                    break;
+                                }
+                            }
+                        }
+                        ConjunctSlot::Windowed { cmp, .. } => {
+                            let query = key.windowed_query.expect("windowed groups key on it");
+                            // An all-NULL (or empty) window has no aggregate:
+                            // the conjunct is false, not an error — a mote
+                            // warming up or a lossy stretch is normal
+                            // operation, not a broken query.
+                            match windows
+                                .aggregate(query, cmp.idx, source, cmp.agg)
+                                .map(|v| v.compare(&cmp.constant))
+                            {
+                                None => false,
+                                Some(Ok(ord)) => cmp.op.matches(ord),
+                                Some(Err(e)) => {
+                                    window_errors.entry(si).or_insert_with(|| {
+                                        crate::EngineError::Eval(e.to_string()).to_string()
+                                    });
                                     stop = Some((si, true));
                                     break;
                                 }
@@ -613,24 +702,31 @@ impl PredicateIndex {
                 if let Some((_, true)) = stop {
                     any_error = true;
                 }
-                let first_seen = !final_edge.contains_key(&source);
-                // Audited fold: the inner `unwrap_or(false)` is the edge
-                // map's "never observed ⇒ low" encoding (same invariant as
-                // the scalar loop's `edge.insert(..).unwrap_or(false)`),
-                // not a swallowed failure.
-                let was = final_edge
-                    .get(&source)
-                    .copied()
-                    .unwrap_or_else(|| group.edge.get(&source).copied().unwrap_or(false));
+                // Only what the commit must write is recorded: a state that
+                // differs from the committed one (or is new), and any later
+                // sample of a source already recorded. In the steady state
+                // that is nothing. With members pending, every observed
+                // source is recorded so the commit can retire it.
+                let committed = group.edge.get(&source).copied();
+                let in_batch = if has_pending
+                    || committed != Some(matched)
+                    || final_edge.contains_key(&source)
+                {
+                    final_edge.insert(source, matched)
+                } else {
+                    None
+                };
+                // Audited fold: `unwrap_or(false)` is the edge map's "never
+                // observed ⇒ low" encoding, not a swallowed failure.
+                let was = in_batch.unwrap_or(committed.unwrap_or(false));
                 if matched && !was {
                     rising_shared = true;
                 }
-                if matched && first_seen && group.pending_union.contains(&source) {
+                if matched && in_batch.is_none() && group.pending_union.contains(&source) {
                     // A member still pending on this source sees was=false
                     // where the shared state says true.
                     pending_rising = true;
                 }
-                final_edge.insert(source, matched);
                 stops.push(match stop {
                     None => TupleOutcome::Matched,
                     Some((idx, error)) => TupleOutcome::Stop { idx, error },
@@ -643,7 +739,9 @@ impl PredicateIndex {
             out.tally.total += (reached_indexed + reached_fallback) * member_count;
 
             let affected = any_error || kind_has_idless || rising_shared || pending_rising;
-            out.commits.push((key.clone(), final_edge));
+            if !final_edge.is_empty() {
+                out.commits.push((key.clone(), final_edge));
+            }
             if affected {
                 let gi = out.groups.len();
                 for (qid, member) in &group.members {
@@ -656,6 +754,7 @@ impl PredicateIndex {
                 out.groups.push(GroupEpoch {
                     stops,
                     pre_edge: group.edge.clone(),
+                    window_errors,
                 });
             }
         }
@@ -730,9 +829,25 @@ mod tests {
         let ctx = EvalContext { registry: reg };
         let mut cache = BTreeMap::new();
         cache.insert(DeviceKind::Sensor, tuples);
-        let out = index.plan_epoch(&cache, &ctx);
+        let out = index.plan_epoch(&cache, &ctx, &mut WindowBank::new());
         let gi = out.by_query[&qid];
         out.groups[gi].stops.clone()
+    }
+
+    /// Runs one full epoch (plan + commit) over a sensor batch and returns
+    /// the names of the affected plans.
+    fn run_epoch(
+        index: &mut PredicateIndex,
+        reg: &DeviceRegistry,
+        windows: &mut WindowBank,
+        tuples: Vec<Tuple>,
+    ) -> Vec<String> {
+        let ctx = EvalContext { registry: reg };
+        let mut cache = BTreeMap::new();
+        cache.insert(DeviceKind::Sensor, tuples);
+        let out = index.plan_epoch(&cache, &ctx, windows);
+        index.commit_epoch(out.commits);
+        out.affected.into_iter().map(|(name, _)| name).collect()
     }
 
     #[test]
@@ -885,7 +1000,8 @@ mod tests {
             DeviceKind::Sensor,
             vec![sensor_tuple(&reg, Some(7), Value::Int(600))],
         );
-        let out = index.plan_epoch(&cache, &ctx);
+        let windows = &mut WindowBank::new();
+        let out = index.plan_epoch(&cache, &ctx, windows);
         assert_eq!(out.affected.len(), 1, "a rises");
         index.commit_epoch(out.commits);
         // Query b joins the group after the edge is already TRUE.
@@ -893,7 +1009,7 @@ mod tests {
         index.register(&b, &schema);
         // Epoch 2: source 7 still matches. For a this is a steady state (no
         // rising edge); for b it is b's FIRST observation, so b must fire.
-        let out = index.plan_epoch(&cache, &ctx);
+        let out = index.plan_epoch(&cache, &ctx, windows);
         assert!(
             out.affected.iter().any(|(n, _)| n == "b"),
             "late joiner must be replayed: {:?}",
@@ -905,7 +1021,124 @@ mod tests {
         );
         index.commit_epoch(out.commits);
         // Epoch 3: b is synced now; steady state affects nobody.
-        let out = index.plan_epoch(&cache, &ctx);
+        let out = index.plan_epoch(&cache, &ctx, windows);
         assert!(out.affected.is_empty(), "{:?}", out.affected);
+    }
+
+    /// Window state is per query: an identical windowed plan registered
+    /// later must not join the earlier one's group (it would inherit three
+    /// samples it never took, and fire at once as a late joiner).
+    #[test]
+    fn identical_windowed_plans_keep_separate_windows_and_edges() {
+        let reg = registry();
+        let schema = reg.schema(DeviceKind::Sensor).clone();
+        let mut index = PredicateIndex::new();
+        let mut windows = WindowBank::new();
+        let pred = "COUNT(s.accel_x) OVER LAST 3 >= 3";
+        let sample = || vec![sensor_tuple(&reg, Some(7), Value::Int(1))];
+        let a = sensor_plan("a", 0, pred);
+        index.register(&a, &schema);
+        let mut fired = Vec::new();
+        for _ in 0..5 {
+            fired.push(run_epoch(&mut index, &reg, &mut windows, sample()));
+        }
+        assert_eq!(
+            fired,
+            [vec![], vec![], vec!["a".to_string()], vec![], vec![]]
+        );
+        let b = sensor_plan("b", 1, pred);
+        index.register(&b, &schema);
+        assert_eq!(index.group_count(), 2, "windowed groups are singletons");
+        assert_eq!(index.cmp_count(), 0, "a windowed slot interns nothing");
+        // b warms up over its own three samples; a's edge stays high.
+        let mut fired = Vec::new();
+        for _ in 0..4 {
+            fired.push(run_epoch(&mut index, &reg, &mut windows, sample()));
+        }
+        assert_eq!(fired, [vec![], vec![], vec!["b".to_string()], vec![]]);
+        assert_eq!(windows.len(), 2, "one window per (query, source)");
+        assert_eq!(index.edge_entries(), 2);
+        index.unregister(&a);
+        index.unregister(&b);
+        assert!(index.is_empty());
+    }
+
+    /// An id-less tuple has no source: it is skipped before any window
+    /// advances, so it cannot age a real source's samples out.
+    #[test]
+    fn idless_tuples_advance_no_window() {
+        let reg = registry();
+        let schema = reg.schema(DeviceKind::Sensor).clone();
+        let mut index = PredicateIndex::new();
+        let mut windows = WindowBank::new();
+        let plan = sensor_plan("q", 0, "MAX(s.accel_x) OVER LAST 2 > 500");
+        index.register(&plan, &schema);
+        let idless = sensor_tuple(&reg, None, Value::Int(900));
+        run_epoch(&mut index, &reg, &mut windows, vec![idless.clone()]);
+        assert!(windows.is_empty(), "no source, no window");
+        let batch = vec![
+            sensor_tuple(&reg, Some(3), Value::Int(900)),
+            idless.clone(),
+            idless,
+            sensor_tuple(&reg, Some(3), Value::Int(0)),
+        ];
+        let stops = {
+            let ctx = EvalContext { registry: &reg };
+            let mut cache = BTreeMap::new();
+            cache.insert(DeviceKind::Sensor, batch);
+            let out = index.plan_epoch(&cache, &ctx, &mut windows);
+            out.groups[out.by_query[&0]].stops.clone()
+        };
+        // Had the id-less pair advanced source 3's window, the 900 would
+        // have aged out of `LAST 2` before the fourth tuple read it.
+        assert_eq!(
+            stops,
+            [
+                TupleOutcome::Matched,
+                TupleOutcome::Idless,
+                TupleOutcome::Idless,
+                TupleOutcome::Matched
+            ]
+        );
+        assert_eq!(windows.len(), 1);
+    }
+
+    /// `DROP AQ` on a windowed query releases everything it held: its
+    /// singleton group, its rising edges and its windows.
+    #[test]
+    fn dropping_a_windowed_query_releases_group_edges_and_windows() {
+        use aorta_sim::SimDuration;
+        let lab = PervasiveLab::standard()
+            .with_periodic_events(SimDuration::from_mins(1), SimDuration::ZERO);
+        let mut aorta = crate::Aorta::with_lab(crate::EngineConfig::seeded(36), lab);
+        aorta
+            .execute_sql(
+                "CREATE AQ plain AS SELECT beep(t.id) FROM sensor t, sensor s \
+                 WHERE s.accel_x > 500",
+            )
+            .unwrap();
+        aorta.run_for(SimDuration::from_secs(3));
+        let before = (
+            aorta.predicate_index().group_count(),
+            aorta.rising_edge_entries(),
+            aorta.windows.len(),
+        );
+        aorta
+            .execute_sql(
+                "CREATE AQ smooth AS SELECT beep(t.id) FROM sensor t, sensor s \
+                 WHERE AVG(s.accel_x) OVER LAST 3 > 300",
+            )
+            .unwrap();
+        aorta.run_for(SimDuration::from_secs(3));
+        assert_eq!(aorta.predicate_index().group_count(), before.0 + 1);
+        assert!(aorta.rising_edge_entries() > before.1);
+        assert!(aorta.windows.len() > before.2);
+        aorta.execute_sql("DROP AQ smooth").unwrap();
+        let after = (
+            aorta.predicate_index().group_count(),
+            aorta.rising_edge_entries(),
+            aorta.windows.len(),
+        );
+        assert_eq!(after, before);
     }
 }

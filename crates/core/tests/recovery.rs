@@ -195,6 +195,44 @@ fn snapshot_replay_equals_genesis_replay() {
     assert_eq!(from_compacted.engine.state_digest(), target);
 }
 
+/// The digest covers the predicate index's rising-edge state: two engines
+/// that agree on clock, counters, trace, RNG and queue but disagree on
+/// whether one group's edge is high have different futures (one fires on
+/// the next match, the other does not) and must not digest equal.
+#[test]
+fn digest_distinguishes_engines_differing_only_in_a_group_edge() {
+    use aorta_data::{Tuple, Value};
+    use aorta_device::DeviceKind;
+
+    let (spec, _) = genesis(13);
+    let sensor_batch = |engine: &Aorta, accel: i64| {
+        let schema = engine.registry().schema(DeviceKind::Sensor);
+        let mut values = vec![Value::Null; schema.len()];
+        values[schema.index_of("id").unwrap()] = Value::Int(2);
+        values[schema.index_of("accel_x").unwrap()] = Value::Int(accel);
+        vec![Tuple::new(values)]
+    };
+    let run = |second_accel: i64| {
+        let mut engine = spec.build();
+        engine.execute_sql(SNAPSHOT_AQ).unwrap();
+        // Both engines fire once on mote 2 ...
+        let batch = sensor_batch(&engine, 600);
+        engine.detect_on_batch(DeviceKind::Sensor, batch);
+        // ... then see a sample that fires nothing: the edge either stays
+        // high (still above the threshold) or falls.
+        let batch = sensor_batch(&engine, second_accel);
+        engine.detect_on_batch(DeviceKind::Sensor, batch);
+        engine
+    };
+    let high = run(600);
+    let low = run(0);
+    assert_eq!(high.stats(), low.stats());
+    assert_eq!(high.trace().render(), low.trace().render());
+    assert_eq!(high.stats().events_detected, 1);
+    assert_ne!(high.state_digest(), low.state_digest());
+    assert_eq!(high.state_digest(), run(600).state_digest());
+}
+
 /// A log from one lineage refuses to replay against another genesis, and a
 /// truncated command stream surfaces as leftover records, never silently.
 #[test]

@@ -260,9 +260,12 @@ impl WindowBank {
         }
     }
 
-    /// Drops every window owned by `query` (the `DROP AQ` path).
+    /// Drops every window owned by `query` (the `DROP AQ` path). The map
+    /// orders by query first, so the query's windows are one key range and
+    /// its siblings' are never visited.
     pub fn drop_query(&mut self, query: u32) {
-        self.states.retain(|(q, _, _), _| *q != query);
+        let owned = (query, 0, i64::MIN)..=(query, usize::MAX, i64::MAX);
+        self.states.extract_if(owned, |_, _| true).for_each(drop);
     }
 
     /// Number of live windows.
@@ -544,6 +547,36 @@ mod tests {
         assert_eq!(bank.len(), 3);
         bank.drop_query(1);
         assert_eq!(bank.len(), 1);
+    }
+
+    #[test]
+    fn drop_query_removes_exactly_the_dropped_querys_windows() {
+        let mut bank = WindowBank::new();
+        for query in [0, 4, 5, 6, u32::MAX] {
+            for slot in 0..2 {
+                for source in [i64::MIN, -1, 0, 9, i64::MAX] {
+                    bank.advance(query, slot, source, 2, Some(query as f64));
+                }
+            }
+        }
+        assert_eq!(bank.len(), 50);
+        bank.drop_query(5);
+        assert_eq!(bank.len(), 40, "exactly query 5's ten windows go");
+        bank.drop_query(7); // owns nothing
+        assert_eq!(bank.len(), 40);
+        for query in [0, 4, 6, u32::MAX] {
+            for source in [i64::MIN, i64::MAX] {
+                assert_eq!(
+                    bank.aggregate(query, 1, source, PushAgg::Max),
+                    Some(Value::Float(query as f64)),
+                    "sibling {query} must survive"
+                );
+            }
+        }
+        assert_eq!(bank.aggregate(5, 0, 0, PushAgg::Max), None);
+        bank.drop_query(u32::MAX);
+        bank.drop_query(0);
+        assert_eq!(bank.len(), 20);
     }
 
     #[test]
