@@ -109,17 +109,17 @@ pub struct EngineConfig {
     /// engine behavior — but it is off by default so the seed experiments
     /// stay bit-for-bit unchanged *and* pay no recording cost.
     pub observability: bool,
-    /// Enable in-network operator pushdown: the placement pass compiles
-    /// each query's maximal pushable prefix (indexable comparisons and
-    /// windowed aggregate comparisons) into device-side programs, and
-    /// samples whose every watching prefix evaluates cleanly false are
-    /// *suppressed* — replaced on the wire by a one-byte marker instead of
-    /// the full attribute reply. Suppression is sound by construction (a
-    /// false prefix implies the engine's own short-circuit AND would
-    /// reject the sample), so detections, traces and stats are
-    /// byte-identical with the flag on or off; only the pushdown byte
-    /// accounting ([`crate::PushdownStats`]) changes. Off by default so
-    /// the committed seed artifacts stay bit-for-bit unchanged.
+    /// Enable in-network operator pushdown: each query's maximal pushable
+    /// prefix — its leading indexable comparisons and windowed aggregate
+    /// comparisons, the leading non-fallback slots of its predicate-index
+    /// group — counts as evaluated on the device, and samples on which
+    /// every watching query's detection walk stops cleanly false inside
+    /// that prefix are *suppressed* — replaced on the wire by a one-byte
+    /// marker instead of the full attribute reply. The decision is read
+    /// off the walk detection performs anyway, so detections, traces and
+    /// stats are byte-identical with the flag on or off; only the pushdown
+    /// byte accounting ([`crate::PushdownStats`]) changes. Off by default
+    /// so the committed seed artifacts stay bit-for-bit unchanged.
     pub pushdown: bool,
 }
 

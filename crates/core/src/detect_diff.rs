@@ -12,10 +12,12 @@
 //! batches including id-less and NULL-valued tuples. Both sides also replay
 //! with pushdown accounting enabled and must stay observably identical
 //! (suppression is bookkeeping, never behaviour), with a wire ledger that
-//! never exceeds the ship-everything baseline.
+//! never exceeds the ship-everything baseline — and the reference charges
+//! that ledger from its own ship/suppress decision, read off its per-plan
+//! walk, so the two pushdown arms compare independent derivations.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use aorta_data::{Location, Schema, Tuple, Value};
 use aorta_device::pushdown::numeric_sample;
@@ -23,7 +25,7 @@ use aorta_device::{DeviceKind, PervasiveLab};
 use aorta_sim::{SimDuration, SimRng};
 use aorta_sql::ast::Statement;
 
-use crate::expr::{eval_predicate, Env, EvalContext};
+use crate::expr::{eval_predicate, extract_comparison, Env, EvalContext};
 use crate::shared::EpochScans;
 use crate::{Aorta, AqPlan, Catalog, EngineConfig, PushdownStats};
 
@@ -63,7 +65,10 @@ impl Reference {
 
 /// The `cfg(test)` hook at the top of `Aorta::detect`: when this thread is
 /// inside [`Reference::run`], walks every plan whose event kind was scanned,
-/// in catalog name order, and reports the epoch as handled.
+/// in catalog name order, and reports the epoch as handled. With pushdown
+/// on it also charges the byte ledger, suppressing a tuple of a kind no
+/// query targets as a device when every plan watching the kind rejected it
+/// inside its pushed prefix.
 pub(super) fn reference_detect(engine: &mut Aorta, cache: &EpochScans) -> bool {
     let Some(mut edge) = REFERENCE_EDGE.take() else {
         return false;
@@ -74,19 +79,55 @@ pub(super) fn reference_detect(engine: &mut Aorta, cache: &EpochScans) -> bool {
         .filter(|p| cache.scans.contains_key(&p.event_kind))
         .cloned()
         .collect();
+    let device_kinds: BTreeSet<DeviceKind> = engine
+        .catalog
+        .queries()
+        .filter_map(|p| p.device.as_ref().map(|d| d.kind))
+        .collect();
+    let mut suppress: BTreeMap<DeviceKind, Vec<bool>> = BTreeMap::new();
     for plan in &plans {
-        detect_events(engine, plan, cache, &mut edge);
+        let rejected = detect_events(engine, plan, cache, &mut edge);
+        if !device_kinds.contains(&plan.event_kind) {
+            suppress
+                .entry(plan.event_kind)
+                .or_insert_with(|| vec![true; rejected.len()])
+                .iter_mut()
+                .zip(rejected)
+                .for_each(|(s, r)| *s &= r);
+        }
+    }
+    if engine.config.pushdown {
+        engine.account_pushdown(cache, &suppress);
     }
     REFERENCE_EDGE.set(Some(edge));
     true
 }
 
 /// Event detection as it was before the predicate index: one plan, one
-/// tuple at a time, side effects applied in place.
-fn detect_events(engine: &mut Aorta, plan: &AqPlan, cache: &EpochScans, edge: &mut EdgeMap) {
+/// tuple at a time, side effects applied in place. Returns, per tuple,
+/// whether the plan's pushed prefix — its leading conjuncts a mote can
+/// decide alone: windowed aggregates and `attr <op> constant` comparisons —
+/// rejected it: the walk stopped on a clean false inside that prefix. An
+/// id-less tuple, an error, or a stop further down is not a rejection.
+fn detect_events(
+    engine: &mut Aorta,
+    plan: &AqPlan,
+    cache: &EpochScans,
+    edge: &mut EdgeMap,
+) -> Vec<bool> {
     let event_schema = engine.registry.schema(plan.event_kind).clone();
     let id_idx = event_schema.index_of("id").expect("catalogs define id");
     let event_tuples = cache.scans.get(&plan.event_kind).expect("scanned above");
+    let pushed = plan
+        .event_conjuncts
+        .iter()
+        .enumerate()
+        .take_while(|(idx, c)| {
+            plan.windowed.iter().any(|w| w.idx == *idx)
+                || extract_comparison(c, &plan.event_binding, &event_schema).is_some()
+        })
+        .count();
+    let mut rejected = vec![false; event_tuples.len()];
 
     for (t, tuple) in event_tuples.iter().enumerate() {
         let Some(source) = tuple.get(id_idx).and_then(Value::as_i64) else {
@@ -135,6 +176,7 @@ fn detect_events(engine: &mut Aorta, plan: &AqPlan, cache: &EpochScans, edge: &m
                 match outcome {
                     Ok(true) => {}
                     Ok(false) => {
+                        rejected[t] = idx < pushed;
                         all = false;
                         break;
                     }
@@ -165,6 +207,7 @@ fn detect_events(engine: &mut Aorta, plan: &AqPlan, cache: &EpochScans, edge: &m
         }
         engine.fire_event(plan, t, tuple, cache);
     }
+    rejected
 }
 
 /// One scripted step, applied identically to every engine.
@@ -453,7 +496,10 @@ proptest::proptest! {
 /// (firing, never-firing, erroring, fallback, duplicated, windowed
 /// predicates) over several minutes of simulated periodic events, compared
 /// on stats and trace bytes — the case a CI failure can bisect without a
-/// proptest seed.
+/// proptest seed. The beep AQs make sensors a device-part kind, so nothing
+/// is suppressed while they live; a second stretch swaps them for
+/// photo-on-camera AQs with pushable prefixes, and the pushdown arms must
+/// then agree on a ledger that really suppresses.
 #[test]
 fn fixed_mixed_workload_is_byte_identical_to_the_reference() {
     let preds = [
@@ -466,18 +512,33 @@ fn fixed_mixed_workload_is_byte_identical_to_the_reference() {
         "AVG(s.accel_x) OVER LAST 3 > 300",                   // windowed, smoothed
         "COUNT(s.temp) OVER LAST 2 >= 1 AND s.accel_x > 470", // windowed + indexed
     ];
+    let camera_preds = [
+        "CAM s.accel_x > 450",
+        "CAM s.accel_x > 450", // duplicate: shares one group
+        "CAM AVG(s.accel_x) OVER LAST 3 > 300 AND s.light >= 0",
+        // Idle light reads 250..=350: a tenth of the samples pass the prefix
+        // and stop, cleanly false, on the fallback conjunct — those ship.
+        "CAM s.light > 340 AND distance(s.loc, s.loc) > 1.0",
+    ];
     let lab = PervasiveLab::standard()
         .with_periodic_events(SimDuration::from_mins(1), SimDuration::from_secs(2));
     let arms = four_arms(0xD1FF, &lab).map(|mut replay| {
-        for (i, p) in preds.iter().enumerate() {
-            let mut plan = plan_for(p);
-            plan.name = format!("fx{i}");
-            replay
-                .aorta
-                .register_query_plan(plan)
-                .expect("fixture plans");
+        for p in preds {
+            replay.apply(&Op::Add(p.to_string()));
         }
-        replay.drive(|a| a.run_for(SimDuration::from_mins(4)));
+        replay.apply(&Op::Run(240));
+        let unsuppressed = replay.aorta.pushdown_stats();
+        assert_eq!(
+            unsuppressed.suppressed_tuples, 0,
+            "sensors are a device part"
+        );
+        for _ in preds {
+            replay.apply(&Op::Drop(0));
+        }
+        for p in camera_preds {
+            replay.apply(&Op::Add(p.to_string()));
+        }
+        replay.apply(&Op::Run(240));
         replay.aorta
     });
     let [index, reference, index_push, reference_push] = &arms;
@@ -490,12 +551,17 @@ fn fixed_mixed_workload_is_byte_identical_to_the_reference() {
         assert_eq!(other.trace().render(), index.trace().render());
     }
     assert_eq!(index_push.pushdown_stats(), reference_push.pushdown_stats());
-    let push = index_push.pushdown_stats();
-    assert!(push.shipped_tuples > 0, "real scans must ship something");
-    assert!(
-        push.wire_bytes() <= push.baseline_bytes,
-        "pushdown made the wire more expensive: {push:?}"
-    );
+    for push in [index_push, reference_push].map(Aorta::pushdown_stats) {
+        assert!(
+            push.suppressed_tuples > 0 && push.shipped_tuples > 0,
+            "the ledger must hold both shipped and suppressed samples: {push:?}"
+        );
+        assert!(push.marker_bytes > 0, "{push:?}");
+        assert!(
+            push.wire_bytes() < push.baseline_bytes,
+            "suppression must save wire bytes: {push:?}"
+        );
+    }
     assert_eq!(index.pushdown_stats(), PushdownStats::default());
 }
 

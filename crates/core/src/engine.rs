@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use aorta_data::Tuple;
-use aorta_device::pushdown::{PushProgram, WindowBank};
+use aorta_device::pushdown::WindowBank;
 use aorta_device::{DeviceId, DeviceKind, PervasiveLab};
 use aorta_net::{BreakerBank, BreakerState, DeviceRegistry, Prober};
 use aorta_obs::{MetricsRegistry, SharedMetrics};
@@ -16,7 +16,7 @@ use aorta_wal::{WalHandle, WalRecord};
 use crate::actions::{ActionDef, ActionHandler, ActionProfile, CustomHandler};
 use crate::admission::TokenBucket;
 use crate::catalog::Catalog;
-use crate::exec::{EngineEvent, PushdownStats, RawStats};
+use crate::exec::{EngineEvent, PushdownStats, RawStats, ScanKinds};
 use crate::expr::{eval_expr, eval_predicate, Env, EvalContext};
 use crate::lock::LockManager;
 use crate::pindex::PredicateIndex;
@@ -73,12 +73,6 @@ pub struct Aorta {
     /// observing the next `n` samples, not coordinator state the WAL
     /// promises to reconstruct exactly.
     pub(crate) windows: WindowBank,
-    /// The compiled device-side pushdown programs (the operator-placement
-    /// pass output). Pure derived state — a deterministic function of the
-    /// catalog and registry schemas — invalidated (`None`) on
-    /// register/drop like `scan_kinds` and rebuilt lazily, so bulk
-    /// registration of 10⁵⁺ AQs never pays a per-register recompile.
-    pub(crate) placement: Option<PushProgram>,
     /// Pushdown byte accounting ([`crate::PushdownStats`]). Write-only
     /// bookkeeping, separate from `raw_stats` so the committed seed
     /// artifacts (which digest `EngineStats`' Debug rendering) stay
@@ -89,11 +83,12 @@ pub struct Aorta {
     /// trace line per query, not one per tuple per epoch (the
     /// `bad_device_ids` counter still counts every one).
     pub(crate) bad_id_reported: BTreeSet<u32>,
-    /// Cached scan-kind order for the sampling epoch (first appearance over
-    /// plans in catalog name order, event kind before device kind), so the
-    /// steady-state epoch does not re-walk a large catalog. `None` = stale;
-    /// invalidated on register/drop and rebuilt lazily by `handle_sample`.
-    pub(crate) scan_kinds: Option<Vec<DeviceKind>>,
+    /// What a sampling epoch needs from the catalog — the scan order and
+    /// the kinds pushdown may suppress — cached so the steady-state epoch
+    /// does not re-walk a large catalog. `None` = stale; invalidated on
+    /// register/drop and rebuilt lazily by the next epoch, so bulk
+    /// registration of 10⁵⁺ AQs never pays a per-register walk.
+    pub(crate) scan_kinds: Option<ScanKinds>,
     pub(crate) raw_stats: RawStats,
     /// Execution trace for debugging and tests (ring buffer).
     pub(crate) trace: TraceBuffer,
@@ -197,7 +192,6 @@ impl Aorta {
             eval_error_reported: BTreeSet::new(),
             pindex: PredicateIndex::new(),
             windows: WindowBank::new(),
-            placement: None,
             push_stats: PushdownStats::default(),
             bad_id_reported: BTreeSet::new(),
             scan_kinds: None,
@@ -312,7 +306,6 @@ impl Aorta {
             eval_error_reported: self.eval_error_reported.clone(),
             pindex: self.pindex.clone(),
             windows: self.windows.clone(),
-            placement: self.placement.clone(),
             push_stats: self.push_stats,
             bad_id_reported: self.bad_id_reported.clone(),
             scan_kinds: self.scan_kinds.clone(),
@@ -670,7 +663,6 @@ impl Aorta {
         let schema = self.registry.schema(registered.event_kind);
         self.pindex.register(registered, schema);
         self.scan_kinds = None;
-        self.placement = None;
         self.wal_emit(|| WalRecord::AqRegistered {
             query_id: id,
             name: name.clone(),
@@ -695,7 +687,6 @@ impl Aorta {
         self.pindex.unregister(&dropped);
         self.windows.drop_query(dropped.query_id);
         self.scan_kinds = None;
-        self.placement = None;
         self.wal_emit(|| WalRecord::AqDropped {
             query_id: dropped.query_id,
             name: name.to_string(),

@@ -218,6 +218,61 @@ impl PushdownStats {
     }
 }
 
+/// What a sampling epoch needs from the catalog, derived by one walk over
+/// the registered plans and cached between register/drop operations — with
+/// 10⁶ registered AQs a per-epoch walk would dominate the epoch and break
+/// the sub-linear-cost property.
+#[derive(Debug, Clone)]
+pub(crate) struct ScanKinds {
+    /// Kinds to scan, in catalog name order — event kind before device
+    /// kind per plan, first appearance wins — so the scans (and therefore
+    /// the RNG draws they consume) happen in exactly the order a per-plan
+    /// loop would produce.
+    pub order: Vec<DeviceKind>,
+    /// Kinds whose samples pushdown may suppress: event kinds that are no
+    /// query's action target. Device-part tuples feed the candidate join,
+    /// which runs on the engine, so they always ship. Empty with pushdown
+    /// off.
+    pub suppressible: BTreeSet<DeviceKind>,
+}
+
+impl ScanKinds {
+    /// The cached value, rebuilt by one catalog walk when a register/drop
+    /// invalidated it. Takes the fields apart so an epoch can hold the
+    /// result while it scans and detects.
+    fn cached<'a>(
+        slot: &'a mut Option<ScanKinds>,
+        catalog: &crate::Catalog,
+        pushdown: bool,
+    ) -> &'a ScanKinds {
+        slot.get_or_insert_with(|| ScanKinds::of(catalog, pushdown))
+    }
+
+    fn of(catalog: &crate::Catalog, pushdown: bool) -> ScanKinds {
+        fn note(kinds: &mut Vec<DeviceKind>, kind: DeviceKind) {
+            if !kinds.contains(&kind) {
+                kinds.push(kind);
+            }
+        }
+        let mut order = Vec::new();
+        let mut event_kinds = Vec::new();
+        let mut device_kinds = Vec::new();
+        for plan in catalog.queries() {
+            note(&mut order, plan.event_kind);
+            note(&mut event_kinds, plan.event_kind);
+            if let Some(d) = &plan.device {
+                note(&mut order, d.kind);
+                note(&mut device_kinds, d.kind);
+            }
+        }
+        event_kinds.retain(|k| pushdown && !device_kinds.contains(k));
+        ScanKinds {
+            order,
+            suppressible: event_kinds.into_iter().collect(),
+        }
+    }
+}
+
 impl EngineStats {
     /// Failed requests: errors, overload sheds and expiries, plus ruined
     /// photos. A degraded (brownout) completion is a success, not a failure.
@@ -854,84 +909,41 @@ impl Aorta {
             return;
         }
 
-        // One scan per device kind per epoch, shared by all queries. The
-        // kind list is collected in catalog name order — event kind before
-        // device kind per plan, first appearance wins — so the scans (and
-        // therefore the RNG draws they consume) happen in exactly the order
-        // the original per-plan loop produced. The list is cached between
-        // register/drop operations so the steady-state epoch never re-walks
-        // the catalog — with 10⁶ registered AQs that walk would dominate the
-        // epoch and break the sub-linear-cost property.
-        let kinds = match &self.scan_kinds {
-            Some(kinds) => kinds.clone(),
-            None => {
-                let mut kinds: Vec<DeviceKind> = Vec::new();
-                for plan in self.catalog.queries() {
-                    if !kinds.contains(&plan.event_kind) {
-                        kinds.push(plan.event_kind);
-                    }
-                    if let Some(d) = &plan.device {
-                        if !kinds.contains(&d.kind) {
-                            kinds.push(d.kind);
-                        }
-                    }
-                }
-                self.scan_kinds = Some(kinds.clone());
-                kinds
-            }
-        };
+        // One scan per device kind per epoch, shared by all queries, in
+        // the cached order (see `ScanKinds`).
+        let kinds = ScanKinds::cached(&mut self.scan_kinds, &self.catalog, self.config.pushdown);
         let mut cache = EpochScans::default();
-        for kind in kinds {
+        for &kind in &kinds.order {
             cache.scans.insert(
                 kind,
                 ScanOperator::new(kind).run(&mut self.registry, self.now, &mut self.rng),
             );
         }
 
-        if self.config.pushdown {
-            self.account_pushdown(&cache);
-        }
         self.detect(&cache);
         self.dispatch_pending();
     }
 
-    /// The pushdown accounting pass: replays, per scanned tuple, the
-    /// decision the device-side program would make — ship the full
-    /// attribute reply, or substitute the one-byte suppression marker
-    /// because every watching query's pushed prefix evaluated cleanly
-    /// false — and accumulates what each arm costs on the wire.
+    /// The pushdown byte ledger: what each scanned tuple costs on the wire
+    /// given the ship/suppress decision detection's batch phase reached —
+    /// the full attribute reply, or the one-byte suppression marker when
+    /// every watching query's pushed prefix evaluated cleanly false. A kind
+    /// absent from `suppress` ships everything.
     ///
-    /// It runs *before* detection advances the window bank: a windowed
-    /// push step previews the post-advance window through
-    /// `WindowBank::peek`, so the device's decision agrees exactly with
-    /// the aggregate the engine is about to evaluate. The pass writes
-    /// only `push_stats` and obs counters — no RNG draws, no trace
+    /// Writes only `push_stats` and obs counters — no RNG draws, no trace
     /// lines, no `raw_stats` — which is what keeps a pushdown run
     /// byte-identical to a baseline run.
-    fn account_pushdown(&mut self, cache: &EpochScans) {
-        // The placement program is derived state, invalidated on
-        // register/drop and rebuilt lazily here (cf. `scan_kinds`).
-        if self.placement.is_none() {
-            self.placement = Some(crate::placement::build_program(
-                &self.catalog,
-                &self.registry,
-            ));
-        }
-        let program = self.placement.take().expect("built above");
-        // The device's own view of its windows: a scratch copy of the bank
-        // advanced sample-by-sample, so a tuple's ship/suppress decision sees
-        // every earlier sample from the same source this epoch — exactly the
-        // order detection will replay below against the real bank.
-        let mut bank = self.windows.clone();
+    fn account_pushdown(&mut self, cache: &EpochScans, suppress: &BTreeMap<DeviceKind, Vec<bool>>) {
         for (kind, tuples) in &cache.scans {
-            let schema = self.registry.schema(*kind).clone();
+            let schema = self.registry.schema(*kind);
             let id_idx = schema.index_of("id");
+            let suppress = suppress.get(kind);
             let mut shipped = 0u64;
             let mut suppressed = 0u64;
             let mut reply_bytes = 0u64;
             let mut marker_bytes = 0u64;
             let mut baseline_bytes = 0u64;
-            for tuple in tuples {
+            for (t, tuple) in tuples.iter().enumerate() {
                 // Hop-weighted reply cost: every intermediate mote on the
                 // path to the gateway forwards the reply. Non-mote devices
                 // (and tuples whose id resolves to nothing) count one hop.
@@ -942,16 +954,15 @@ impl Aorta {
                     .and_then(|idx| self.registry.get(DeviceId::new(*kind, idx)))
                     .and_then(|e| e.sim.as_mote())
                     .map_or(1, |m| u64::from(m.depth()));
-                let reply_cost = ScanOperator::reply_wire_len(&schema, tuple) as u64 * hops;
+                let reply_cost = ScanOperator::reply_wire_len(schema, tuple) as u64 * hops;
                 baseline_bytes += reply_cost;
-                if program.ships(*kind, &schema, tuple, &bank) {
-                    shipped += 1;
-                    reply_bytes += reply_cost;
-                } else {
+                if suppress.is_some_and(|s| s[t]) {
                     suppressed += 1;
                     marker_bytes += ScanOperator::suppressed_wire_len() as u64 * hops;
+                } else {
+                    shipped += 1;
+                    reply_bytes += reply_cost;
                 }
-                program.advance_windows(*kind, &schema, tuple, &mut bank);
             }
             self.push_stats.shipped_tuples += shipped;
             self.push_stats.suppressed_tuples += suppressed;
@@ -967,7 +978,6 @@ impl Aorta {
                 m.incr(push_metrics::BASELINE_BYTES, labels, baseline_bytes);
             }
         }
-        self.placement = Some(program);
     }
 
     /// Idless-tuple bookkeeping: counter, obs metric, trace line. Rising
@@ -1121,7 +1131,10 @@ impl Aorta {
 
     /// Event detection: one batch phase over the shared
     /// [`crate::PredicateIndex`], a per-plan replay of side effects for the
-    /// few *affected* plans, and a commit of the shared edge state.
+    /// few *affected* plans, and a commit of the shared edge state. With
+    /// pushdown on, the batch phase also decides which samples of the
+    /// suppressible kinds their devices would have kept off the wire, and
+    /// the byte ledger is charged from that.
     ///
     /// The replay is observably a per-plan, tuple-at-a-time walk — same
     /// counters, same trace lines in the same order, same requests —
@@ -1136,9 +1149,14 @@ impl Aorta {
             let ctx = EvalContext {
                 registry: &self.registry,
             };
+            let kinds =
+                ScanKinds::cached(&mut self.scan_kinds, &self.catalog, self.config.pushdown);
             self.pindex
-                .plan_epoch(&cache.scans, &ctx, &mut self.windows)
+                .plan_epoch(&cache.scans, &ctx, &mut self.windows, &kinds.suppressible)
         };
+        if self.config.pushdown {
+            self.account_pushdown(cache, &outcomes.suppress);
+        }
         if let Some(m) = &self.obs {
             m.incr(detect_metrics::INDEXED_EVALS, &[], outcomes.tally.indexed);
             m.incr(detect_metrics::FALLBACK_EVALS, &[], outcomes.tally.fallback);
@@ -1254,9 +1272,6 @@ impl Aorta {
     pub fn detect_on_batch(&mut self, kind: DeviceKind, tuples: Vec<Tuple>) {
         let mut cache = EpochScans::default();
         cache.scans.insert(kind, tuples);
-        if self.config.pushdown {
-            self.account_pushdown(&cache);
-        }
         self.detect(&cache);
         self.dispatch_pending();
     }
@@ -1578,60 +1593,31 @@ impl Aorta {
             // SRFE: greedy nearest-first chain from the device's probed
             // status (re-estimating after each predicted status change).
             // The MinCost policy ablates this: each device services its
-            // queue in assignment order.
-            if self.config.dispatch == DispatchPolicy::MinCost {
-                let mut t = if self.config.sync_enabled {
-                    base
+            // queue in assignment order, at the assignment's estimates.
+            let ordered: Vec<(ActionRequest, SimDuration)> =
+                if self.config.dispatch == DispatchPolicy::MinCost {
+                    lane.into_iter().map(|(req, est, _)| (req, est)).collect()
                 } else {
-                    self.now
+                    let mut ordered = Vec::with_capacity(lane.len());
+                    let mut st = status[i].expect("only probed-available devices are assigned");
+                    while !lane.is_empty() {
+                        let mut best = (0usize, SimDuration::MAX);
+                        for (n, (req, est, head)) in lane.iter().enumerate() {
+                            let c = self
+                                .action_cost(&def, req.degraded, &st, *head)
+                                .unwrap_or(*est);
+                            if c < best.1 {
+                                best = (n, c);
+                            }
+                        }
+                        let (req, _, head) = lane.swap_remove(best.0);
+                        if let Some(head) = head {
+                            st = PhysicalStatus::CameraHead(head);
+                        }
+                        ordered.push((req, best.1));
+                    }
+                    ordered
                 };
-                let mut holder = None;
-                for (req, cost, _) in lane {
-                    holder.get_or_insert(req.query_id);
-                    let start = if self.config.sync_enabled {
-                        t.max(self.now)
-                    } else {
-                        self.now
-                    };
-                    self.queue.push(
-                        start,
-                        EngineEvent::Execute {
-                            device: d,
-                            request: req,
-                        },
-                    );
-                    t = start + cost + SimDuration::from_millis(5);
-                }
-                if self.config.sync_enabled {
-                    // Audited fold: `holder` is set by the first queued
-                    // request, so `None` only survives an empty lane — and
-                    // an empty lane locks a zero-length window under a
-                    // query id that owns nothing. Harmless, not hidden.
-                    let q = holder.unwrap_or(0);
-                    if !self.locks.try_lock(d, q, self.now, t) {
-                        self.locks.extend(d, self.now, t);
-                    }
-                }
-                continue;
-            }
-            let mut ordered: Vec<(ActionRequest, SimDuration)> = Vec::with_capacity(lane.len());
-            let mut st = status[i].expect("only probed-available devices are assigned");
-            while !lane.is_empty() {
-                let mut best = (0usize, SimDuration::MAX);
-                for (n, (req, est, head)) in lane.iter().enumerate() {
-                    let c = self
-                        .action_cost(&def, req.degraded, &st, *head)
-                        .unwrap_or(*est);
-                    if c < best.1 {
-                        best = (n, c);
-                    }
-                }
-                let (req, _, head) = lane.swap_remove(best.0);
-                if let Some(head) = head {
-                    st = PhysicalStatus::CameraHead(head);
-                }
-                ordered.push((req, best.1));
-            }
 
             // Cost estimates are rounded to whole microseconds, so queued
             // starts carry a small guard to keep the next command strictly
@@ -1656,8 +1642,10 @@ impl Aorta {
                 t = start + cost + SCHEDULE_GUARD;
             }
             if self.config.sync_enabled {
-                // Audited fold: same invariant as the fast path above —
-                // `None` means an empty lane and a vacuous lock window.
+                // Audited fold: `holder` is set by the first queued
+                // request, so `None` only survives an empty lane — and
+                // an empty lane locks a zero-length window under a
+                // query id that owns nothing. Harmless, not hidden.
                 let q = holder.unwrap_or(0);
                 if !self.locks.try_lock(d, q, self.now, t) {
                     self.locks.extend(d, self.now, t);
@@ -2569,6 +2557,138 @@ mod tests {
             push.saved_bytes(),
             push.baseline_bytes - push.reply_bytes - push.marker_bytes
         );
+    }
+
+    /// The ship/suppress rules, one row each, observed where a deployment
+    /// would observe them: synthetic sensor batches through
+    /// `detect_on_batch`, decisions read back from `pushdown_stats()`.
+    /// Anything uncertain ships; a sample is suppressed only when every
+    /// watching query rejects it inside its pushed prefix.
+    #[test]
+    fn pushdown_suppresses_only_what_every_watcher_rejects_in_its_prefix() {
+        use aorta_data::{Location, Tuple, Value};
+
+        let photo = |pred: &str| {
+            format!(r#"SELECT photo(c.ip, s.loc, "p") FROM sensor s, camera c WHERE {pred}"#)
+        };
+        let beep = |pred: &str| format!("SELECT beep(t.id) FROM sensor t, sensor s WHERE {pred}");
+        let schema = Aorta::with_lab(EngineConfig::seeded(37), PervasiveLab::standard())
+            .registry
+            .schema(DeviceKind::Sensor)
+            .clone();
+        // A located sensor sample; `id: None` leaves the id NULL.
+        let sample = |id: Option<i64>, accel_x: i64, light: i64| {
+            let mut values = vec![Value::Null; schema.len()];
+            if let Some(id) = id {
+                values[schema.index_of("id").unwrap()] = Value::Int(id);
+            }
+            values[schema.index_of("loc").unwrap()] = Value::Location(Location::ORIGIN);
+            values[schema.index_of("accel_x").unwrap()] = Value::Int(accel_x);
+            values[schema.index_of("light").unwrap()] = Value::Int(light);
+            Tuple::new(values)
+        };
+        struct Row {
+            rule: &'static str,
+            aqs: Vec<String>,
+            batch: Vec<Tuple>,
+            shipped: u64,
+            suppressed: u64,
+        }
+        let row = |rule, aqs: &[String], batch: &[Tuple], (shipped, suppressed)| Row {
+            rule,
+            aqs: aqs.to_vec(),
+            batch: batch.to_vec(),
+            shipped,
+            suppressed,
+        };
+        let rows = [
+            row(
+                "every watcher rejects inside its prefix: suppressed",
+                &[
+                    photo("s.accel_x > 500"),
+                    photo("s.light > 900 AND distance(s.loc, s.loc) < 1.0"),
+                ],
+                &[sample(Some(3), 20, 10)],
+                (0, 1),
+            ),
+            row(
+                "one watcher's prefix passes: ships",
+                &[photo("s.accel_x > 500"), photo("s.light > 900")],
+                &[sample(Some(3), 600, 10)],
+                (1, 0),
+            ),
+            row(
+                "a kind some query targets as its device part never suppresses",
+                &[photo("s.accel_x > 500"), beep("s.accel_x > 500")],
+                &[sample(Some(3), 20, 10)],
+                (1, 0),
+            ),
+            row(
+                "an id-less sample ships",
+                &[photo("s.accel_x > 500")],
+                &[sample(None, 20, 10), sample(Some(3), 20, 10)],
+                (1, 1),
+            ),
+            row(
+                "a query whose first conjunct is not pushable forces shipping",
+                &[
+                    photo("s.accel_x > 500"),
+                    photo("distance(s.loc, s.loc) < 1.0 AND s.accel_x > 500"),
+                ],
+                &[sample(Some(3), 20, 10)],
+                (1, 0),
+            ),
+            row(
+                "a type mismatch inside the prefix ships",
+                &[photo("s.loc > 500")],
+                &[sample(Some(3), 20, 10)],
+                (1, 0),
+            ),
+            row(
+                "a clean false after the prefix ships",
+                &[photo("s.accel_x > 500 AND distance(s.loc, s.loc) > 1.0")],
+                &[sample(Some(3), 600, 10), sample(Some(4), 20, 10)],
+                (1, 1),
+            ),
+            row(
+                "a windowed step sees the same source's earlier sample of the epoch",
+                &[photo("AVG(s.accel_x) OVER LAST 2 > 100")],
+                // Source 3: avg(400) then avg(400, 0) = 200 both pass; alone,
+                // the second sample would average 0 — as source 4's does.
+                &[
+                    sample(Some(3), 400, 10),
+                    sample(Some(4), 0, 10),
+                    sample(Some(3), 0, 10),
+                ],
+                (2, 1),
+            ),
+        ];
+        for Row {
+            rule,
+            aqs,
+            batch,
+            shipped,
+            suppressed,
+        } in rows
+        {
+            let mut aorta = Aorta::with_lab(
+                EngineConfig::seeded(37).with_pushdown(),
+                PervasiveLab::standard(),
+            );
+            for (i, sql) in aqs.iter().enumerate() {
+                aorta
+                    .execute_sql(&format!("CREATE AQ q{i} AS {sql}"))
+                    .unwrap();
+            }
+            aorta.detect_on_batch(DeviceKind::Sensor, batch);
+            let push = aorta.pushdown_stats();
+            assert_eq!(
+                (push.shipped_tuples, push.suppressed_tuples),
+                (shipped, suppressed),
+                "{rule}: {push:?}"
+            );
+            assert_eq!(push.marker_bytes > 0, suppressed > 0, "{rule}: {push:?}");
+        }
     }
 
     /// Rising-edge state must not outlive its query: before the GC, every

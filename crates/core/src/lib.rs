@@ -44,7 +44,6 @@ mod exec;
 mod expr;
 mod lock;
 mod pindex;
-mod placement;
 mod plan;
 mod recovery;
 mod shared;

@@ -19,7 +19,11 @@
 //! * a conjunct comparing a **windowed aggregate** (`AGG(attr) OVER LAST n`)
 //!   is a stateful slot reading the query's own device-resident window, so a
 //!   plan with one is a group of its own: window state is per query and two
-//!   queries registered at different times hold different samples.
+//!   queries registered at different times hold different samples,
+//! * a group's leading comparison and windowed slots are its **pushed
+//!   prefix** — what a mote can decide on its own. The walk that detects
+//!   events also settles in-network pushdown: a sample is suppressed when
+//!   every group watching its kind stopped cleanly inside that prefix.
 //!
 //! Detection runs in three phases (see `exec.rs`): a batch phase here
 //! ([`PredicateIndex::plan_epoch`]) that touches no engine state beyond
@@ -154,6 +158,10 @@ struct QueryGroup {
     slots: Vec<ConjunctSlot>,
     /// `indexed_prefix[i]` = number of `Indexed` slots among the first `i`.
     indexed_prefix: Vec<u32>,
+    /// Length of the pushed prefix: the leading non-`Fallback` slots, the
+    /// conjuncts a device can decide without the engine. A walk that stops
+    /// cleanly at a slot below this cannot fire the group, whatever follows.
+    pushed_len: usize,
     /// Member queries by id.
     members: BTreeMap<u32, Member>,
     /// Union of all members' pending sets (fast emptiness check per epoch).
@@ -224,6 +232,10 @@ pub(crate) struct EpochOutcomes {
     pub commits: Vec<(GroupKey, BTreeMap<i64, bool>)>,
     /// Logical conjunct-evaluation counts for the obs counters.
     pub tally: EvalTally,
+    /// Per suppressible kind watched by at least one group: whether each
+    /// batch tuple is suppressed at its device — it has an id and every
+    /// group of the kind stopped cleanly inside its pushed prefix.
+    pub suppress: BTreeMap<DeviceKind, Vec<bool>>,
 }
 
 /// Packed per-comparison match/error bitsets over one scan batch.
@@ -400,11 +412,16 @@ impl PredicateIndex {
                 pending: BTreeSet::new(),
             },
         );
+        let pushed_len = slots
+            .iter()
+            .take_while(|s| !matches!(s, ConjunctSlot::Fallback(_)))
+            .count();
         self.groups.insert(
             key,
             QueryGroup {
                 slots,
                 indexed_prefix,
+                pushed_len,
                 members,
                 pending_union: BTreeSet::new(),
                 edge: BTreeMap::new(),
@@ -592,11 +609,17 @@ impl PredicateIndex {
     /// before the walk, so a windowed slot sees the window including the
     /// current sample — `LAST n` is the last n samples taken, and a
     /// non-numeric one (a lossy scan's NULL) still occupies a slot.
+    ///
+    /// For each kind in `suppressible` the same walk folds the in-network
+    /// ship/suppress decision into [`EpochOutcomes::suppress`]: anything
+    /// uncertain — an id-less tuple, an erroring conjunct, a group with no
+    /// pushed prefix, a kind no group watches — ships.
     pub(crate) fn plan_epoch(
         &self,
         cache: &BTreeMap<DeviceKind, Vec<Tuple>>,
         ctx: &EvalContext<'_>,
         windows: &mut WindowBank,
+        suppressible: &BTreeSet<DeviceKind>,
     ) -> EpochOutcomes {
         let mut out = EpochOutcomes::default();
         let mut batches: BTreeMap<DeviceKind, CmpBatch> = BTreeMap::new();
@@ -621,6 +644,11 @@ impl PredicateIndex {
             let sources = &out.sources[&key.kind];
             let schema = ctx.registry.schema(key.kind);
             let kind_has_idless = idless[&key.kind];
+            let mut suppress = suppressible.contains(&key.kind).then(|| {
+                out.suppress
+                    .entry(key.kind)
+                    .or_insert_with(|| sources.iter().map(Option::is_some).collect())
+            });
 
             let mut stops = Vec::with_capacity(tuples.len());
             let mut final_edge: BTreeMap<i64, bool> = BTreeMap::new();
@@ -701,6 +729,9 @@ impl PredicateIndex {
                 let matched = stop.is_none();
                 if let Some((_, true)) = stop {
                     any_error = true;
+                }
+                if let Some(suppress) = &mut suppress {
+                    suppress[t] &= matches!(stop, Some((si, false)) if si < group.pushed_len);
                 }
                 // Only what the commit must write is recorded: a state that
                 // differs from the committed one (or is new), and any later
@@ -829,7 +860,7 @@ mod tests {
         let ctx = EvalContext { registry: reg };
         let mut cache = BTreeMap::new();
         cache.insert(DeviceKind::Sensor, tuples);
-        let out = index.plan_epoch(&cache, &ctx, &mut WindowBank::new());
+        let out = index.plan_epoch(&cache, &ctx, &mut WindowBank::new(), &BTreeSet::new());
         let gi = out.by_query[&qid];
         out.groups[gi].stops.clone()
     }
@@ -845,7 +876,7 @@ mod tests {
         let ctx = EvalContext { registry: reg };
         let mut cache = BTreeMap::new();
         cache.insert(DeviceKind::Sensor, tuples);
-        let out = index.plan_epoch(&cache, &ctx, windows);
+        let out = index.plan_epoch(&cache, &ctx, windows, &BTreeSet::new());
         index.commit_epoch(out.commits);
         out.affected.into_iter().map(|(name, _)| name).collect()
     }
@@ -1001,7 +1032,7 @@ mod tests {
             vec![sensor_tuple(&reg, Some(7), Value::Int(600))],
         );
         let windows = &mut WindowBank::new();
-        let out = index.plan_epoch(&cache, &ctx, windows);
+        let out = index.plan_epoch(&cache, &ctx, windows, &BTreeSet::new());
         assert_eq!(out.affected.len(), 1, "a rises");
         index.commit_epoch(out.commits);
         // Query b joins the group after the edge is already TRUE.
@@ -1009,7 +1040,7 @@ mod tests {
         index.register(&b, &schema);
         // Epoch 2: source 7 still matches. For a this is a steady state (no
         // rising edge); for b it is b's FIRST observation, so b must fire.
-        let out = index.plan_epoch(&cache, &ctx, windows);
+        let out = index.plan_epoch(&cache, &ctx, windows, &BTreeSet::new());
         assert!(
             out.affected.iter().any(|(n, _)| n == "b"),
             "late joiner must be replayed: {:?}",
@@ -1021,7 +1052,7 @@ mod tests {
         );
         index.commit_epoch(out.commits);
         // Epoch 3: b is synced now; steady state affects nobody.
-        let out = index.plan_epoch(&cache, &ctx, windows);
+        let out = index.plan_epoch(&cache, &ctx, windows, &BTreeSet::new());
         assert!(out.affected.is_empty(), "{:?}", out.affected);
     }
 
@@ -1086,7 +1117,7 @@ mod tests {
             let ctx = EvalContext { registry: &reg };
             let mut cache = BTreeMap::new();
             cache.insert(DeviceKind::Sensor, batch);
-            let out = index.plan_epoch(&cache, &ctx, &mut windows);
+            let out = index.plan_epoch(&cache, &ctx, &mut windows, &BTreeSet::new());
             out.groups[out.by_query[&0]].stops.clone()
         };
         // Had the id-less pair advanced source 3's window, the 900 would

@@ -39,8 +39,8 @@ pub struct DevicePart {
 ///
 /// The planner only admits window aggregates in this shape (and only over
 /// the event table), so detection can evaluate them from the device-resident
-/// [`aorta_device::pushdown::WindowBank`] and the placement pass can push
-/// them whole.
+/// [`aorta_device::pushdown::WindowBank`] and pushdown can count them as
+/// decided on the device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowedCmp {
     /// Index into [`AqPlan::event_conjuncts`].

@@ -1,4 +1,4 @@
-//! Device-side operator pushdown programs.
+//! Device-resident state and vocabulary of in-network operator pushdown.
 //!
 //! The paper's in-network processing argument (§2, §3.2) is that a mote can
 //! evaluate simple predicates and keep small amounts of aggregate state
@@ -6,34 +6,23 @@
 //! registered query never pays the multi-hop radio cost of shipping its
 //! full payload — only a one-byte suppression marker travels.
 //!
-//! This module holds the *program* representation and its evaluation
-//! semantics, shared between the engine's placement pass (which compiles
-//! registered queries into per-kind programs) and the accounting layer
-//! (which decides ship-vs-suppress per scanned sample):
+//! The pushed conjuncts themselves are evaluated in exactly one place, the
+//! engine's predicate index (`aorta_core::PredicateIndex::plan_epoch`):
+//! a query's pushed prefix is the leading comparison and windowed slots of
+//! its group, and the ship/suppress decision is a fold over the walk that
+//! detection performs anyway. This module holds what that walk shares with
+//! the planner:
 //!
-//! * [`PushStep`] — one pushed conjunct: a comparison over the current
-//!   sample's attribute ([`PushTerm::Attr`]) or over a windowed aggregate of
-//!   the device's recent samples ([`PushTerm::Window`]),
-//! * [`PushPrefix`] — the pushable *prefix* of one query's conjunct list,
-//!   evaluated in order with short-circuit AND exactly like the engine,
-//! * [`PushProgram`] — all prefixes per device kind plus the set of kinds
-//!   eligible for suppression at all,
+//! * [`PushOp`]/[`PushAgg`] — the comparison operators and partial
+//!   aggregates a windowed conjunct is planned into,
 //! * [`WindowState`]/[`WindowBank`] — the device-resident sliding windows
-//!   backing `AGG(attr) OVER LAST n` aggregates.
-//!
-//! The safety property is *preservation by construction*: a sample is
-//! suppressed only when **every** query watching its kind fails within its
-//! pushed prefix — and since the prefix is a prefix of the query's AND
-//! chain, the engine's own evaluation would have short-circuited to false
-//! on the same conjunct. Anything uncertain (evaluation error, id-less
-//! tuple, empty prefix) ships.
+//!   backing `AGG(attr) OVER LAST n` aggregates,
+//! * [`numeric_sample`] — which sampled values a window aggregates.
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
-use aorta_data::{Schema, Tuple, Value};
-
-use crate::DeviceKind;
+use aorta_data::Value;
 
 /// Comparison operator of a pushed conjunct.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -172,30 +161,11 @@ impl WindowState {
     /// window holds no numeric sample — the conjunct then evaluates false,
     /// like a NULL comparison.
     pub fn aggregate(&self, agg: PushAgg) -> Option<Value> {
-        Self::fold(self.samples.iter().copied(), agg)
-    }
-
-    /// The aggregate the window *would* produce after pushing `extra` —
-    /// a read-only preview used by the ship/suppress decision, which runs
-    /// before the engine's own window advance.
-    pub fn aggregate_with(&self, agg: PushAgg, extra: Option<f64>) -> Option<Value> {
-        let skip = if self.samples.len() == self.cap { 1 } else { 0 };
-        Self::fold(
-            self.samples
-                .iter()
-                .copied()
-                .skip(skip)
-                .chain(std::iter::once(extra)),
-            agg,
-        )
-    }
-
-    fn fold(samples: impl Iterator<Item = Option<f64>>, agg: PushAgg) -> Option<Value> {
         let mut count = 0u64;
         let mut sum = 0.0f64;
         let mut max = f64::NEG_INFINITY;
         let mut min = f64::INFINITY;
-        for s in samples.flatten() {
+        for s in self.samples.iter().copied().flatten() {
             count += 1;
             sum += s;
             max = max.max(s);
@@ -243,23 +213,6 @@ impl WindowBank {
         }
     }
 
-    /// The aggregate `(query, slot, source)` would hold after pushing
-    /// `extra` — read-only, for the pre-advance ship/suppress decision.
-    pub fn peek(
-        &self,
-        query: u32,
-        slot: usize,
-        source: i64,
-        cap: u32,
-        agg: PushAgg,
-        extra: Option<f64>,
-    ) -> Option<Value> {
-        match self.states.get(&(query, slot, source)) {
-            Some(w) => w.aggregate_with(agg, extra),
-            None => WindowState::new(cap).aggregate_with(agg, extra),
-        }
-    }
-
     /// Drops every window owned by `query` (the `DROP AQ` path). The map
     /// orders by query first, so the query's windows are one key range and
     /// its siblings' are never visited.
@@ -279,221 +232,9 @@ impl WindowBank {
     }
 }
 
-/// The operand of a pushed comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PushTerm {
-    /// The current sample's value of the named attribute.
-    Attr(String),
-    /// A windowed aggregate of the device's recent samples.
-    Window {
-        /// The aggregate function.
-        agg: PushAgg,
-        /// The aggregated attribute.
-        attr: String,
-        /// Window length in samples.
-        window: u32,
-        /// The owning conjunct's index — the [`WindowBank`] key slot.
-        slot: usize,
-    },
-}
-
-/// Marker error: a pushed step could not be decided at the device (type
-/// mismatch, unknown attribute). The only sound response is to ship the
-/// sample — mirroring the engine's error-is-not-false rule — so the error
-/// carries no payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Undecidable;
-
-/// One pushed conjunct: `term op constant`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PushStep {
-    /// Left operand.
-    pub term: PushTerm,
-    /// Comparison operator.
-    pub op: PushOp,
-    /// Right operand (a literal constant).
-    pub constant: Value,
-}
-
-impl PushStep {
-    /// Evaluates the step against one sample. `Err(Undecidable)` means the
-    /// comparison could not be decided (type mismatch, unknown attribute)
-    /// — the caller must ship, mirroring the engine's error-is-not-false
-    /// rule.
-    pub fn eval(
-        &self,
-        schema: &Schema,
-        tuple: &Tuple,
-        query: u32,
-        source: i64,
-        bank: &WindowBank,
-    ) -> Result<bool, Undecidable> {
-        match &self.term {
-            PushTerm::Attr(attr) => {
-                let idx = schema.index_of(attr).ok_or(Undecidable)?;
-                match tuple.get(idx) {
-                    // NULL never matches and never errors, like the
-                    // engine's NULL-comparison path.
-                    None | Some(Value::Null) => Ok(false),
-                    Some(v) => match v.compare(&self.constant) {
-                        Ok(ord) => Ok(self.op.matches(ord)),
-                        Err(_) => Err(Undecidable),
-                    },
-                }
-            }
-            PushTerm::Window {
-                agg,
-                attr,
-                window,
-                slot,
-            } => {
-                let idx = schema.index_of(attr).ok_or(Undecidable)?;
-                let sample = numeric_sample(tuple.get(idx));
-                match bank.peek(query, *slot, source, *window, *agg, sample) {
-                    // No numeric sample in the window: the aggregate is
-                    // undefined and the conjunct evaluates false.
-                    None => Ok(false),
-                    Some(v) => match v.compare(&self.constant) {
-                        Ok(ord) => Ok(self.op.matches(ord)),
-                        Err(_) => Err(Undecidable),
-                    },
-                }
-            }
-        }
-    }
-}
-
-/// The pushable prefix of one query's event-conjunct list.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PushPrefix {
-    /// The owning query.
-    pub query_id: u32,
-    /// Pushed conjuncts, in the query's AND order.
-    pub steps: Vec<PushStep>,
-}
-
-impl PushPrefix {
-    /// Short-circuit AND over the steps. `Ok(true)` = prefix holds (ship),
-    /// `Ok(false)` = some step failed cleanly (this query cannot fire),
-    /// `Err(Undecidable)` = undecidable (ship).
-    pub fn eval(
-        &self,
-        schema: &Schema,
-        tuple: &Tuple,
-        source: i64,
-        bank: &WindowBank,
-    ) -> Result<bool, Undecidable> {
-        for step in &self.steps {
-            if !step.eval(schema, tuple, self.query_id, source, bank)? {
-                return Ok(false);
-            }
-        }
-        Ok(true)
-    }
-}
-
-/// The compiled per-kind pushdown program.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PushProgram {
-    /// One prefix per registered query, grouped by the query's event kind.
-    pub prefixes: BTreeMap<DeviceKind, Vec<PushPrefix>>,
-    /// Kinds whose samples may be suppressed at all: event kinds that are
-    /// not any query's action-target (device) kind — device-part tuples
-    /// feed the candidate join and must always ship.
-    pub suppressible: BTreeSet<DeviceKind>,
-}
-
-impl PushProgram {
-    /// True when no query contributes a prefix.
-    pub fn is_empty(&self) -> bool {
-        self.prefixes.is_empty()
-    }
-
-    /// Decides whether a device of `kind` ships this sample's full payload.
-    ///
-    /// Ships when the kind is not suppressible, the tuple has no usable id
-    /// (the engine must still observe and count it), any watching query has
-    /// an empty prefix, or any prefix passes or errors. Suppresses only
-    /// when every watching query's prefix fails cleanly.
-    pub fn ships(
-        &self,
-        kind: DeviceKind,
-        schema: &Schema,
-        tuple: &Tuple,
-        bank: &WindowBank,
-    ) -> bool {
-        if !self.suppressible.contains(&kind) {
-            return true;
-        }
-        let Some(prefixes) = self.prefixes.get(&kind) else {
-            return true;
-        };
-        let source = match schema.index_of("id").and_then(|i| tuple.get(i)) {
-            Some(Value::Int(i)) => *i,
-            _ => return true, // id-less samples always ship
-        };
-        for prefix in prefixes {
-            if prefix.steps.is_empty() {
-                return true;
-            }
-            match prefix.eval(schema, tuple, source, bank) {
-                Ok(true) | Err(Undecidable) => return true,
-                Ok(false) => {}
-            }
-        }
-        false
-    }
-
-    /// Advances every pushed window with this sample, ship or suppress: the
-    /// device took the sample either way, and window slots are device-resident
-    /// state that must track the samples the device observed — exactly how the
-    /// engine advances `plan.windowed` unconditionally before the conjunct
-    /// walk. Id-less samples carry no per-source window and are skipped, again
-    /// matching the engine.
-    pub fn advance_windows(
-        &self,
-        kind: DeviceKind,
-        schema: &Schema,
-        tuple: &Tuple,
-        bank: &mut WindowBank,
-    ) {
-        let Some(prefixes) = self.prefixes.get(&kind) else {
-            return;
-        };
-        let source = match schema.index_of("id").and_then(|i| tuple.get(i)) {
-            Some(Value::Int(i)) => *i,
-            _ => return,
-        };
-        for prefix in prefixes {
-            for step in &prefix.steps {
-                if let PushTerm::Window {
-                    attr, window, slot, ..
-                } = &step.term
-                {
-                    let sample = numeric_sample(schema.index_of(attr).and_then(|i| tuple.get(i)));
-                    bank.advance(prefix.query_id, *slot, source, *window, sample);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aorta_data::{AttrKind, ValueType};
-
-    fn schema() -> Schema {
-        Schema::builder("sensor")
-            .attr("id", ValueType::Int, AttrKind::NonSensory)
-            .attr("accel_x", ValueType::Int, AttrKind::Sensory)
-            .attr("label", ValueType::Str, AttrKind::Sensory)
-            .build()
-    }
-
-    fn tuple(id: i64, accel: Value) -> Tuple {
-        Tuple::new(vec![Value::Int(id), accel, Value::Null])
-    }
 
     #[test]
     fn window_aggregates_over_numeric_samples() {
@@ -511,22 +252,6 @@ mod tests {
         w.push(Some(40.0));
         assert_eq!(w.aggregate(PushAgg::Avg), Some(Value::Float(30.0)));
         assert_eq!(w.len(), 3);
-    }
-
-    #[test]
-    fn aggregate_with_previews_the_next_push() {
-        let mut w = WindowState::new(2);
-        w.push(Some(10.0));
-        w.push(Some(20.0));
-        // Preview: pushing 30 evicts 10, window = [20, 30].
-        assert_eq!(
-            w.aggregate_with(PushAgg::Avg, Some(30.0)),
-            Some(Value::Float(25.0))
-        );
-        // The preview did not mutate.
-        assert_eq!(w.aggregate(PushAgg::Avg), Some(Value::Float(15.0)));
-        w.push(Some(30.0));
-        assert_eq!(w.aggregate(PushAgg::Avg), Some(Value::Float(25.0)));
     }
 
     #[test]
@@ -577,104 +302,5 @@ mod tests {
         bank.drop_query(u32::MAX);
         bank.drop_query(0);
         assert_eq!(bank.len(), 20);
-    }
-
-    #[test]
-    fn attr_step_matches_null_and_mismatch_semantics() {
-        let s = schema();
-        let bank = WindowBank::new();
-        let step = PushStep {
-            term: PushTerm::Attr("accel_x".into()),
-            op: PushOp::Gt,
-            constant: Value::Int(500),
-        };
-        let hit = tuple(0, Value::Int(600));
-        let miss = tuple(0, Value::Int(400));
-        let null = tuple(0, Value::Null);
-        assert_eq!(step.eval(&s, &hit, 0, 0, &bank), Ok(true));
-        assert_eq!(step.eval(&s, &miss, 0, 0, &bank), Ok(false));
-        assert_eq!(step.eval(&s, &null, 0, 0, &bank), Ok(false));
-        // Type mismatch is an error, never false.
-        let mismatch = PushStep {
-            term: PushTerm::Attr("accel_x".into()),
-            op: PushOp::Gt,
-            constant: Value::Str("high".into()),
-        };
-        assert_eq!(mismatch.eval(&s, &hit, 0, 0, &bank), Err(Undecidable));
-    }
-
-    #[test]
-    fn program_suppresses_only_when_every_prefix_fails() {
-        let s = schema();
-        let mut bank = WindowBank::new();
-        let mut program = PushProgram::default();
-        program.suppressible.insert(DeviceKind::Sensor);
-        program.prefixes.insert(
-            DeviceKind::Sensor,
-            vec![
-                PushPrefix {
-                    query_id: 0,
-                    steps: vec![PushStep {
-                        term: PushTerm::Attr("accel_x".into()),
-                        op: PushOp::Gt,
-                        constant: Value::Int(500),
-                    }],
-                },
-                PushPrefix {
-                    query_id: 1,
-                    steps: vec![PushStep {
-                        term: PushTerm::Window {
-                            agg: PushAgg::Avg,
-                            attr: "accel_x".into(),
-                            window: 2,
-                            slot: 0,
-                        },
-                        op: PushOp::Ge,
-                        constant: Value::Int(100),
-                    }],
-                },
-            ],
-        );
-        // Both prefixes fail (20 <= 500; avg-with-current 20 < 100).
-        assert!(!program.ships(DeviceKind::Sensor, &s, &tuple(3, Value::Int(20)), &bank));
-        // The direct comparison passes.
-        assert!(program.ships(DeviceKind::Sensor, &s, &tuple(3, Value::Int(600)), &bank));
-        // The window fills with large samples: the aggregate prefix passes
-        // even though the current sample fails the direct comparison.
-        bank.advance(1, 0, 3, 2, Some(400.0));
-        bank.advance(1, 0, 3, 2, Some(400.0));
-        assert!(program.ships(DeviceKind::Sensor, &s, &tuple(3, Value::Int(20)), &bank));
-        // Id-less samples always ship.
-        let idless = Tuple::new(vec![Value::Null, Value::Int(0), Value::Null]);
-        assert!(program.ships(DeviceKind::Sensor, &s, &idless, &bank));
-        // Non-suppressible kinds always ship.
-        assert!(program.ships(DeviceKind::Camera, &s, &tuple(3, Value::Int(20)), &bank));
-    }
-
-    #[test]
-    fn empty_prefix_forces_shipping() {
-        let s = schema();
-        let bank = WindowBank::new();
-        let mut program = PushProgram::default();
-        program.suppressible.insert(DeviceKind::Sensor);
-        program.prefixes.insert(
-            DeviceKind::Sensor,
-            vec![
-                PushPrefix {
-                    query_id: 0,
-                    steps: vec![PushStep {
-                        term: PushTerm::Attr("accel_x".into()),
-                        op: PushOp::Gt,
-                        constant: Value::Int(500),
-                    }],
-                },
-                // A query the placement pass could not push at all.
-                PushPrefix {
-                    query_id: 1,
-                    steps: Vec::new(),
-                },
-            ],
-        );
-        assert!(program.ships(DeviceKind::Sensor, &s, &tuple(3, Value::Int(20)), &bank));
     }
 }
