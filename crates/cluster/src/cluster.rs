@@ -929,17 +929,13 @@ impl ShardManager {
         let dur = durability.as_mut().expect("checked above");
         let started = std::time::Instant::now();
         let manager = &mut dur.managers[s];
-        let records = manager.records().expect("wal read at recovery");
-        let base = manager
-            .latest_snapshot()
-            .map(|(at, image)| (at, image.fork_snapshot()));
-        let (base_image, suffix) = match base {
-            Some((at, image)) => {
-                let skip = (at - manager.handle().base()) as usize;
-                (Some(image), records[skip..].to_vec())
-            }
-            None => (None, records),
-        };
+        let mut suffix = manager.records().expect("wal read at recovery");
+        let mut base_image = None;
+        if let Some((at, image)) = manager.latest_snapshot() {
+            // Frames below the vault key are already in the image.
+            suffix = suffix.split_off((at - manager.handle().base()) as usize);
+            base_image = Some(image.fork_snapshot());
+        }
         let replayed = suffix.len();
         let recovered = recover_engine(base_image, &dur.specs[s], suffix, dur.fingerprints[s])
             .unwrap_or_else(|e| panic!("shard {s}: unrecoverable wal: {e}"));
@@ -999,7 +995,7 @@ impl ShardManager {
         let manager = &mut dur.managers[s];
         // Group-commit point: only durable frames may enter the image.
         manager.handle().seal_tail();
-        let records = manager.records().expect("wal read at failover");
+        let mut records = manager.records().expect("wal read at failover");
         let shippable = manager.handle().base() == 0
             && !records
                 .iter()
@@ -1019,12 +1015,13 @@ impl ShardManager {
             .latest_snapshot()
             .map_or(0, |(at, _)| at as usize)
             .min(records.len());
+        let suffix = records.split_off(barrier);
         let image = SnapshotImage {
             shard: s as u32,
             epoch: fo.fences[s].current(),
             fingerprint: dur.fingerprints[s],
-            prefix: records[..barrier].to_vec(),
-            suffix: records[barrier..].to_vec(),
+            prefix: records,
+            suffix,
         };
         let bytes = image.encode();
         let shipment = ship_bytes(&bytes, &fo.config.ship, &mut fo.rng)

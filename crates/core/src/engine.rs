@@ -276,13 +276,14 @@ impl Aorta {
         }
     }
 
-    /// A deep copy of the engine for a crash-recovery snapshot.
+    /// An independent copy of the engine for a crash-recovery snapshot.
     ///
-    /// Everything is cloned by value except: the WAL handle (a snapshot is
-    /// a passive image — it must not share, or re-log into, the live log),
-    /// custom action handlers (`Arc`-shared code, not state), and the
-    /// observability registry, which is deep-cloned and re-pointed into the
-    /// prober/breakers so the image's metrics can diverge from the donor's.
+    /// Everything mutable is cloned by value. Not copied: the WAL handle (a
+    /// passive image must not share, or re-log into, the live log), custom
+    /// action handlers (`Arc`-shared code, not state), and the text of the
+    /// trace and span rings (immutable once recorded, shared with the donor
+    /// by reference count). The observability registry is deep-cloned and
+    /// re-pointed into the prober/breakers so the image's metrics diverge.
     pub fn fork_snapshot(&self) -> Box<Aorta> {
         let obs = self.obs.as_ref().map(SharedMetrics::deep_clone);
         let mut prober = self.prober.clone();

@@ -273,3 +273,53 @@ fn recovery_refuses_foreign_or_truncated_logs() {
         "{err}"
     );
 }
+
+/// A forked image shares the two diagnostic rings' text with its donor by
+/// reference count, and sharing costs no isolation: the donor running on
+/// until it has evicted every trace line the two share leaves the image's
+/// trace, metrics and digest byte-for-byte what they were at the fork.
+#[test]
+fn fork_shares_ring_text_and_stays_isolated() {
+    use std::sync::Arc;
+
+    let mut spec = genesis(5).0;
+    spec.config = spec.config.with_observability();
+    let mut donor = spec.build();
+    donor.execute_sql(SNAPSHOT_AQ).unwrap();
+    let mut slice = 0;
+    while donor.trace().dropped() == 0 {
+        slice += 1;
+        donor.run_until(t(30 * slice));
+    }
+
+    let image = donor.fork_snapshot();
+    let metrics = |e: &Aorta| e.metrics().expect("observability on");
+    assert!(metrics(&image).span_len() > 1000);
+    assert!(donor
+        .trace()
+        .iter()
+        .zip(image.trace().iter())
+        .all(|(d, i)| Arc::ptr_eq(&d.message, &i.message)));
+    assert!(metrics(&donor)
+        .spans()
+        .zip(metrics(&image).spans())
+        .all(|(d, i)| Arc::ptr_eq(&d.label, &i.label)));
+
+    let (trace, json, digest) = (
+        image.trace().render(),
+        image.metrics_json(),
+        image.state_digest(),
+    );
+    assert_eq!(trace, donor.trace().render());
+    assert_eq!(digest, donor.state_digest());
+    // The donor overwrites every trace entry the image shares with it.
+    let wrapped = donor.trace().dropped() + donor.trace().len() as u64;
+    while donor.trace().dropped() < wrapped {
+        slice += 1;
+        donor.run_until(t(30 * slice));
+    }
+    assert_ne!(donor.state_digest(), digest);
+    assert_eq!(image.trace().render(), trace);
+    assert_eq!(image.metrics_json(), json);
+    assert_eq!(image.state_digest(), digest);
+}

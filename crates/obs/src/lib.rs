@@ -167,8 +167,8 @@ pub struct SpanEvent {
     pub kind: SpanKind,
     /// Virtual duration of the stage.
     pub duration: SimDuration,
-    /// Space-separated `key=value` context (query, device, shard, …).
-    pub label: String,
+    /// Space-separated `key=value` context, shared between registry clones.
+    pub label: Arc<str>,
 }
 
 /// A fixed-bucket latency histogram over virtual microseconds.
@@ -260,7 +260,7 @@ pub struct MetricsRegistry {
     gauges: BTreeMap<SeriesKey, i64>,
     histograms: BTreeMap<SeriesKey, Histogram>,
     spans: VecDeque<SpanEvent>,
-    span_counts: BTreeMap<String, u64>,
+    span_counts: BTreeMap<&'static str, u64>,
     spans_dropped: u64,
 }
 
@@ -317,10 +317,7 @@ impl MetricsRegistry {
     /// [`SPAN_RING_CAP`] events; overflow evicts the oldest and bumps the
     /// dropped counter.
     pub fn span(&mut self, kind: SpanKind, at: SimTime, duration: SimDuration, label: &str) {
-        *self
-            .span_counts
-            .entry(kind.as_str().to_string())
-            .or_insert(0) += 1;
+        *self.span_counts.entry(kind.as_str()).or_insert(0) += 1;
         if self.spans.len() == SPAN_RING_CAP {
             self.spans.pop_front();
             self.spans_dropped += 1;
@@ -329,7 +326,7 @@ impl MetricsRegistry {
             at,
             kind,
             duration,
-            label: label.to_string(),
+            label: label.into(),
         });
     }
 
@@ -367,8 +364,8 @@ impl MetricsRegistry {
         for (k, h) in &other.histograms {
             self.histograms.entry(relabel(k)).or_default().merge(h);
         }
-        for (kind, n) in &other.span_counts {
-            *self.span_counts.entry(kind.clone()).or_insert(0) += n;
+        for (&kind, n) in &other.span_counts {
+            *self.span_counts.entry(kind).or_insert(0) += n;
         }
         self.spans_dropped += other.spans_dropped;
         for ev in &other.spans {
@@ -380,7 +377,7 @@ impl MetricsRegistry {
                 at: ev.at,
                 kind: ev.kind,
                 duration: ev.duration,
-                label: format!("{key}={value} {}", ev.label),
+                label: format!("{key}={value} {}", ev.label).into(),
             });
         }
     }
@@ -638,7 +635,8 @@ impl SharedMetrics {
 
     /// Clone the *registry*, not the handle: the result is an independent
     /// `SharedMetrics` whose future recordings do not affect this one.
-    /// Used when forking an engine snapshot for crash recovery.
+    /// Used when forking an engine snapshot for crash recovery. Series are
+    /// copied; span labels, immutable once recorded, are shared by count.
     pub fn deep_clone(&self) -> SharedMetrics {
         SharedMetrics(Arc::new(Mutex::new(self.snapshot())))
     }

@@ -2,6 +2,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::SimTime;
 
@@ -12,8 +13,8 @@ pub struct TraceEvent {
     pub time: SimTime,
     /// Which subsystem emitted it (e.g. `"lock"`, `"probe"`, `"camera"`).
     pub subsystem: &'static str,
-    /// Human-readable description.
-    pub message: String,
+    /// Human-readable description (cloning a buffer shares the text).
+    pub message: Arc<str>,
 }
 
 impl fmt::Display for TraceEvent {
@@ -83,7 +84,7 @@ impl TraceBuffer {
         self.events.push_back(TraceEvent {
             time,
             subsystem,
-            message: message.into(),
+            message: Arc::from(message.into()),
         });
     }
 
@@ -164,7 +165,7 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
         let first = t.iter().next().unwrap();
-        assert_eq!(first.message, "event 2");
+        assert_eq!(&*first.message, "event 2");
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! The snapshot/recovery manager: owns one shard's log handle plus a vault
-//! of state-image snapshots keyed by log position.
+//! The snapshot/recovery manager: owns one shard's log handle plus a
+//! one-slot vault — the latest state-image snapshot, keyed by log position.
+//! Every reader wants the newest image only, so each snapshot replaces
+//! the previous one: a shard holds one image however long it runs.
 //!
-//! Snapshots are deep clones of the engine taken *between* host commands —
-//! always a safe point: no record is ever emitted mid-snapshot, so the
-//! vault key (the live frame count at snapshot time) exactly partitions
-//! the log into "already reflected in the snapshot" and "replay this".
+//! Snapshots are taken *between* host commands — always a safe point: no
+//! record is ever emitted mid-snapshot, so the vault key (the live frame
+//! count) exactly partitions the log into "already reflected in the
+//! snapshot" and "replay this".
 //!
 //! Two snapshot triggers:
 //! - **cadence** — every `snapshot_every` appended frames;
@@ -21,8 +23,8 @@ use crate::sink::{WalHandle, WalStats};
 /// (the cluster instantiates it with a boxed engine image).
 pub struct WalManager<S> {
     handle: WalHandle,
-    /// (absolute frame index, state image) — ascending.
-    vault: Vec<(u64, S)>,
+    /// (absolute frame index, state image) of the latest snapshot.
+    vault: Option<(u64, S)>,
     snapshot_every: usize,
     /// Absolute frame index at the last snapshot (or genesis).
     last_snapshot_at: u64,
@@ -35,7 +37,7 @@ impl<S> WalManager<S> {
         let last_snapshot_at = handle.base() + handle.frame_count() as u64;
         WalManager {
             handle,
-            vault: Vec::new(),
+            vault: None,
             snapshot_every: snapshot_every.max(1),
             last_snapshot_at,
             snapshots_taken: 0,
@@ -65,22 +67,20 @@ impl<S> WalManager<S> {
         // later `RunUntil` must not coalesce into the current tail frame.
         self.handle.seal_tail();
         let at = self.position();
-        // A second snapshot at the same position replaces the first — the
-        // newer image reflects the same log prefix.
-        if let Some(last) = self.vault.last_mut() {
-            if last.0 == at {
-                last.1 = image();
-                return;
-            }
+        // The old image goes before its replacement is built, so the
+        // allocator reuses its blocks. One at the same position was the
+        // same snapshot — the newer image reflects the same log prefix.
+        let retaken = self.vault.take().is_some_and(|(old, _)| old == at);
+        self.vault = Some((at, image()));
+        if !retaken {
+            self.last_snapshot_at = at;
+            self.snapshots_taken += 1;
         }
-        self.vault.push((at, image()));
-        self.last_snapshot_at = at;
-        self.snapshots_taken += 1;
     }
 
     /// The most recent snapshot and its absolute frame position.
     pub fn latest_snapshot(&self) -> Option<(u64, &S)> {
-        self.vault.last().map(|(at, s)| (*at, s))
+        self.vault.as_ref().map(|(at, s)| (*at, s))
     }
 
     /// Snapshots taken so far.
@@ -148,6 +148,42 @@ mod tests {
         assert_eq!(m.latest_snapshot().map(|(at, s)| (at, *s)), Some((6, 5)));
         m.force_snapshot(|| 99);
         assert_eq!(m.latest_snapshot().map(|(at, s)| (at, *s)), Some((7, 99)));
+    }
+
+    #[test]
+    fn vault_holds_one_image() {
+        use std::sync::Arc;
+        // Every image holds one strong count on `alive`.
+        let alive = Arc::new(());
+        let h = WalHandle::record(Box::new(MemStore::new()), None, "t");
+        let mut m: WalManager<(u64, Arc<()>)> = WalManager::new(h.clone(), 3);
+        for i in 0..7 {
+            h.append(WalRecord::EdgeCommit {
+                query_id: i,
+                source: 0,
+            });
+            m.maybe_snapshot(|| {
+                // The old image is released before its replacement is built.
+                assert_eq!(Arc::strong_count(&alive), 1);
+                (u64::from(i), alive.clone())
+            });
+            assert!(Arc::strong_count(&alive) <= 2);
+        }
+        assert_eq!(m.snapshots_taken(), 2);
+        assert_eq!(m.latest_snapshot().map(|(at, s)| (at, s.0)), Some((6, 5)));
+        m.force_snapshot(|| (99, alive.clone()));
+        assert_eq!(m.snapshots_taken(), 3);
+        assert_eq!(m.latest_snapshot().map(|(at, s)| (at, s.0)), Some((7, 99)));
+        // Retaking at the same position replaces the image, not the count.
+        m.force_snapshot(|| (100, alive.clone()));
+        assert_eq!(m.snapshots_taken(), 3);
+        assert_eq!(m.latest_snapshot().map(|(at, s)| (at, s.0)), Some((7, 100)));
+        assert_eq!(Arc::strong_count(&alive), 2, "exactly one image alive");
+        // The key still lines up with the store after compaction.
+        assert_eq!(m.compact_to_snapshot().unwrap(), 7);
+        assert_eq!(m.latest_snapshot().unwrap().0, h.base());
+        drop(m);
+        assert_eq!(Arc::strong_count(&alive), 1);
     }
 
     #[test]
