@@ -17,8 +17,6 @@
 //! ownership between shards — only at a safe point (no queued execution,
 //! no lock held, no action physically in progress).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -353,77 +351,6 @@ pub struct ShardManager {
     partitions: Vec<(SimTime, SimTime, u32, u32)>,
 }
 
-/// A cached agenda of per-shard next-event times for the sequential loop:
-/// a lazy min-heap keyed by `(next_event_time, shard_id)` replacing the
-/// O(k)-per-step linear scan. `slot[s]` holds the time currently standing
-/// for shard `s` (`None` = consumed, crashed, or past the cutoff); heap
-/// entries superseded by a refresh are dropped on pop.
-struct Agenda {
-    heap: BinaryHeap<Reverse<(SimTime, usize)>>,
-    slot: Vec<Option<SimTime>>,
-    cutoff: SimTime,
-}
-
-impl Agenda {
-    /// An agenda over every live shard with pending work at or before
-    /// `cutoff`.
-    fn build(shards: &[Aorta], cutoff: SimTime) -> Self {
-        let mut agenda = Agenda {
-            heap: BinaryHeap::with_capacity(shards.len() + 4),
-            slot: vec![None; shards.len()],
-            cutoff,
-        };
-        for s in 0..shards.len() {
-            agenda.refresh(s, shards);
-        }
-        agenda
-    }
-
-    /// Re-reads shard `s`'s next event time and (re)enters it, superseding
-    /// any stale heap entry. Must be called after every mutation that can
-    /// change a shard's timing: its own step, in-place recovery, rebuild
-    /// adoption. (Gateway request injection only touches the dispatch
-    /// operators, never the event queue, so it needs no refresh.)
-    fn refresh(&mut self, s: usize, shards: &[Aorta]) {
-        let cur = (!shards[s].is_crashed())
-            .then(|| shards[s].next_event_time())
-            .flatten()
-            .filter(|&t| t <= self.cutoff);
-        if self.slot[s] != cur {
-            self.slot[s] = cur;
-            if let Some(t) = cur {
-                self.heap.push(Reverse((t, s)));
-            }
-        }
-    }
-
-    /// Pops the earliest `(time, shard)` pair, dropping superseded entries.
-    /// The caller owns the consumed entry: either step the shard and
-    /// [`refresh`](Self::refresh) it, or [`restore`](Self::restore) it.
-    fn pop_earliest(&mut self, shards: &[Aorta]) -> Option<(SimTime, usize)> {
-        while let Some(Reverse((t, s))) = self.heap.pop() {
-            if self.slot[s] != Some(t) {
-                continue;
-            }
-            debug_assert_eq!(
-                shards[s].next_event_time(),
-                Some(t),
-                "agenda missed a timing mutation of shard {s}"
-            );
-            self.slot[s] = None;
-            return Some((t, s));
-        }
-        None
-    }
-
-    /// Returns an entry consumed by [`pop_earliest`](Self::pop_earliest)
-    /// unstepped (a gateway timer won the instant).
-    fn restore(&mut self, t: SimTime, s: usize) {
-        self.slot[s] = Some(t);
-        self.heap.push(Reverse((t, s)));
-    }
-}
-
 // Compile-time thread-safety audit (see the matching assertion on `Aorta`
 // in aorta-core): the parallel runner fans per-shard state out across
 // `std::thread::scope` workers, so the engines must be shareable (`Sync`)
@@ -657,7 +584,7 @@ impl ShardManager {
         if self.parallel_eligible() {
             self.run_windows_parallel(deadline);
         } else {
-            self.run_steps(deadline, deadline);
+            self.run_steps(deadline);
         }
         // Tail: every surviving shard coasts to the deadline (faults past
         // its last event may still be due), with the same crash/escalation
@@ -735,7 +662,7 @@ impl ShardManager {
                 return; // nothing left below the deadline; the tail coasts
             }
             if tripped_windows >= MAX_TRIPPED_WINDOWS {
-                self.run_steps(deadline, deadline);
+                self.run_steps(deadline);
                 return;
             }
             let lanes = self.config.effective_threads().min(live.len());
@@ -784,62 +711,41 @@ impl ShardManager {
             // the interaction instant, then open the next window there.
             drop(clones);
             tripped_windows += 1;
-            self.run_steps(deadline, SimTime::from_micros(wire));
+            self.run_steps(SimTime::from_micros(wire));
         }
     }
 
     /// The sequential oracle loop: steps shards in `(next_event_time,
     /// shard_id)` order while their next pending work is at or before
     /// `cutoff`, interleaving gateway timers due by then. The pure
-    /// sequential path passes `cutoff == deadline`; the parallel driver
+    /// sequential path passes the run's deadline; the parallel driver
     /// passes the tripped instant to replay an interaction prefix.
-    ///
-    /// Shard selection uses a cached agenda (a lazy min-heap keyed by
-    /// `(next_event_time, shard_id)`) instead of an O(k) scan per step;
-    /// entries are refreshed for the stepped shard and for any shard whose
-    /// engine the gateway replaced (recovery, rebuild adoption) — the only
-    /// mutations that can change a shard's next event time from outside
-    /// its own step (gateway injections only touch dispatch operators).
-    fn run_steps(&mut self, deadline: SimTime, cutoff: SimTime) {
-        debug_assert!(cutoff <= deadline);
-        let mut agenda = Agenda::build(&self.shards, cutoff);
+    fn run_steps(&mut self, cutoff: SimTime) {
         loop {
-            let next = agenda.pop_earliest(&self.shards);
+            let next = (0..self.shards.len())
+                .filter(|&s| !self.shards[s].is_crashed())
+                .filter_map(|s| Some((self.shards[s].next_event_time()?, s)))
+                .filter(|&(t, _)| t <= cutoff)
+                .min();
             // Gateway timers (rebuild adoptions, parked deliveries) share
             // the same clock; a shard step wins ties so escalations drain
             // before the gateway acts at the same instant.
             let gateway = self.next_gateway_time().filter(|&g| g <= cutoff);
             match (next, gateway) {
-                (Some((t, s)), g) => {
-                    if let Some(g) = g {
-                        if g < t {
-                            agenda.restore(t, s);
-                            self.now = g;
-                            for u in self.gateway_tick() {
-                                agenda.refresh(u, &self.shards);
-                            }
-                            continue;
-                        }
-                    }
+                (Some((t, s)), g) if g.is_none_or(|g| t <= g) => {
                     self.now = t;
                     self.shards[s].run_until(t);
                     self.recover_if_crashed(s);
                     self.route_escalated(s);
-                    let adopted = self.gateway_tick();
+                    self.gateway_tick();
                     self.maybe_rebalance();
                     self.maybe_snapshots();
-                    agenda.refresh(s, &self.shards);
-                    for u in adopted {
-                        agenda.refresh(u, &self.shards);
-                    }
                 }
-                (None, Some(g)) => {
+                (_, Some(g)) => {
                     self.now = g;
-                    for u in self.gateway_tick() {
-                        agenda.refresh(u, &self.shards);
-                    }
+                    self.gateway_tick();
                 }
-                (None, None) => break,
+                (_, None) => break,
             }
         }
     }
@@ -863,13 +769,10 @@ impl ShardManager {
     /// Services every gateway timer due at the current instant: rebuild
     /// adoptions first (an adopted shard can then receive deliveries at the
     /// same instant), then parked escalations in `(next_at, seq)` order.
-    /// No-op without failover. Returns the shard slots whose engine was
-    /// replaced by an adoption (their event timing changed — the caller's
-    /// agenda must refresh them); allocation-free when nothing is adopted.
-    fn gateway_tick(&mut self) -> Vec<usize> {
-        let mut adopted = Vec::new();
+    /// No-op without failover.
+    fn gateway_tick(&mut self) {
         if self.failover.is_none() {
-            return adopted;
+            return;
         }
         loop {
             let due = {
@@ -882,7 +785,6 @@ impl ShardManager {
             };
             let Some(s) = due else { break };
             self.adopt_rebuild(s);
-            adopted.push(s);
         }
         loop {
             let idx = {
@@ -903,7 +805,6 @@ impl ShardManager {
                 .remove(i);
             self.deliver_parked(parked);
         }
-        adopted
     }
 
     /// Rebuilds shard `s` from its snapshot + WAL suffix after a process
