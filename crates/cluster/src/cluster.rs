@@ -271,10 +271,6 @@ struct Parked {
     request: ActionRequest,
     /// Shard slot that escalated the request.
     from: usize,
-    /// Epoch of `from`'s incarnation when the gateway admitted the
-    /// handoff (auditing; admission is where the fence is enforced).
-    #[allow(dead_code)]
-    epoch: u64,
     /// Delivery attempts scheduled so far (1 = first backoff wait).
     attempt: u32,
     next_at: SimTime,
@@ -1046,7 +1042,6 @@ impl ShardManager {
         fo.waiting.push(Parked {
             request,
             from,
-            epoch: fo.fences[from].current(),
             attempt,
             next_at,
             seq,
@@ -1100,22 +1095,7 @@ impl ShardManager {
                     && !self.blocked(from, t)
             })
             .collect();
-        let now = self.now;
-        let mut best: Option<(SimDuration, usize, DeviceId)> = None;
-        for (t, shard) in self.shards.iter_mut().enumerate() {
-            if !eligible[t] {
-                continue;
-            }
-            if let Some((device, cost)) = shard.cheapest_local_candidate(&request) {
-                if now + cost > request.deadline {
-                    continue;
-                }
-                if best.is_none_or(|(bc, bt, _)| (cost, t) < (bc, bt)) {
-                    best = Some((cost, t, device));
-                }
-            }
-        }
-        match best {
+        match self.cheapest_sibling(&request, &eligible) {
             Some((cost, t, device)) => {
                 request.hops += 1;
                 self.rerouted += 1;
@@ -1158,6 +1138,34 @@ impl ShardManager {
                 }
             }
         }
+    }
+
+    /// The cheapest device any eligible sibling offers for `request`, as
+    /// `(cost, shard, device)`; ties break on the lower shard ID. Every
+    /// eligible sibling is asked in shard order (the probe draws from its
+    /// RNG and logs a `RouteProbe`). A sibling whose cheapest estimate
+    /// already overruns the remaining deadline budget is no better than no
+    /// sibling at all.
+    fn cheapest_sibling(
+        &mut self,
+        request: &ActionRequest,
+        eligible: &[bool],
+    ) -> Option<(SimDuration, usize, DeviceId)> {
+        let now = self.now;
+        let mut best: Option<(SimDuration, usize, DeviceId)> = None;
+        for (t, shard) in self.shards.iter_mut().enumerate() {
+            if !eligible[t] {
+                continue;
+            }
+            if let Some((device, cost)) = shard.cheapest_local_candidate(request) {
+                if now + cost <= request.deadline
+                    && best.is_none_or(|(bc, bt, _)| (cost, t) < (bc, bt))
+                {
+                    best = Some((cost, t, device));
+                }
+            }
+        }
+        best
     }
 
     /// True while shard slot `s` awaits adoption of a cross-host rebuild.
@@ -1205,16 +1213,20 @@ impl ShardManager {
         if self.failover.is_some() && self.shards[s].is_crashed() {
             return;
         }
+        // An empty hand-off is not a command: the drain (and its WAL
+        // record) happens only when the buffer holds something, so quiet
+        // `RunUntil` frames stay adjacent in the log and coalesce.
+        if self.shards[s].escalated_backlog() == 0 {
+            return;
+        }
         let escalated = self.shards[s].drain_escalated();
-        if !escalated.is_empty() {
-            if let Some(m) = &self.obs {
-                let shard = s.to_string();
-                m.incr(
-                    "aorta_gateway_escalations",
-                    &[("from", shard.as_str())],
-                    escalated.len() as u64,
-                );
-            }
+        if let Some(m) = &self.obs {
+            let shard = s.to_string();
+            m.incr(
+                "aorta_gateway_escalations",
+                &[("from", shard.as_str())],
+                escalated.len() as u64,
+            );
         }
         for mut request in escalated {
             // The deadline rides with the request: an escalation carries its
@@ -1252,25 +1264,9 @@ impl ShardManager {
             // exist when a plan injected them): a blocked path is not
             // probed at all — no message can travel it.
             let reachable: Vec<bool> = (0..self.shards.len())
-                .map(|t| self.partitions.is_empty() || !self.blocked(s, t))
+                .map(|t| t != s && !self.blocked(s, t))
                 .collect();
-            let mut best: Option<(SimDuration, usize, DeviceId)> = None;
-            for (t, shard) in self.shards.iter_mut().enumerate() {
-                if t == s || !reachable[t] {
-                    continue;
-                }
-                if let Some((device, cost)) = shard.cheapest_local_candidate(&request) {
-                    // A sibling whose cheapest estimate already overruns the
-                    // remaining budget is no better than no sibling at all.
-                    if self.now + cost > request.deadline {
-                        continue;
-                    }
-                    if best.is_none_or(|(bc, bt, _)| (cost, t) < (bc, bt)) {
-                        best = Some((cost, t, device));
-                    }
-                }
-            }
-            match best {
+            match self.cheapest_sibling(&request, &reachable) {
                 Some((cost, t, device)) => {
                     request.hops += 1;
                     self.rerouted += 1;
@@ -1652,6 +1648,7 @@ pub fn metrics_demo(seed: u64) -> (String, String) {
 mod tests {
     use super::*;
     use aorta_sim::FaultEvent;
+    use aorta_wal::LifecycleStage;
 
     const RUN: SimDuration = SimDuration::from_mins(10);
 
@@ -1743,10 +1740,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn conservation_holds_under_cluster_wide_crash_storm() {
-        let mut cluster = ShardManager::new(ClusterConfig::seeded(21, 4), lab());
-        admit_queries(&mut cluster, true);
+    /// Random device crashes and loss bursts across the whole fleet of
+    /// [`lab`], dense enough that shards exhaust their candidates and
+    /// escalate.
+    fn crash_storm(seed: u64) -> FaultPlan<DeviceId> {
         let devices: Vec<DeviceId> = (0..12)
             .map(DeviceId::camera)
             .chain((0..16).map(DeviceId::sensor))
@@ -1757,9 +1754,16 @@ mod tests {
             extra_loss: 0.5,
             ..aorta_sim::FaultConfig::default()
         };
-        let plan = FaultPlan::generate(0xBEEF, RUN, &devices, &config);
+        let plan = FaultPlan::generate(seed, RUN, &devices, &config);
         assert!(!plan.is_empty());
-        cluster.inject_faults(plan);
+        plan
+    }
+
+    #[test]
+    fn conservation_holds_under_cluster_wide_crash_storm() {
+        let mut cluster = ShardManager::new(ClusterConfig::seeded(21, 4), lab());
+        admit_queries(&mut cluster, true);
+        cluster.inject_faults(crash_storm(0xBEEF));
         cluster.run_for(RUN);
 
         let stats = cluster.stats();
@@ -1839,23 +1843,13 @@ mod tests {
 
     #[test]
     fn parallel_windows_match_oracle_under_crash_storm() {
-        // Random device crashes + loss bursts: escalations land at
-        // arbitrary instants, so windows trip at arbitrary points.
-        let devices: Vec<DeviceId> = (0..12)
-            .map(DeviceId::camera)
-            .chain((0..16).map(DeviceId::sensor))
-            .collect();
-        let config = aorta_sim::FaultConfig {
-            crash_rate: 0.25,
-            loss_burst_rate: 0.3,
-            extra_loss: 0.5,
-            ..aorta_sim::FaultConfig::default()
-        };
+        // Escalations land at arbitrary instants, so windows trip at
+        // arbitrary points.
         for seed in [21, 0xBEEF] {
             let run = |threads: usize| {
                 let mut cluster = ShardManager::new(parallel_config(seed, 4, threads), lab());
                 admit_queries(&mut cluster, true);
-                cluster.inject_faults(FaultPlan::generate(seed, RUN, &devices, &config));
+                cluster.inject_faults(crash_storm(seed));
                 cluster.run_for(RUN);
                 (cluster.stats(), cluster.render_trace())
             };
@@ -2048,6 +2042,69 @@ mod tests {
         let (wal_stats, wal_trace) = run(true);
         assert_eq!(plain_stats, wal_stats, "logging must be write-only");
         assert_eq!(plain_trace, wal_trace, "logging must be write-only");
+    }
+
+    fn shard_log(cluster: &ShardManager, s: usize) -> Vec<WalRecord> {
+        let dur = cluster.durability.as_ref().expect("wal on");
+        dur.managers[s].records().expect("readable log")
+    }
+
+    /// The write-path contract under a gateway: an idle shard's log is
+    /// O(live work), not O(virtual time) — quiet clock advances coalesce
+    /// into one tail frame because no empty drain is logged between them.
+    #[test]
+    fn idle_cluster_log_does_not_grow_with_virtual_time() {
+        let frames_after = |secs: u64| {
+            let quiet = PervasiveLab::with_sizes(12, 16, 0); // motes never spike
+            let config = ClusterConfig::seeded(13, 2).with_wal(1_000_000);
+            let mut cluster = ShardManager::new(config, quiet);
+            admit_queries(&mut cluster, true);
+            cluster.run_for(SimDuration::from_secs(secs));
+            assert_eq!(cluster.stats().requests(), 0, "the quiet lab fired");
+            (0..cluster.shard_count())
+                .map(|s| {
+                    let log = shard_log(&cluster, s);
+                    assert!(
+                        !log.contains(&WalRecord::DrainEscalated),
+                        "shard {s} logged a drain that took nothing"
+                    );
+                    log.len()
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(frames_after(60), frames_after(600));
+    }
+
+    /// A `DrainEscalated` record means a hand-off happened: every one in a
+    /// shard's log follows at least one escalation logged since the
+    /// previous drain.
+    #[test]
+    fn every_logged_drain_follows_an_escalation() {
+        let mut cluster = ShardManager::new(ClusterConfig::seeded(21, 4).with_wal(64), lab());
+        admit_queries(&mut cluster, true);
+        cluster.inject_faults(crash_storm(0xBEEF));
+        cluster.run_for(RUN);
+        cluster.stats().check_conservation().unwrap();
+
+        let mut drains = 0;
+        for s in 0..cluster.shard_count() {
+            let mut escalated_since_drain = 0;
+            for record in shard_log(&cluster, s) {
+                match record {
+                    WalRecord::Lifecycle {
+                        stage: LifecycleStage::Escalated,
+                        ..
+                    } => escalated_since_drain += 1,
+                    WalRecord::DrainEscalated => {
+                        assert!(escalated_since_drain > 0, "shard {s} logged an empty drain");
+                        escalated_since_drain = 0;
+                        drains += 1;
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert!(drains > 0, "the storm never escalated");
     }
 
     #[test]

@@ -176,27 +176,10 @@ impl EngineConfig {
         self
     }
 
-    /// Enables gateway escalation of exhausted requests, builder style.
-    /// Used by `aorta-cluster`, whose gateway re-routes escalated requests
-    /// to sibling shards.
-    pub fn with_escalation(mut self) -> Self {
-        self.escalate_exhausted = true;
-        self
-    }
-
     /// Grants every request an explicit end-to-end deadline budget,
     /// builder style.
     pub fn with_deadline(mut self, budget: SimDuration) -> Self {
         self.deadline = Some(budget);
-        self
-    }
-
-    /// Derives the deadline budget from the AQ trigger period: `periods`
-    /// trigger-scan epochs (`sample_period`) per request. An action that
-    /// has not completed within a few trigger periods is responding to an
-    /// event that is no longer observable.
-    pub fn with_trigger_deadline(mut self, periods: u32) -> Self {
-        self.deadline = Some(self.sample_period * periods as u64);
         self
     }
 
@@ -265,9 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn trigger_deadline_derives_from_sample_period() {
-        let c = EngineConfig::default().with_trigger_deadline(12);
-        assert_eq!(c.deadline, Some(SimDuration::from_secs(12)));
+    fn overload_builders_set_their_fields() {
         let c = EngineConfig::default().with_deadline(SimDuration::from_secs(7));
         assert_eq!(c.deadline, Some(SimDuration::from_secs(7)));
         let c = EngineConfig::default()

@@ -67,11 +67,10 @@ pub struct Aorta {
     /// Per-(query, conjunct, source) sliding-window buffers backing
     /// `AGG(attr) OVER LAST n` conjuncts. Conceptually device-resident —
     /// the mote sees every sample it takes, shipped or suppressed, so
-    /// windows advance on every scanned tuple. Excluded from
-    /// [`state_digest`](Aorta::state_digest) for the same reason a mote's
-    /// ADC buffer is: it is edge state that a recovered engine rebuilds by
-    /// observing the next `n` samples, not coordinator state the WAL
-    /// promises to reconstruct exactly.
+    /// windows advance on every scanned tuple. Cloned into snapshots and
+    /// covered by [`state_digest`](Aorta::state_digest): replay re-samples
+    /// the same sensors from the same RNG, so a recovered engine holds the
+    /// same windows as its uninterrupted reference.
     pub(crate) windows: WindowBank,
     /// Pushdown byte accounting ([`crate::PushdownStats`]). Write-only
     /// bookkeeping, separate from `raw_stats` so the committed seed
@@ -331,7 +330,8 @@ impl Aorta {
     }
 
     /// A deterministic digest over the engine's dynamic state: virtual
-    /// clock, counters, RNG state, trace, locks, edges, queue, operators.
+    /// clock, counters, RNG state, trace, locks, edges, windows, queue,
+    /// operators.
     /// Two engines with equal digests produce identical futures — the
     /// equality recovery tests assert between a replayed engine and its
     /// uninterrupted reference.
@@ -349,6 +349,7 @@ impl Aorta {
         fnv(&mut h, self.trace.render().as_bytes());
         fnv(&mut h, format!("{:?}", self.locks).as_bytes());
         self.pindex.digest_edge_state(|bytes| fnv(&mut h, bytes));
+        self.windows.digest(|bytes| fnv(&mut h, bytes));
         fnv(&mut h, format!("{:?}", self.escalated).as_bytes());
         fnv(&mut h, format!("{:?}", self.latency_samples).as_bytes());
         fnv(&mut h, format!("{:?}", self.loss_stack).as_bytes());
@@ -464,6 +465,12 @@ impl Aorta {
     /// bounded across register/drop cycles.
     pub fn rising_edge_entries(&self) -> usize {
         self.pindex.edge_entries()
+    }
+
+    /// Number of live sliding-window buffers, one per (query, windowed
+    /// conjunct, event source) that has sampled at least once.
+    pub fn window_entries(&self) -> usize {
+        self.windows.len()
     }
 
     /// The shared predicate index (introspection: distinct comparison and

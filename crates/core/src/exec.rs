@@ -695,16 +695,20 @@ impl Aorta {
     /// Takes every request escalated since the last drain. The caller (the
     /// cluster gateway) owns them from here: each must be re-injected into
     /// some shard via [`Aorta::inject_request`] or counted dropped, so the
-    /// cluster-wide conservation invariant keeps holding.
+    /// cluster-wide conservation invariant keeps holding. The drain is a
+    /// logged command, so the gateway only calls it when
+    /// [`Aorta::escalated_backlog`] is non-zero — an empty hand-off leaves
+    /// no record and quiet clock advances keep coalescing.
     pub fn drain_escalated(&mut self) -> Vec<ActionRequest> {
         self.wal_emit(|| WalRecord::DrainEscalated);
         std::mem::take(&mut self.escalated)
     }
 
-    /// Requests escalated but not yet drained by the gateway. Normally zero
-    /// between steps (the gateway drains after every step); non-zero only on
-    /// a halted engine whose final drain never happened — the cluster counts
-    /// that backlog as in-flight while the shard is rebuilt elsewhere.
+    /// Requests escalated but not yet drained by the gateway. The gateway
+    /// reads this after every step and drains when it is non-zero, so
+    /// between steps it stays non-zero only on a halted engine whose final
+    /// drain never happened — the cluster counts that backlog as in-flight
+    /// while the shard is rebuilt elsewhere.
     pub fn escalated_backlog(&self) -> u64 {
         self.escalated.len() as u64
     }

@@ -19,6 +19,11 @@ const SNAPSHOT_AQ: &str = r#"CREATE AQ snapshot AS
     FROM sensor s, camera c
     WHERE s.accel_x > 500 AND coverage(c.id, s.loc)"#;
 
+const WINDOWED_AQ: &str = r#"CREATE AQ smoothed AS
+    SELECT photo(c.ip, s.loc, "photos/smoothed")
+    FROM sensor s, camera c
+    WHERE AVG(s.accel_x) OVER LAST 4 > 300 AND coverage(c.id, s.loc)"#;
+
 fn t(secs: u64) -> SimTime {
     SimTime::from_micros(secs * 1_000_000)
 }
@@ -140,7 +145,9 @@ fn genesis_replay_recovery_matches_uninterrupted_run() {
 
 /// Snapshot-based recovery (snapshot + suffix replay) lands in exactly the
 /// same state as full replay from genesis — before and after the log is
-/// compacted up to the snapshot.
+/// compacted up to the snapshot. The windowed AQ puts sliding-window
+/// buffers into that state: the digest covers them, snapshots clone them
+/// and replay refills them from the same samples.
 #[test]
 fn snapshot_replay_equals_genesis_replay() {
     let (spec, fp) = genesis(11);
@@ -151,6 +158,7 @@ fn snapshot_replay_equals_genesis_replay() {
     let mut manager: WalManager<Box<Aorta>> = WalManager::new(handle.clone(), 1_000_000);
     live.attach_wal(handle.clone());
     live.execute_sql(SNAPSHOT_AQ).unwrap();
+    live.execute_sql(WINDOWED_AQ).unwrap();
     live.inject_faults({
         let mut plan = FaultPlan::new();
         plan.schedule(t(90), FaultEvent::Crash(DeviceId::camera(1)));
@@ -161,11 +169,13 @@ fn snapshot_replay_equals_genesis_replay() {
     manager.force_snapshot(|| live.fork_snapshot());
     drive_slices(&mut live, 5, 8);
     let target = live.state_digest();
+    assert!(live.window_entries() > 0, "the windowed AQ never sampled");
 
     // Full replay from genesis.
     let records = manager.records().unwrap();
     let from_genesis = recover_from_log(&spec, records.clone(), fp).expect("genesis replay");
     assert_eq!(from_genesis.engine.state_digest(), target);
+    assert_eq!(from_genesis.engine.window_entries(), live.window_entries());
 
     // Snapshot + suffix replay.
     let (at, image) = manager.latest_snapshot().expect("snapshot taken");

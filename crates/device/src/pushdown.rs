@@ -221,6 +221,25 @@ impl WindowBank {
         self.states.extract_if(owned, |_, _| true).for_each(drop);
     }
 
+    /// Feeds every window to a digest in key order: key, capacity and the
+    /// occupied slots, length-prefixed so runs cannot alias.
+    pub fn digest(&self, mut feed: impl FnMut(&[u8])) {
+        feed(&self.states.len().to_le_bytes());
+        for (&(query, slot, source), window) in &self.states {
+            feed(&query.to_le_bytes());
+            feed(&slot.to_le_bytes());
+            feed(&source.to_le_bytes());
+            feed(&window.cap.to_le_bytes());
+            feed(&window.samples.len().to_le_bytes());
+            for sample in &window.samples {
+                feed(&[u8::from(sample.is_some())]);
+                if let Some(v) = sample {
+                    feed(&v.to_bits().to_le_bytes());
+                }
+            }
+        }
+    }
+
     /// Number of live windows.
     pub fn len(&self) -> usize {
         self.states.len()
@@ -272,6 +291,26 @@ mod tests {
         assert_eq!(bank.len(), 3);
         bank.drop_query(1);
         assert_eq!(bank.len(), 1);
+    }
+
+    #[test]
+    fn digest_separates_banks_that_differ_in_one_slot() {
+        let bytes = |bank: &WindowBank| {
+            let mut out = Vec::new();
+            bank.digest(|b| out.extend_from_slice(b));
+            out
+        };
+        let mut a = WindowBank::new();
+        a.advance(1, 0, 7, 2, Some(5.0));
+        let mut same = WindowBank::new();
+        same.advance(1, 0, 7, 2, Some(5.0));
+        assert_eq!(bytes(&a), bytes(&same));
+        for (source, sample) in [(7, Some(6.0)), (7, None), (8, Some(5.0))] {
+            let mut b = WindowBank::new();
+            b.advance(1, 0, source, 2, sample);
+            assert_ne!(bytes(&a), bytes(&b), "({source}, {sample:?})");
+        }
+        assert_ne!(bytes(&a), bytes(&WindowBank::new()));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   modern hardware cannot reproduce those absolute numbers, op counts can
 //!   reproduce their shape),
 //! * [`SimRng`] — a seeded, forkable random source,
-//! * [`metrics`] — histograms and counters for experiment reporting.
+//! * [`metrics`] — duration statistics for experiment reporting.
 //!
 //! # Example
 //!

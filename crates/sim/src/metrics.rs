@@ -1,5 +1,5 @@
-//! Lightweight metrics for experiment reporting: counters and duration
-//! histograms with summary statistics.
+//! Lightweight metrics for experiment reporting: exact-sample duration
+//! statistics and the nearest-rank percentile they share.
 
 use std::fmt;
 
@@ -41,61 +41,7 @@ pub fn percentile<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
     Some(sorted[rank - 1])
 }
 
-/// A monotonically increasing named counter.
-///
-/// # Example
-///
-/// ```
-/// use aorta_sim::metrics::Counter;
-///
-/// let mut failures = Counter::new("action_failures");
-/// failures.incr();
-/// failures.add(2);
-/// assert_eq!(failures.value(), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter {
-            name: name.into(),
-            value: 0,
-        }
-    }
-
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value = self.value.saturating_add(n);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// The counter's name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}={}", self.name, self.value)
-    }
-}
-
-/// An exact-sample duration histogram with summary statistics.
+/// Exact-sample duration statistics.
 ///
 /// Stores all samples (experiments here record at most a few hundred
 /// thousand) so quantiles are exact rather than approximate.
@@ -243,73 +189,10 @@ impl fmt::Display for DurationStats {
     }
 }
 
-/// A ratio metric: successes over trials.
-///
-/// Used for the §6.2 action-failure-rate experiment.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Ratio {
-    hits: u64,
-    trials: u64,
-}
-
-impl Ratio {
-    /// A fresh 0/0 ratio.
-    pub fn new() -> Self {
-        Ratio::default()
-    }
-
-    /// Records one trial, which either hit or missed.
-    pub fn record(&mut self, hit: bool) {
-        self.trials += 1;
-        if hit {
-            self.hits += 1;
-        }
-    }
-
-    /// Number of hits.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of trials.
-    pub fn trials(&self) -> u64 {
-        self.trials
-    }
-
-    /// Hits over trials; `None` when no trials recorded.
-    pub fn fraction(&self) -> Option<f64> {
-        if self.trials == 0 {
-            None
-        } else {
-            Some(self.hits as f64 / self.trials as f64)
-        }
-    }
-}
-
-impl fmt::Display for Ratio {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.fraction() {
-            Some(p) => write!(f, "{}/{} ({:.1}%)", self.hits, self.trials, p * 100.0),
-            None => write!(f, "0/0"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new("x");
-        assert_eq!(c.value(), 0);
-        c.incr();
-        c.add(4);
-        assert_eq!(c.value(), 5);
-        assert_eq!(c.name(), "x");
-        assert_eq!(c.to_string(), "x=5");
-    }
 
     #[test]
     fn stats_summary() {
@@ -346,19 +229,6 @@ mod tests {
         // Sample stddev of this classic set is ~2.138.
         let sd = s.stddev_secs().unwrap();
         assert!((sd - 2.138).abs() < 0.01, "got {sd}");
-    }
-
-    #[test]
-    fn ratio_display_and_fraction() {
-        let mut r = Ratio::new();
-        assert_eq!(r.fraction(), None);
-        for i in 0..10 {
-            r.record(i < 3);
-        }
-        assert_eq!(r.hits(), 3);
-        assert_eq!(r.trials(), 10);
-        assert_eq!(r.fraction(), Some(0.3));
-        assert_eq!(r.to_string(), "3/10 (30.0%)");
     }
 
     #[test]

@@ -140,7 +140,8 @@ pub enum WalRecord {
         /// The request being costed.
         request: WireRequest,
     },
-    /// The gateway drained this shard's escalation buffer.
+    /// The gateway took a non-empty escalation buffer off this shard (an
+    /// empty hand-off is not a command and is never logged).
     DrainEscalated,
     /// A device was migrated out of this shard at a safe point.
     MigrateOut {
