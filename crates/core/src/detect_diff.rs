@@ -243,6 +243,39 @@ fn plan_for(pred: &str) -> AqPlan {
     AqPlan::plan("template", &select, &Catalog::with_builtins()).expect("generated plans are valid")
 }
 
+const INT_ATTRS: [&str; 4] = ["accel_x", "accel_y", "light", "depth"];
+const ALL_ATTRS: [&str; 6] = ["accel_x", "accel_y", "light", "depth", "temp", "battery"];
+const OPS: [&str; 6] = [">", ">=", "<", "<=", "=", "<>"];
+const CONSTS: [i64; 8] = [-500, -1, 0, 1, 40, 100, 500, 501];
+
+/// A random conjunct the comparison lanes cannot serve: a call or an OR —
+/// an interned fallback conjunct.
+fn random_fallback(rng: &mut SimRng) -> String {
+    if rng.chance(0.5) {
+        return "distance(s.loc, s.loc) < 1.0".to_string();
+    }
+    // Parenthesized: joined with AND by `random_pred`, a bare OR would
+    // re-associate (`a AND b OR c` is `(a AND b) OR c`) and swallow
+    // neighbouring conjuncts into the fallback slot.
+    format!(
+        "(s.{} > {} OR s.{} <= {})",
+        rng.pick(&INT_ATTRS).unwrap(),
+        rng.pick(&CONSTS).unwrap(),
+        rng.pick(&INT_ATTRS).unwrap(),
+        rng.pick(&CONSTS).unwrap(),
+    )
+}
+
+/// A random indexable `attr <op> constant` comparison.
+fn random_comparison(rng: &mut SimRng) -> String {
+    format!(
+        "s.{} {} {}",
+        rng.pick(&ALL_ATTRS).unwrap(),
+        rng.pick(&OPS).unwrap(),
+        rng.pick(&CONSTS).unwrap(),
+    )
+}
+
 /// A random conjunct from a deliberately small vocabulary: small pools of
 /// attributes, operators and constants make duplicate and overlapping
 /// comparisons (the sharing the index exploits) the common case, while
@@ -252,23 +285,9 @@ fn plan_for(pred: &str) -> AqPlan {
 /// sets mix singleton windowed groups with shared ones, and windowed
 /// comparisons land at random depths of the pushdown prefix.
 fn random_conjunct(rng: &mut SimRng) -> String {
-    let int_attrs = ["accel_x", "accel_y", "light", "depth"];
-    let all_attrs = ["accel_x", "accel_y", "light", "depth", "temp", "battery"];
     let aggs = ["AVG", "MAX", "MIN", "COUNT"];
-    let ops = [">", ">=", "<", "<=", "=", "<>"];
-    let consts = [-500i64, -1, 0, 1, 40, 100, 500, 501];
     match rng.range(0..=11u64) {
-        0 => "distance(s.loc, s.loc) < 1.0".to_string(),
-        // Parenthesized: joined with AND by `random_pred`, a bare OR would
-        // re-associate (`a AND b OR c` is `(a AND b) OR c`) and swallow
-        // neighbouring conjuncts into the fallback slot.
-        1 => format!(
-            "(s.{} > {} OR s.{} <= {})",
-            rng.pick(&int_attrs).unwrap(),
-            rng.pick(&consts).unwrap(),
-            rng.pick(&int_attrs).unwrap(),
-            rng.pick(&consts).unwrap(),
-        ),
+        0 | 1 => random_fallback(rng),
         2 => "s.loc > 500".to_string(),
         // Windowed comparisons take a plain literal on the right (a negative
         // number parses as unary minus, which the planner rejects), so draw
@@ -276,17 +295,12 @@ fn random_conjunct(rng: &mut SimRng) -> String {
         3 | 4 => format!(
             "{}(s.{}) OVER LAST {} {} {}",
             rng.pick(&aggs).unwrap(),
-            rng.pick(&all_attrs).unwrap(),
+            rng.pick(&ALL_ATTRS).unwrap(),
             rng.range(2..=4u64),
-            rng.pick(&ops).unwrap(),
-            rng.pick(&consts[3..]).unwrap(),
+            rng.pick(&OPS).unwrap(),
+            rng.pick(&CONSTS[3..]).unwrap(),
         ),
-        _ => format!(
-            "s.{} {} {}",
-            rng.pick(&all_attrs).unwrap(),
-            rng.pick(&ops).unwrap(),
-            rng.pick(&consts).unwrap(),
-        ),
+        _ => random_comparison(rng),
     }
 }
 
@@ -304,16 +318,16 @@ fn random_pred(rng: &mut SimRng) -> String {
     }
 }
 
-/// A random sensor tuple: a small source-id pool (so rising/falling edges
-/// recur per source), occasional id-less tuples, occasional NULLs, and
-/// values straddling the constant pool's thresholds.
-fn random_tuple(rng: &mut SimRng, schema: &Schema) -> Tuple {
+/// A random sensor tuple from one of the `online` sources (a small pool,
+/// so rising/falling edges recur per source), occasionally id-less, with
+/// occasional NULLs and values straddling the constant pool's thresholds.
+fn random_tuple(rng: &mut SimRng, schema: &Schema, online: &[i64]) -> Tuple {
     let mut values = vec![Value::Null; schema.len()];
     let set = |name: &str, v: Value, values: &mut Vec<Value>| {
         values[schema.index_of(name).expect("sensor attribute")] = v;
     };
     if !rng.chance(0.15) {
-        set("id", Value::Int(rng.range(0..=5i64)), &mut values);
+        set("id", Value::Int(*rng.pick(online).unwrap()), &mut values);
     }
     if !rng.chance(0.2) {
         set("loc", Value::Location(Location::ORIGIN), &mut values);
@@ -333,21 +347,46 @@ fn random_tuple(rng: &mut SimRng, schema: &Schema) -> Tuple {
 
 /// Generates the whole script up front so every engine replays exactly the
 /// same operations in the same order.
+///
+/// It opens with one fallback conjunct shared by two groups — first in
+/// one, second behind an indexed partner in the other — so the fallback
+/// memo serves walks that reach it at different depths. Batch sources go
+/// offline and come back between batches, and half the id pool starts
+/// offline, so sources are first seen mid-run in no particular id order.
 fn random_script(seed: u64, steps: usize) -> Vec<Op> {
     let mut rng = SimRng::seed(seed);
     let registry = aorta_net::DeviceRegistry::from_lab(PervasiveLab::standard());
     let schema = registry.schema(DeviceKind::Sensor).clone();
-    let mut script = Vec::with_capacity(steps + 1);
+    let mut script = Vec::with_capacity(steps + 3);
     // Always start with at least one query so batches have something to hit.
     script.push(Op::Add(random_pred(&mut rng)));
+    let shared = random_fallback(&mut rng);
+    script.push(Op::Add(format!(
+        "{shared} AND {}",
+        random_comparison(&mut rng)
+    )));
+    script.push(Op::Add(format!(
+        "{} AND {shared}",
+        random_comparison(&mut rng)
+    )));
+    let mut offline: BTreeSet<i64> = (6..=11).collect();
     for _ in 0..steps {
         script.push(match rng.range(0..=9u64) {
             0 | 1 => Op::Add(random_pred(&mut rng)),
             2 => Op::Drop(rng.range(0..=31u64) as usize),
             3 => Op::Run(rng.range(1..=5u64)),
             _ => {
+                let source = rng.range(0..=11i64);
+                if !offline.remove(&source) && offline.len() < 11 {
+                    offline.insert(source);
+                }
+                let online: Vec<i64> = (0..=11).filter(|s| !offline.contains(s)).collect();
                 let n = rng.range(1..=12u64);
-                Op::Batch((0..n).map(|_| random_tuple(&mut rng, &schema)).collect())
+                Op::Batch(
+                    (0..n)
+                        .map(|_| random_tuple(&mut rng, &schema, &online))
+                        .collect(),
+                )
             }
         });
     }

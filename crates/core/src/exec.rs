@@ -25,7 +25,7 @@ use aorta_wal::{LifecycleStage, WalRecord};
 use crate::actions::{ActionDef, ActionHandler, ActionProfile};
 use crate::cost::{estimate_action_cost, CostContext};
 use crate::expr::{eval_expr, eval_predicate, Env, EvalContext};
-use crate::pindex::{GroupEpoch, TupleOutcome};
+use crate::pindex::{GroupEpoch, Source, TupleOutcome};
 use crate::shared::{ActionRequest, Aim, CandidateBlock, EpochScans};
 use crate::{Aorta, DispatchPolicy};
 
@@ -1197,7 +1197,7 @@ impl Aorta {
             let pending = outcomes.pending.get(qid);
             self.replay_plan(&plan, epoch, sources, pending, cache);
         }
-        self.pindex.commit_epoch(outcomes.commits);
+        self.pindex.commit_epoch(outcomes.commit);
     }
 
     /// Phase B: replays the per-tuple side effects of one affected plan
@@ -1206,7 +1206,7 @@ impl Aorta {
         &mut self,
         plan: &crate::AqPlan,
         epoch: &GroupEpoch,
-        sources: &[Option<i64>],
+        sources: &[Option<Source>],
         pending: Option<&BTreeSet<i64>>,
         cache: &EpochScans,
     ) {
@@ -1252,14 +1252,14 @@ impl Aorta {
                 TupleOutcome::Matched => true,
             };
             let source = sources[t].expect("non-idless outcomes have a source");
-            let was = match local.get(&source) {
+            let was = match local.get(&source.id) {
                 Some(&w) => w,
                 // A source this member has never observed (it joined the
                 // group after the shared edge was recorded) reads as false.
-                None if pending.is_some_and(|p| p.contains(&source)) => false,
-                None => epoch.pre_edge.get(&source).copied().unwrap_or(false),
+                None if pending.is_some_and(|p| p.contains(&source.id)) => false,
+                None => self.pindex.committed_high(epoch.group, source.slot),
             };
-            local.insert(source, matched);
+            local.insert(source.id, matched);
             if !matched || was {
                 continue; // not a rising edge
             }

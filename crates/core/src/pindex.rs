@@ -2,20 +2,28 @@
 //!
 //! The paper's §2 multi-query sharing argument is that many concurrent AQs
 //! watch the *same* sensor streams with heavily overlapping predicates, so
-//! detection cost should follow the number of *distinct* comparisons, not
-//! the number of registered queries. This module supplies that machinery:
+//! detection cost should follow the number of *distinct* predicates and
+//! event sources, not the number of registered queries. This module
+//! supplies that machinery:
 //!
 //! * every registered AQ's event-part WHERE clause is decomposed into
 //!   conjuncts; each conjunct either maps to a **distinct comparison**
-//!   (`attribute op constant`, interned and refcounted across queries) or is
-//!   kept verbatim as a **scalar fallback** slot,
+//!   (`attribute op constant`) or is a **fallback conjunct** the scalar
+//!   evaluator decides. Both are interned and refcounted across queries —
+//!   a fallback keyed on (kind, event binding, `Debug` rendering) — so a
+//!   fallback shared by many groups is evaluated at most once per tuple
+//!   per epoch, and only when some group's walk reaches it,
 //! * comparisons are grouped by attribute into lanes; integer thresholds on
 //!   one attribute are kept sorted so a batch value resolves all of them
 //!   with two binary searches per tuple (one pass over the lane sets the
 //!   match bit of every threshold),
 //! * queries with identical conjunct lists share one **query group** with a
-//!   single per-source rising-edge state, so a firing group fans out to its
-//!   members instead of being recomputed per query,
+//!   single rising-edge state, so a firing group fans out to its members
+//!   instead of being recomputed per query. That state is two bitsets over
+//!   the kind's **source slots**: each event source gets a dense slot the
+//!   first time an epoch commits it, in first-seen order, never reused, and
+//!   phase A maps a batch tuple to its slot once per kind, then reads every
+//!   group's committed state with a bit test,
 //! * a conjunct comparing a **windowed aggregate** (`AGG(attr) OVER LAST n`)
 //!   is a stateful slot reading the query's own device-resident window, so a
 //!   plan with one is a group of its own: window state is per query and two
@@ -28,9 +36,10 @@
 //! Detection runs in three phases (see `exec.rs`): a batch phase here
 //! ([`PredicateIndex::plan_epoch`]) that touches no engine state beyond
 //! advancing the window bank, a per-plan replay phase in the engine that
-//! emits the traces and counters of the few *affected* plans, and a commit
-//! phase ([`PredicateIndex::commit_epoch`]) that advances the shared edge
-//! state.
+//! emits the traces and counters of the few *affected* plans (reading the
+//! committed edge bits through the same slots), and a commit phase
+//! ([`PredicateIndex::commit_epoch`]) that assigns new source slots and
+//! sets the edge bits that changed.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -40,7 +49,7 @@ use aorta_device::pushdown::{numeric_sample, WindowBank};
 use aorta_device::DeviceKind;
 use aorta_sql::ast::Expr;
 
-use crate::expr::{eval_predicate, extract_comparison, CmpOp, Env, EvalContext};
+use crate::expr::{eval_predicate, extract_comparison, CmpOp, Env, EvalContext, VectorizableCmp};
 use crate::plan::{AqPlan, WindowedCmp};
 
 /// Canonical, orderable key form of an indexable comparison constant.
@@ -77,15 +86,115 @@ struct CmpKey {
     constant: ConstKey,
 }
 
-/// One interned comparison with its cross-query reference count.
-#[derive(Debug, Clone)]
-struct CmpEntry {
+/// Dedup key of one fallback conjunct: same kind, event binding and
+/// `Debug` rendering ⇒ same interned conjunct, whatever group it came
+/// from. `Debug`, never `Display`: `>= 1` and `>= 1.0` display alike but
+/// compare differently.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct FallbackKey {
     kind: DeviceKind,
-    attr: String,
-    op: CmpOp,
-    constant: Value,
-    /// Number of group conjunct slots referencing this comparison.
+    binding: String,
+    rendering: String,
+}
+
+/// One live entry of an [`Interner`].
+#[derive(Debug, Clone)]
+struct Interned<K, V> {
+    key: K,
+    value: V,
+    /// References held: conjunct slots for comparisons and fallbacks,
+    /// member queries for groups.
     refs: usize,
+}
+
+/// Deduplicated, refcounted entries with stable ids. Interning a live key
+/// takes another reference to its id; releasing the last reference frees
+/// the id for reuse, so `DROP AQ` churn cannot grow the table.
+#[derive(Debug, Clone)]
+struct Interner<K, V> {
+    /// Entry per id; `None` marks a freed id awaiting reuse.
+    entries: Vec<Option<Interned<K, V>>>,
+    free: Vec<usize>,
+    by_key: BTreeMap<K, usize>,
+}
+
+impl<K, V> Default for Interner<K, V> {
+    fn default() -> Self {
+        Interner {
+            entries: Vec::new(),
+            free: Vec::new(),
+            by_key: BTreeMap::new(),
+        }
+    }
+}
+
+impl<K: Ord + Clone, V> Interner<K, V> {
+    /// Takes one more reference to `key`'s id when the key is live.
+    fn acquire(&mut self, key: &K) -> Option<usize> {
+        let id = *self.by_key.get(key)?;
+        self.get_mut(id).refs += 1;
+        Some(id)
+    }
+
+    /// Interns an absent key with one reference.
+    fn insert(&mut self, key: K, value: V) -> usize {
+        let entry = Some(Interned {
+            key: key.clone(),
+            value,
+            refs: 1,
+        });
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.entries[id] = entry;
+                id
+            }
+            None => {
+                self.entries.push(entry);
+                self.entries.len() - 1
+            }
+        };
+        self.by_key.insert(key, id);
+        id
+    }
+
+    /// Drops one reference to `id`; returns the entry when it was the last.
+    fn release(&mut self, id: usize) -> Option<Interned<K, V>> {
+        let entry = self.get_mut(id);
+        entry.refs -= 1;
+        if entry.refs > 0 {
+            return None;
+        }
+        let entry = self.entries[id].take().expect("live");
+        self.by_key.remove(&entry.key);
+        self.free.push(id);
+        Some(entry)
+    }
+
+    fn get(&self, id: usize) -> &Interned<K, V> {
+        self.entries[id].as_ref().expect("ids in use are live")
+    }
+
+    fn get_mut(&mut self, id: usize) -> &mut Interned<K, V> {
+        self.entries[id].as_mut().expect("ids in use are live")
+    }
+
+    /// Live entries with their ids, in key order.
+    fn iter(&self) -> impl Iterator<Item = (usize, &Interned<K, V>)> {
+        self.by_key.values().map(|&id| (id, self.get(id)))
+    }
+
+    fn len(&self) -> usize {
+        self.by_key.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.by_key.is_empty()
+    }
+
+    /// One past the largest id handed out: the row count of a per-id bitset.
+    fn id_bound(&self) -> usize {
+        self.entries.len()
+    }
 }
 
 /// How one conjunct of a query group is evaluated per batch.
@@ -93,9 +202,10 @@ struct CmpEntry {
 enum ConjunctSlot {
     /// Shared comparison: read the batch bitset for this interned id.
     Indexed(usize),
-    /// Non-indexable conjunct: evaluate the expression per tuple (still
-    /// only once per *group*, not once per member query).
-    Fallback(Expr),
+    /// Non-indexable conjunct, interned in the fallback table: the scalar
+    /// evaluator decides it the first time a group's walk reaches it for a
+    /// tuple; every later walk reads the batch memo.
+    Fallback(usize),
     /// Windowed aggregate comparison: read the owning query's window for
     /// the tuple's source from the [`WindowBank`] and compare the aggregate.
     Windowed {
@@ -166,8 +276,72 @@ struct QueryGroup {
     members: BTreeMap<u32, Member>,
     /// Union of all members' pending sets (fast emptiness check per epoch).
     pending_union: BTreeSet<i64>,
-    /// Shared per-source rising-edge state (last epoch's match outcome).
-    edge: BTreeMap<i64, bool>,
+    /// Shared rising-edge state over the kind's source slots: bit `s` of
+    /// `observed` is set once the group has seen slot `s`'s source, and bit
+    /// `s` of `high` while that source's last observation matched
+    /// (`high ⊆ observed`; a never-observed source reads low).
+    observed: Vec<u64>,
+    high: Vec<u64>,
+}
+
+impl QueryGroup {
+    /// Committed state of the source in `slot`; `None` when never observed.
+    fn edge(&self, slot: u32) -> Option<bool> {
+        bit(&self.observed, slot).then(|| bit(&self.high, slot))
+    }
+
+    fn observed_count(&self) -> usize {
+        self.observed.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// Bit `i` of a word-packed set; bits past the end read clear.
+fn bit(words: &[u64], i: u32) -> bool {
+    words
+        .get(i as usize / 64)
+        .is_some_and(|w| w >> (i % 64) & 1 == 1)
+}
+
+/// Sets or clears bit `i` of a word-packed set, growing it as needed.
+fn set_bit(words: &mut Vec<u64>, i: u32, on: bool) {
+    let w = i as usize / 64;
+    if w >= words.len() {
+        if !on {
+            return;
+        }
+        words.resize(w + 1, 0);
+    }
+    let mask = 1u64 << (i % 64);
+    if on {
+        words[w] |= mask;
+    } else {
+        words[w] &= !mask;
+    }
+}
+
+/// One kind's event sources, each with the dense slot its groups' edge bits
+/// are addressed by. A slot is assigned when an epoch first commits the
+/// source, in first-seen order, and never reused, so the table is bounded
+/// by the fleet.
+#[derive(Debug, Clone, Default)]
+struct SourceSlots {
+    /// Source id → slot, in id order (the order the digest walks).
+    slot_of: BTreeMap<i64, u32>,
+    /// Slot → source id.
+    source_of: Vec<i64>,
+}
+
+/// The slot number of the `index`-th source of a kind.
+fn slot_number(index: usize) -> u32 {
+    u32::try_from(index).expect("a kind has fewer than 2^32 event sources")
+}
+
+/// A batch tuple's event source: its id and its slot in the kind's source
+/// table — for a source first seen this epoch, the slot the commit gives it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Source {
+    pub id: i64,
+    pub slot: u32,
 }
 
 /// Per-tuple walk outcome of a group's conjunct list.
@@ -201,14 +375,27 @@ pub(crate) struct EvalTally {
 /// Phase-A record for one *affected* group.
 #[derive(Debug, Clone)]
 pub(crate) struct GroupEpoch {
+    /// The group's id: phase B reads its committed edge through it
+    /// ([`PredicateIndex::committed_high`]) — phase C runs after phase B.
+    pub group: usize,
     /// One outcome per tuple of the group's kind, in batch order.
     pub stops: Vec<TupleOutcome>,
-    /// The group's shared edge state as of the start of the epoch.
-    pub pre_edge: BTreeMap<i64, bool>,
     /// Conjunct index → message of the first windowed-slot error there this
     /// epoch. The window has moved on by replay time, so the text the trace
     /// needs cannot be recovered by re-evaluating.
     pub window_errors: BTreeMap<usize, String>,
+}
+
+/// What phase C writes, computed by phase A.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EpochCommit {
+    /// Per kind: sources first seen this epoch, in batch order — they take
+    /// the next slots of the kind's table.
+    new_sources: Vec<(DeviceKind, Vec<i64>)>,
+    /// Per group with anything to write: (source slot, matched) in batch
+    /// order — the states that changed, and every observed source while
+    /// members are pending.
+    edges: Vec<(usize, Vec<(u32, bool)>)>,
 }
 
 /// Everything phase A computed: replay instructions for affected plans and
@@ -225,11 +412,11 @@ pub(crate) struct EpochOutcomes {
     /// Pending-source sets for affected members that have any (see
     /// [`Member`]); absent means the member shares the group edge fully.
     pub pending: BTreeMap<u32, BTreeSet<i64>>,
-    /// Per kind: the id of each batch tuple (`None` = id-less).
-    pub sources: BTreeMap<DeviceKind, Vec<Option<i64>>>,
-    /// Per group with anything to write: the per-source match states that
-    /// changed this epoch (every observed source while members are pending).
-    pub commits: Vec<(GroupKey, BTreeMap<i64, bool>)>,
+    /// Per kind some group watches: each batch tuple's source (`None` =
+    /// id-less).
+    pub sources: BTreeMap<DeviceKind, Vec<Option<Source>>>,
+    /// New source slots and changed edge bits.
+    pub commit: EpochCommit,
     /// Logical conjunct-evaluation counts for the obs counters.
     pub tally: EvalTally,
     /// Per suppressible kind watched by at least one group: whether each
@@ -238,38 +425,56 @@ pub(crate) struct EpochOutcomes {
     pub suppress: BTreeMap<DeviceKind, Vec<bool>>,
 }
 
-/// Packed per-comparison match/error bitsets over one scan batch.
-struct CmpBatch {
-    blocks_per_cmp: usize,
-    matched: Vec<u64>,
-    errored: Vec<u64>,
+/// Packed bit matrix over one scan batch: per interned id, one bit per
+/// tuple.
+struct BitRows {
+    words_per_row: usize,
+    words: Vec<u64>,
 }
 
-impl CmpBatch {
-    fn new(cmps: usize, tuples: usize) -> CmpBatch {
-        let blocks_per_cmp = tuples.div_ceil(64);
-        CmpBatch {
-            blocks_per_cmp,
-            matched: vec![0; cmps * blocks_per_cmp],
-            errored: vec![0; cmps * blocks_per_cmp],
+impl BitRows {
+    fn new(rows: usize, tuples: usize) -> BitRows {
+        let words_per_row = tuples.div_ceil(64);
+        BitRows {
+            words_per_row,
+            words: vec![0; rows * words_per_row],
         }
     }
 
-    fn set_matched(&mut self, cmp: usize, t: usize) {
-        self.matched[cmp * self.blocks_per_cmp + t / 64] |= 1 << (t % 64);
+    fn set(&mut self, row: usize, t: usize) {
+        self.words[row * self.words_per_row + t / 64] |= 1 << (t % 64);
     }
 
-    fn set_errored(&mut self, cmp: usize, t: usize) {
-        self.errored[cmp * self.blocks_per_cmp + t / 64] |= 1 << (t % 64);
+    fn get(&self, row: usize, t: usize) -> bool {
+        self.words[row * self.words_per_row + t / 64] >> (t % 64) & 1 == 1
     }
+}
 
-    fn is_matched(&self, cmp: usize, t: usize) -> bool {
-        self.matched[cmp * self.blocks_per_cmp + t / 64] >> (t % 64) & 1 == 1
-    }
+/// Match and error bits of one table's interned ids over a scan batch.
+struct SlotBits {
+    matched: BitRows,
+    errored: BitRows,
+}
 
-    fn is_errored(&self, cmp: usize, t: usize) -> bool {
-        self.errored[cmp * self.blocks_per_cmp + t / 64] >> (t % 64) & 1 == 1
+impl SlotBits {
+    fn new(rows: usize, tuples: usize) -> SlotBits {
+        SlotBits {
+            matched: BitRows::new(rows, tuples),
+            errored: BitRows::new(rows, tuples),
+        }
     }
+}
+
+/// Phase A's view of one scanned kind.
+struct KindBatch {
+    /// Every interned comparison of the kind, evaluated up front.
+    cmps: SlotBits,
+    /// Fallback conjuncts, evaluated on first reach; `fallback_done` marks
+    /// the (id, tuple) pairs already decided.
+    fallbacks: SlotBits,
+    fallback_done: BitRows,
+    /// Whether some tuple has no usable id.
+    has_idless: bool,
 }
 
 /// Attribute lane: all interned comparisons on one (kind, attribute),
@@ -282,25 +487,26 @@ struct AttrLane {
     general: Vec<usize>,
 }
 
-/// The shared predicate index: interned comparisons, attribute lanes, and
-/// query groups with their rising-edge state.
+/// The shared predicate index: interned comparisons and fallback
+/// conjuncts, attribute lanes, query groups with their rising-edge bits,
+/// and the per-kind source slots those bits are addressed by.
 ///
 /// Registration mirrors the catalog exactly — [`crate::Aorta`] registers a
 /// plan's event conjuncts on `CREATE AQ` and releases them on `DROP AQ`, so
 /// the index is empty precisely when no queries are registered.
 #[derive(Debug, Clone, Default)]
 pub struct PredicateIndex {
-    /// Interned comparisons; `None` marks a freed slot awaiting reuse.
-    cmps: Vec<Option<CmpEntry>>,
-    /// Freed slots of `cmps`.
-    free: Vec<usize>,
-    /// Dedup map: comparison key → slot in `cmps`.
-    by_key: BTreeMap<CmpKey, usize>,
+    /// Interned comparisons, each holding its constant.
+    cmps: Interner<CmpKey, Value>,
     /// Evaluation lanes per (kind, attribute), rebuilt when the interned
     /// set for that attribute changes.
     lanes: BTreeMap<DeviceKind, BTreeMap<String, AttrLane>>,
-    /// Query groups by identity.
-    groups: BTreeMap<GroupKey, QueryGroup>,
+    /// Interned fallback conjuncts.
+    fallbacks: Interner<FallbackKey, Expr>,
+    /// Query groups by identity; a group's references are its members.
+    groups: Interner<GroupKey, QueryGroup>,
+    /// Per kind: the source slots group edge bits are addressed by.
+    sources: BTreeMap<DeviceKind, SourceSlots>,
 }
 
 impl PredicateIndex {
@@ -311,7 +517,7 @@ impl PredicateIndex {
 
     /// Number of live distinct comparisons.
     pub fn cmp_count(&self) -> usize {
-        self.by_key.len()
+        self.cmps.len()
     }
 
     /// Number of query groups.
@@ -321,32 +527,41 @@ impl PredicateIndex {
 
     /// Number of member queries across all groups (= registered AQs).
     pub fn member_count(&self) -> usize {
-        self.groups.values().map(|g| g.members.len()).sum()
+        self.groups.iter().map(|(_, g)| g.value.members.len()).sum()
     }
 
-    /// True when no queries are registered: no comparisons, no groups.
+    /// True when no queries are registered: no comparisons, no fallback
+    /// conjuncts, no groups.
     pub fn is_empty(&self) -> bool {
-        self.groups.is_empty() && self.by_key.is_empty()
+        self.groups.is_empty() && self.cmps.is_empty() && self.fallbacks.is_empty()
     }
 
-    /// Rising-edge entries tracked, in per-query units: each group's edge
-    /// map counts once per member (one per live (query, source) pair).
+    /// Rising-edge entries tracked, in per-query units: each group's
+    /// observed sources count once per member (one per live (query,
+    /// source) pair).
     pub(crate) fn edge_entries(&self) -> usize {
         self.groups
-            .values()
-            .map(|g| g.edge.len() * g.members.len())
+            .iter()
+            .map(|(_, g)| g.value.observed_count() * g.value.members.len())
             .sum()
     }
 
-    /// Feeds the rising-edge state [`crate::Aorta::state_digest`] folds in:
-    /// every group's shared edge map and its members' non-empty pending
-    /// sets, in group-key order, length-prefixed so runs cannot alias.
+    /// Feeds the rising-edge state [`crate::Aorta::state_digest`] folds in,
+    /// in group-key order: each group's observed sources in id order with
+    /// their states, then its members' non-empty pending sets,
+    /// length-prefixed so runs cannot alias.
     pub(crate) fn digest_edge_state(&self, mut feed: impl FnMut(&[u8])) {
-        for group in self.groups.values() {
-            feed(&group.edge.len().to_le_bytes());
-            for (source, high) in &group.edge {
-                feed(&source.to_le_bytes());
-                feed(&[u8::from(*high)]);
+        for (_, entry) in self.groups.iter() {
+            let group = &entry.value;
+            let observed = group.observed_count();
+            feed(&observed.to_le_bytes());
+            if observed > 0 {
+                for (source, &slot) in &self.sources[&entry.key.kind].slot_of {
+                    if let Some(high) = group.edge(slot) {
+                        feed(&source.to_le_bytes());
+                        feed(&[u8::from(high)]);
+                    }
+                }
             }
             for (query, member) in &group.members {
                 if !member.pending.is_empty() {
@@ -362,18 +577,14 @@ impl PredicateIndex {
 
     /// Registers a planned query's event conjuncts. Joins an existing group
     /// when an identical conjunct list is already indexed; otherwise interns
-    /// the query's comparisons and creates a new group.
+    /// the query's comparisons and fallbacks and creates a new group.
     pub(crate) fn register(&mut self, plan: &AqPlan, schema: &Schema) {
         let key = GroupKey::of(plan);
-        if let Some(group) = self.groups.get_mut(&key) {
+        if let Some(id) = self.groups.acquire(&key) {
             // Sources the shared state already remembers as TRUE would fake
             // a pre-existing edge for the newcomer; defer those (Member).
-            let pending: BTreeSet<i64> = group
-                .edge
-                .iter()
-                .filter(|(_, m)| **m)
-                .map(|(s, _)| *s)
-                .collect();
+            let pending = self.high_sources(id);
+            let group = &mut self.groups.get_mut(id).value;
             group.pending_union.extend(pending.iter().copied());
             group.members.insert(
                 plan.query_id,
@@ -384,67 +595,65 @@ impl PredicateIndex {
             );
             return;
         }
-        let mut slots = Vec::with_capacity(plan.event_conjuncts.len());
-        let mut indexed_prefix = Vec::with_capacity(plan.event_conjuncts.len() + 1);
-        indexed_prefix.push(0u32);
-        for (idx, conjunct) in plan.event_conjuncts.iter().enumerate() {
-            let slot = if let Some(w) = plan.windowed.iter().find(|w| w.idx == idx) {
-                ConjunctSlot::Windowed {
-                    cmp: w.clone(),
-                    col: schema
-                        .index_of(&w.attr)
-                        .expect("windowed attrs are validated at plan time"),
+        let slots: Vec<ConjunctSlot> = plan
+            .event_conjuncts
+            .iter()
+            .enumerate()
+            .map(|(idx, conjunct)| {
+                if let Some(w) = plan.windowed.iter().find(|w| w.idx == idx) {
+                    ConjunctSlot::Windowed {
+                        cmp: w.clone(),
+                        col: schema
+                            .index_of(&w.attr)
+                            .expect("windowed attrs are validated at plan time"),
+                    }
+                } else if let Some(cmp) = extract_comparison(conjunct, &plan.event_binding, schema)
+                {
+                    ConjunctSlot::Indexed(self.intern_cmp(plan.event_kind, cmp))
+                } else {
+                    ConjunctSlot::Fallback(self.intern_fallback(plan, conjunct))
                 }
-            } else if let Some(cmp) = extract_comparison(conjunct, &plan.event_binding, schema) {
-                ConjunctSlot::Indexed(self.intern(plan.event_kind, cmp))
-            } else {
-                ConjunctSlot::Fallback(conjunct.clone())
-            };
+            })
+            .collect();
+        let mut indexed_prefix = Vec::with_capacity(slots.len() + 1);
+        indexed_prefix.push(0u32);
+        for slot in &slots {
             let prev = *indexed_prefix.last().expect("seeded");
-            indexed_prefix.push(prev + matches!(slot, ConjunctSlot::Indexed(_)) as u32);
-            slots.push(slot);
+            indexed_prefix.push(prev + u32::from(matches!(slot, ConjunctSlot::Indexed(_))));
         }
-        let mut members = BTreeMap::new();
-        members.insert(
-            plan.query_id,
-            Member {
-                name: plan.name.clone(),
-                pending: BTreeSet::new(),
-            },
-        );
         let pushed_len = slots
             .iter()
             .take_while(|s| !matches!(s, ConjunctSlot::Fallback(_)))
             .count();
+        let member = Member {
+            name: plan.name.clone(),
+            pending: BTreeSet::new(),
+        };
         self.groups.insert(
             key,
             QueryGroup {
                 slots,
                 indexed_prefix,
                 pushed_len,
-                members,
+                members: BTreeMap::from([(plan.query_id, member)]),
                 pending_union: BTreeSet::new(),
-                edge: BTreeMap::new(),
+                observed: Vec::new(),
+                high: Vec::new(),
             },
         );
     }
 
     /// Releases a dropped query: leaves its group, and when the group
-    /// empties, drops its edge state and releases its interned comparisons.
+    /// empties, drops its edge state and releases its interned conjuncts.
     pub(crate) fn unregister(&mut self, plan: &AqPlan) {
-        let key = GroupKey::of(plan);
-        let Some(group) = self.groups.get_mut(&key) else {
+        let Some(&id) = self.groups.by_key.get(&GroupKey::of(plan)) else {
             return;
         };
-        group.members.remove(&plan.query_id);
-        if group.members.is_empty() {
-            let group = self.groups.remove(&key).expect("present");
-            for slot in &group.slots {
-                if let ConjunctSlot::Indexed(id) = slot {
-                    self.release(*id);
-                }
-            }
-        } else if !group.pending_union.is_empty() {
+        let group = &mut self.groups.get_mut(id).value;
+        if group.members.remove(&plan.query_id).is_none() {
+            return;
+        }
+        if !group.pending_union.is_empty() {
             // Recompute the union so it doesn't retain the leaver's sources.
             group.pending_union = group
                 .members
@@ -452,61 +661,71 @@ impl PredicateIndex {
                 .flat_map(|m| m.pending.iter().copied())
                 .collect();
         }
+        let Some(gone) = self.groups.release(id) else {
+            return;
+        };
+        for slot in &gone.value.slots {
+            match slot {
+                ConjunctSlot::Indexed(cmp) => self.release_cmp(*cmp),
+                ConjunctSlot::Fallback(fallback) => {
+                    self.fallbacks.release(*fallback);
+                }
+                ConjunctSlot::Windowed { .. } => {}
+            }
+        }
     }
 
-    fn intern(&mut self, kind: DeviceKind, cmp: crate::expr::VectorizableCmp) -> usize {
-        let key = CmpKey {
-            kind,
-            attr: cmp.attr.clone(),
-            op: cmp.op,
-            constant: ConstKey::of(&cmp.constant).expect("extraction checked the constant"),
+    /// The sources a group's committed state holds high, read off its
+    /// `observed & high` words.
+    fn high_sources(&self, group: usize) -> BTreeSet<i64> {
+        let entry = self.groups.get(group);
+        let mut high = BTreeSet::new();
+        let Some(table) = self.sources.get(&entry.key.kind) else {
+            return high;
         };
-        if let Some(&id) = self.by_key.get(&key) {
-            self.cmps[id].as_mut().expect("live").refs += 1;
-            return id;
+        let words = entry.value.observed.iter().zip(&entry.value.high);
+        for (w, (&observed, &is_high)) in words.enumerate() {
+            let mut rest = observed & is_high;
+            while rest != 0 {
+                high.insert(table.source_of[w * 64 + rest.trailing_zeros() as usize]);
+                rest &= rest - 1;
+            }
         }
-        let entry = CmpEntry {
+        high
+    }
+
+    fn intern_cmp(&mut self, kind: DeviceKind, cmp: VectorizableCmp) -> usize {
+        let key = CmpKey {
             kind,
             attr: cmp.attr,
             op: cmp.op,
-            constant: cmp.constant,
-            refs: 1,
+            constant: ConstKey::of(&cmp.constant).expect("extraction checked the constant"),
         };
-        let id = match self.free.pop() {
-            Some(slot) => {
-                self.cmps[slot] = Some(entry);
-                slot
-            }
-            None => {
-                self.cmps.push(Some(entry));
-                self.cmps.len() - 1
-            }
-        };
-        let (kind, attr) = {
-            let e = self.cmps[id].as_ref().expect("just set");
-            (e.kind, e.attr.clone())
-        };
-        self.by_key.insert(key, id);
+        if let Some(id) = self.cmps.acquire(&key) {
+            return id;
+        }
+        let attr = key.attr.clone();
+        let id = self.cmps.insert(key, cmp.constant);
         self.rebuild_lane(kind, &attr);
         id
     }
 
-    fn release(&mut self, id: usize) {
-        let entry = self.cmps[id].as_mut().expect("live");
-        entry.refs -= 1;
-        if entry.refs > 0 {
-            return;
+    fn release_cmp(&mut self, id: usize) {
+        if let Some(gone) = self.cmps.release(id) {
+            self.rebuild_lane(gone.key.kind, &gone.key.attr);
         }
-        let entry = self.cmps[id].take().expect("live");
-        let key = CmpKey {
-            kind: entry.kind,
-            attr: entry.attr.clone(),
-            op: entry.op,
-            constant: ConstKey::of(&entry.constant).expect("was interned"),
+    }
+
+    fn intern_fallback(&mut self, plan: &AqPlan, conjunct: &Expr) -> usize {
+        let key = FallbackKey {
+            kind: plan.event_kind,
+            binding: plan.event_binding.clone(),
+            rendering: format!("{conjunct:?}"),
         };
-        self.by_key.remove(&key);
-        self.free.push(id);
-        self.rebuild_lane(entry.kind, &entry.attr);
+        match self.fallbacks.acquire(&key) {
+            Some(id) => id,
+            None => self.fallbacks.insert(key, conjunct.clone()),
+        }
     }
 
     fn rebuild_lane(&mut self, kind: DeviceKind, attr: &str) {
@@ -517,7 +736,7 @@ impl PredicateIndex {
             op: CmpOp::Eq,
             constant: ConstKey::Bool(false),
         };
-        for (key, &id) in self.by_key.range(lo..) {
+        for (key, &id) in self.cmps.by_key.range(lo..) {
             if key.kind != kind || key.attr != attr {
                 break;
             }
@@ -538,11 +757,42 @@ impl PredicateIndex {
         }
     }
 
+    /// Maps each batch tuple to its source (`None` without a usable id),
+    /// and returns the sources the kind's table does not know yet in
+    /// first-seen order: those take the next slots, here and at commit.
+    fn map_sources(
+        &self,
+        kind: DeviceKind,
+        tuples: &[Tuple],
+        schema: &Schema,
+    ) -> (Vec<Option<Source>>, Vec<i64>) {
+        let id_idx = schema.index_of("id").expect("catalogs define id");
+        let known = self.sources.get(&kind);
+        let next = known.map_or(0, |s| s.source_of.len());
+        let mut fresh: Vec<i64> = Vec::new();
+        let mut fresh_slots: BTreeMap<i64, u32> = BTreeMap::new();
+        let mut sources = Vec::with_capacity(tuples.len());
+        for tuple in tuples {
+            let source = tuple.get(id_idx).and_then(Value::as_i64).map(|id| {
+                let slot = match known.and_then(|s| s.slot_of.get(&id)) {
+                    Some(&slot) => slot,
+                    None => *fresh_slots.entry(id).or_insert_with(|| {
+                        fresh.push(id);
+                        slot_number(next + fresh.len() - 1)
+                    }),
+                };
+                Source { id, slot }
+            });
+            sources.push(source);
+        }
+        (sources, fresh)
+    }
+
     /// Evaluates every interned comparison of `kind` over a scan batch.
-    fn eval_cmps(&self, kind: DeviceKind, tuples: &[Tuple], schema: &Schema) -> CmpBatch {
-        let mut batch = CmpBatch::new(self.cmps.len(), tuples.len());
+    fn eval_cmps(&self, kind: DeviceKind, tuples: &[Tuple], schema: &Schema) -> SlotBits {
+        let mut bits = SlotBits::new(self.cmps.id_bound(), tuples.len());
         let Some(lanes) = self.lanes.get(&kind) else {
-            return batch;
+            return bits;
         };
         for (attr, lane) in lanes {
             let Some(col) = schema.index_of(attr) else {
@@ -565,11 +815,11 @@ impl PredicateIndex {
                                 _ => Ordering::Less,
                             };
                             if op.matches(ord) {
-                                batch.set_matched(*id, t);
+                                bits.matched.set(*id, t);
                             }
                         }
                         for &id in &lane.general {
-                            self.eval_general(id, v, &mut batch, t);
+                            self.eval_general(id, v, &mut bits, t);
                         }
                     }
                     Some(v) => {
@@ -578,37 +828,39 @@ impl PredicateIndex {
                         // reproduces the scalar mixed-type semantics —
                         // including its errors.
                         for &(_, _, id) in &lane.ints {
-                            self.eval_general(id, v, &mut batch, t);
+                            self.eval_general(id, v, &mut bits, t);
                         }
                         for &id in &lane.general {
-                            self.eval_general(id, v, &mut batch, t);
+                            self.eval_general(id, v, &mut bits, t);
                         }
                     }
                 }
             }
         }
-        batch
+        bits
     }
 
-    fn eval_general(&self, id: usize, value: &Value, batch: &mut CmpBatch, t: usize) {
-        let entry = self.cmps[id].as_ref().expect("lanes index live cmps");
-        match value.compare(&entry.constant) {
+    fn eval_general(&self, id: usize, value: &Value, bits: &mut SlotBits, t: usize) {
+        let entry = self.cmps.get(id);
+        match value.compare(&entry.value) {
             Ok(ord) => {
-                if entry.op.matches(ord) {
-                    batch.set_matched(id, t);
+                if entry.key.op.matches(ord) {
+                    bits.matched.set(id, t);
                 }
             }
-            Err(_) => batch.set_errored(id, t),
+            Err(_) => bits.errored.set(id, t),
         }
     }
 
     /// Phase A: evaluates each distinct comparison once per batch, walks
-    /// every group's conjunct list per tuple, and computes which plans need
-    /// side effects replayed. The only state it moves is `windows`: a
-    /// windowed group's windows advance on every tuple that has an id,
-    /// before the walk, so a windowed slot sees the window including the
-    /// current sample — `LAST n` is the last n samples taken, and a
-    /// non-numeric one (a lossy scan's NULL) still occupies a slot.
+    /// every group's conjunct list per tuple — deciding a fallback conjunct
+    /// the first time any walk reaches it for that tuple — and computes
+    /// which plans need side effects replayed. The only state it moves is
+    /// `windows`: a windowed group's windows advance on every tuple that
+    /// has an id, before the walk, so a windowed slot sees the window
+    /// including the current sample — `LAST n` is the last n samples
+    /// taken, and a non-numeric one (a lossy scan's NULL) still occupies a
+    /// slot.
     ///
     /// For each kind in `suppressible` the same walk folds the in-network
     /// ship/suppress decision into [`EpochOutcomes::suppress`]: anything
@@ -622,36 +874,45 @@ impl PredicateIndex {
         suppressible: &BTreeSet<DeviceKind>,
     ) -> EpochOutcomes {
         let mut out = EpochOutcomes::default();
-        let mut batches: BTreeMap<DeviceKind, CmpBatch> = BTreeMap::new();
-        let mut idless: BTreeMap<DeviceKind, bool> = BTreeMap::new();
-        for (&kind, tuples) in cache {
-            let schema = ctx.registry.schema(kind);
-            let id_idx = schema.index_of("id").expect("catalogs define id");
-            let sources: Vec<Option<i64>> = tuples
-                .iter()
-                .map(|t| t.get(id_idx).and_then(Value::as_i64))
-                .collect();
-            idless.insert(kind, sources.iter().any(Option::is_none));
-            out.sources.insert(kind, sources);
-            batches.insert(kind, self.eval_cmps(kind, tuples, schema));
-        }
-
-        for (key, group) in &self.groups {
+        // Per scanned kind, prepared when its first group comes up — so a
+        // kind no group watches costs nothing and gets no source slots.
+        let mut batches: BTreeMap<DeviceKind, KindBatch> = BTreeMap::new();
+        // Scratch reused across groups: the walk's outcomes (copied out
+        // only for an affected group), and the source slots the current
+        // group recorded this batch with the state it recorded last.
+        let mut stops: Vec<TupleOutcome> = Vec::new();
+        let mut recorded: Vec<u64> = Vec::new();
+        let mut recorded_high: Vec<u64> = Vec::new();
+        for (gid, entry) in self.groups.iter() {
+            let (key, group) = (&entry.key, &entry.value);
             let Some(tuples) = cache.get(&key.kind) else {
                 continue; // kind not scanned this epoch: state untouched
             };
-            let batch = &batches[&key.kind];
-            let sources = &out.sources[&key.kind];
             let schema = ctx.registry.schema(key.kind);
-            let kind_has_idless = idless[&key.kind];
+            let batch = batches.entry(key.kind).or_insert_with(|| {
+                let (sources, fresh) = self.map_sources(key.kind, tuples, schema);
+                let fallbacks = self.fallbacks.id_bound();
+                let has_idless = sources.iter().any(Option::is_none);
+                out.sources.insert(key.kind, sources);
+                if !fresh.is_empty() {
+                    out.commit.new_sources.push((key.kind, fresh));
+                }
+                KindBatch {
+                    cmps: self.eval_cmps(key.kind, tuples, schema),
+                    fallbacks: SlotBits::new(fallbacks, tuples.len()),
+                    fallback_done: BitRows::new(fallbacks, tuples.len()),
+                    has_idless,
+                }
+            });
+            let sources = &out.sources[&key.kind];
             let mut suppress = suppressible.contains(&key.kind).then(|| {
                 out.suppress
                     .entry(key.kind)
                     .or_insert_with(|| sources.iter().map(Option::is_some).collect())
             });
 
-            let mut stops = Vec::with_capacity(tuples.len());
-            let mut final_edge: BTreeMap<i64, bool> = BTreeMap::new();
+            stops.clear();
+            let mut changes: Vec<(u32, bool)> = Vec::new();
             let has_pending = !group.pending_union.is_empty();
             let mut rising_shared = false;
             let mut pending_rising = false;
@@ -669,7 +930,7 @@ impl PredicateIndex {
                     for slot in &group.slots {
                         if let ConjunctSlot::Windowed { cmp, col } = slot {
                             let sample = numeric_sample(tuple.get(*col));
-                            windows.advance(query, cmp.idx, source, cmp.window, sample);
+                            windows.advance(query, cmp.idx, source.id, cmp.window, sample);
                         }
                     }
                 }
@@ -677,21 +938,28 @@ impl PredicateIndex {
                 for (si, slot) in group.slots.iter().enumerate() {
                     let ok = match slot {
                         ConjunctSlot::Indexed(id) => {
-                            if batch.is_errored(*id, t) {
+                            if batch.cmps.errored.get(*id, t) {
                                 stop = Some((si, true));
                                 break;
                             }
-                            batch.is_matched(*id, t)
+                            batch.cmps.matched.get(*id, t)
                         }
-                        ConjunctSlot::Fallback(expr) => {
-                            let env = Env::new().bind(&key.binding, schema, tuple);
-                            match eval_predicate(expr, &env, ctx) {
-                                Ok(b) => b,
-                                Err(_) => {
-                                    stop = Some((si, true));
-                                    break;
+                        ConjunctSlot::Fallback(id) => {
+                            if !batch.fallback_done.get(*id, t) {
+                                batch.fallback_done.set(*id, t);
+                                let fallback = self.fallbacks.get(*id);
+                                let env = Env::new().bind(&fallback.key.binding, schema, tuple);
+                                match eval_predicate(&fallback.value, &env, ctx) {
+                                    Ok(true) => batch.fallbacks.matched.set(*id, t),
+                                    Ok(false) => {}
+                                    Err(_) => batch.fallbacks.errored.set(*id, t),
                                 }
                             }
+                            if batch.fallbacks.errored.get(*id, t) {
+                                stop = Some((si, true));
+                                break;
+                            }
+                            batch.fallbacks.matched.get(*id, t)
                         }
                         ConjunctSlot::Windowed { cmp, .. } => {
                             let query = key.windowed_query.expect("windowed groups key on it");
@@ -700,7 +968,7 @@ impl PredicateIndex {
                             // warming up or a lossy stretch is normal
                             // operation, not a broken query.
                             match windows
-                                .aggregate(query, cmp.idx, source, cmp.agg)
+                                .aggregate(query, cmp.idx, source.id, cmp.agg)
                                 .map(|v| v.compare(&cmp.constant))
                             {
                                 None => false,
@@ -738,22 +1006,24 @@ impl PredicateIndex {
                 // sample of a source already recorded. In the steady state
                 // that is nothing. With members pending, every observed
                 // source is recorded so the commit can retire it.
-                let committed = group.edge.get(&source).copied();
-                let in_batch = if has_pending
-                    || committed != Some(matched)
-                    || final_edge.contains_key(&source)
-                {
-                    final_edge.insert(source, matched)
+                let committed = group.edge(source.slot);
+                let seen = bit(&recorded, source.slot);
+                let in_batch = if has_pending || committed != Some(matched) || seen {
+                    let before = seen.then(|| bit(&recorded_high, source.slot));
+                    set_bit(&mut recorded, source.slot, true);
+                    set_bit(&mut recorded_high, source.slot, matched);
+                    changes.push((source.slot, matched));
+                    before
                 } else {
                     None
                 };
-                // Audited fold: `unwrap_or(false)` is the edge map's "never
-                // observed ⇒ low" encoding, not a swallowed failure.
+                // Audited fold: `unwrap_or(false)` is the edge state's
+                // "never observed ⇒ low" encoding, not a swallowed failure.
                 let was = in_batch.unwrap_or(committed.unwrap_or(false));
                 if matched && !was {
                     rising_shared = true;
                 }
-                if matched && in_batch.is_none() && group.pending_union.contains(&source) {
+                if matched && in_batch.is_none() && group.pending_union.contains(&source.id) {
                     // A member still pending on this source sees was=false
                     // where the shared state says true.
                     pending_rising = true;
@@ -769,9 +1039,10 @@ impl PredicateIndex {
             out.tally.fallback += reached_fallback * member_count;
             out.tally.total += (reached_indexed + reached_fallback) * member_count;
 
-            let affected = any_error || kind_has_idless || rising_shared || pending_rising;
-            if !final_edge.is_empty() {
-                out.commits.push((key.clone(), final_edge));
+            let affected = any_error || batch.has_idless || rising_shared || pending_rising;
+            if !changes.is_empty() {
+                recorded.fill(0);
+                out.commit.edges.push((gid, changes));
             }
             if affected {
                 let gi = out.groups.len();
@@ -783,8 +1054,8 @@ impl PredicateIndex {
                     }
                 }
                 out.groups.push(GroupEpoch {
-                    stops,
-                    pre_edge: group.edge.clone(),
+                    group: gid,
+                    stops: stops.clone(),
                     window_errors,
                 });
             }
@@ -793,25 +1064,42 @@ impl PredicateIndex {
         out
     }
 
-    /// Phase C: commits the per-source match state computed by
-    /// [`PredicateIndex::plan_epoch`] and retires observed pending sources.
-    pub(crate) fn commit_epoch(&mut self, commits: Vec<(GroupKey, BTreeMap<i64, bool>)>) {
-        for (key, final_edge) in commits {
-            let Some(group) = self.groups.get_mut(&key) else {
-                continue;
-            };
+    /// Phase B's read of a group's committed edge: whether the source in
+    /// `slot` was high when the epoch began (phase C has not run yet; a
+    /// source first seen this epoch reads low).
+    pub(crate) fn committed_high(&self, group: usize, slot: u32) -> bool {
+        bit(&self.groups.get(group).value.high, slot)
+    }
+
+    /// Phase C: gives this epoch's new sources their slots, commits the
+    /// per-source match states computed by [`PredicateIndex::plan_epoch`]
+    /// and retires observed pending sources.
+    pub(crate) fn commit_epoch(&mut self, commit: EpochCommit) {
+        for (kind, fresh) in commit.new_sources {
+            let table = self.sources.entry(kind).or_default();
+            for source in fresh {
+                table
+                    .slot_of
+                    .insert(source, slot_number(table.source_of.len()));
+                table.source_of.push(source);
+            }
+        }
+        for (id, changes) in commit.edges {
+            let entry = self.groups.get_mut(id);
+            let group = &mut entry.value;
             if !group.pending_union.is_empty() {
-                for member in group.members.values_mut() {
-                    for s in final_edge.keys() {
-                        member.pending.remove(s);
+                let table = &self.sources[&entry.key.kind];
+                for &(slot, _) in &changes {
+                    let source = table.source_of[slot as usize];
+                    for member in group.members.values_mut() {
+                        member.pending.remove(&source);
                     }
-                }
-                for s in final_edge.keys() {
-                    group.pending_union.remove(s);
+                    group.pending_union.remove(&source);
                 }
             }
-            for (s, matched) in final_edge {
-                group.edge.insert(s, matched);
+            for (slot, matched) in changes {
+                set_bit(&mut group.observed, slot, true);
+                set_bit(&mut group.high, slot, matched);
             }
         }
     }
@@ -851,18 +1139,26 @@ mod tests {
         Tuple::new(values)
     }
 
+    /// Phase A over one sensor batch, without committing.
+    fn plan_only(
+        index: &PredicateIndex,
+        reg: &DeviceRegistry,
+        tuples: Vec<Tuple>,
+    ) -> EpochOutcomes {
+        let ctx = EvalContext { registry: reg };
+        let mut cache = BTreeMap::new();
+        cache.insert(DeviceKind::Sensor, tuples);
+        index.plan_epoch(&cache, &ctx, &mut WindowBank::new(), &BTreeSet::new())
+    }
+
     fn outcome_for(
         index: &PredicateIndex,
         reg: &DeviceRegistry,
         qid: u32,
         tuples: Vec<Tuple>,
     ) -> Vec<TupleOutcome> {
-        let ctx = EvalContext { registry: reg };
-        let mut cache = BTreeMap::new();
-        cache.insert(DeviceKind::Sensor, tuples);
-        let out = index.plan_epoch(&cache, &ctx, &mut WindowBank::new(), &BTreeSet::new());
-        let gi = out.by_query[&qid];
-        out.groups[gi].stops.clone()
+        let out = plan_only(index, reg, tuples);
+        out.groups[out.by_query[&qid]].stops.clone()
     }
 
     /// Runs one full epoch (plan + commit) over a sensor batch and returns
@@ -877,7 +1173,7 @@ mod tests {
         let mut cache = BTreeMap::new();
         cache.insert(DeviceKind::Sensor, tuples);
         let out = index.plan_epoch(&cache, &ctx, windows, &BTreeSet::new());
-        index.commit_epoch(out.commits);
+        index.commit_epoch(out.commit);
         out.affected.into_iter().map(|(name, _)| name).collect()
     }
 
@@ -1034,7 +1330,7 @@ mod tests {
         let windows = &mut WindowBank::new();
         let out = index.plan_epoch(&cache, &ctx, windows, &BTreeSet::new());
         assert_eq!(out.affected.len(), 1, "a rises");
-        index.commit_epoch(out.commits);
+        index.commit_epoch(out.commit);
         // Query b joins the group after the edge is already TRUE.
         let b = sensor_plan("b", 1, "s.accel_x > 500");
         index.register(&b, &schema);
@@ -1050,7 +1346,7 @@ mod tests {
             out.pending.contains_key(&1),
             "b's pending set must reach phase B"
         );
-        index.commit_epoch(out.commits);
+        index.commit_epoch(out.commit);
         // Epoch 3: b is synced now; steady state affects nobody.
         let out = index.plan_epoch(&cache, &ctx, windows, &BTreeSet::new());
         assert!(out.affected.is_empty(), "{:?}", out.affected);
@@ -1171,5 +1467,163 @@ mod tests {
             aorta.windows.len(),
         );
         assert_eq!(after, before);
+    }
+
+    #[test]
+    fn groups_sharing_a_fallback_conjunct_hold_one_entry() {
+        let reg = registry();
+        let schema = reg.schema(DeviceKind::Sensor).clone();
+        let mut index = PredicateIndex::new();
+        // The same call conjunct first in one group, second (behind an
+        // indexed partner) in another.
+        let a = sensor_plan("a", 0, "distance(s.loc, s.loc) < 1.0 AND s.accel_x > 1");
+        let b = sensor_plan("b", 1, "s.accel_x > 2 AND distance(s.loc, s.loc) < 1.0");
+        index.register(&a, &schema);
+        index.register(&b, &schema);
+        assert_eq!(index.group_count(), 2);
+        assert_eq!(index.cmp_count(), 2);
+        assert_eq!(index.fallbacks.len(), 1);
+        index.unregister(&a);
+        assert_eq!(index.fallbacks.len(), 1, "b still references it");
+        index.unregister(&b);
+        assert_eq!(index.fallbacks.len(), 0);
+        assert!(index.is_empty());
+    }
+
+    #[test]
+    fn fallback_conjuncts_are_keyed_by_debug_not_display() {
+        let reg = registry();
+        let schema = reg.schema(DeviceKind::Sensor).clone();
+        let mut index = PredicateIndex::new();
+        let int = sensor_plan("int", 0, "distance(s.loc, s.loc) >= 1");
+        let float = sensor_plan("float", 1, "distance(s.loc, s.loc) >= 1.0");
+        assert_eq!(
+            int.event_conjuncts[0].to_string(),
+            float.event_conjuncts[0].to_string(),
+            "the two spellings display alike"
+        );
+        index.register(&int, &schema);
+        index.register(&float, &schema);
+        assert_eq!(index.fallbacks.len(), 2);
+    }
+
+    /// A shared fallback that errors stops every group reaching it at that
+    /// group's own conjunct index, and a group whose walk stops before it
+    /// never sees the error.
+    #[test]
+    fn an_erroring_fallback_stops_each_group_at_its_own_index() {
+        let reg = registry();
+        let schema = reg.schema(DeviceKind::Sensor).clone();
+        let mut index = PredicateIndex::new();
+        // `s.loc > 500` errors on a location; inside an OR it is a
+        // fallback, not an interned comparison.
+        let broken = "(s.loc > 500 OR s.accel_x > 0)";
+        let first = sensor_plan("first", 0, broken);
+        let second = sensor_plan("second", 1, &format!("s.accel_x > 0 AND {broken}"));
+        let short = sensor_plan("short", 2, &format!("s.accel_x > 100 AND {broken}"));
+        for plan in [&first, &second, &short] {
+            index.register(plan, &schema);
+        }
+        assert_eq!(index.fallbacks.len(), 1);
+        let loc = schema.index_of("loc").unwrap();
+        let mut values = sensor_tuple(&reg, Some(1), Value::Int(5)).values().to_vec();
+        values[loc] = Value::Location(aorta_data::Location::ORIGIN);
+        let out = plan_only(&index, &reg, vec![Tuple::new(values)]);
+        let stops = |qid: u32| out.groups[out.by_query[&qid]].stops.clone();
+        assert_eq!(
+            stops(0),
+            [TupleOutcome::Stop {
+                idx: 0,
+                error: true
+            }]
+        );
+        assert_eq!(
+            stops(1),
+            [TupleOutcome::Stop {
+                idx: 1,
+                error: true
+            }]
+        );
+        assert!(
+            !out.by_query.contains_key(&2),
+            "stopped cleanly before the fallback"
+        );
+        // Logical units: each group that reached the fallback counts it.
+        assert_eq!(out.tally.fallback, 2);
+        assert_eq!(out.tally.indexed, 2);
+    }
+
+    /// Slots follow first-seen order, not id order; the digest still walks
+    /// sources in id order and feeds the bytes a `BTreeMap<i64, bool>` edge
+    /// map would.
+    #[test]
+    fn digest_matches_a_btreemap_reference_whatever_the_slot_order() {
+        let reg = registry();
+        let schema = reg.schema(DeviceKind::Sensor).clone();
+        let mut index = PredicateIndex::new();
+        let mut windows = WindowBank::new();
+        index.register(&sensor_plan("q", 0, "s.accel_x > 500"), &schema);
+        let epochs: [&[(i64, i64)]; 4] = [
+            &[(9, 600), (7, 0), (4, 600), (2, 0)], // descending first sight
+            &[(9, 0), (4, 600), (2, 600)],         // 7 absent
+            &[(7, 600), (12, 0), (9, 600), (0, 0)], // 7 back, two new sources
+            &[(70, 600), (12, 600), (7, 0)],
+        ];
+        let mut reference: BTreeMap<i64, bool> = BTreeMap::new();
+        for batch in epochs {
+            let tuples = batch
+                .iter()
+                .map(|&(id, accel)| sensor_tuple(&reg, Some(id), Value::Int(accel)))
+                .collect();
+            run_epoch(&mut index, &reg, &mut windows, tuples);
+            for &(id, accel) in batch {
+                reference.insert(id, accel > 500);
+            }
+            let mut want = reference.len().to_le_bytes().to_vec();
+            for (source, high) in &reference {
+                want.extend(source.to_le_bytes());
+                want.push(u8::from(*high));
+            }
+            let mut got = Vec::new();
+            index.digest_edge_state(|bytes| got.extend_from_slice(bytes));
+            assert_eq!(got, want);
+        }
+        assert_eq!(
+            index.sources[&DeviceKind::Sensor].source_of,
+            [9, 7, 4, 2, 12, 0, 70]
+        );
+        assert_eq!(index.edge_entries(), reference.len());
+    }
+
+    /// A late joiner's pending set is exactly the sources the group holds
+    /// high, across several bitset words.
+    #[test]
+    fn late_joiner_pending_set_is_the_high_sources() {
+        let reg = registry();
+        let schema = reg.schema(DeviceKind::Sensor).clone();
+        let mut index = PredicateIndex::new();
+        let a = sensor_plan("a", 0, "s.accel_x > 500");
+        index.register(&a, &schema);
+        let tuples = (0..150i64)
+            .rev()
+            .map(|id| {
+                sensor_tuple(
+                    &reg,
+                    Some(id),
+                    Value::Int(if id % 3 == 0 { 600 } else { 0 }),
+                )
+            })
+            .collect();
+        run_epoch(&mut index, &reg, &mut WindowBank::new(), tuples);
+        let b = sensor_plan("b", 1, "s.accel_x > 500");
+        index.register(&b, &schema);
+        let group = &index
+            .groups
+            .get(index.groups.by_key[&GroupKey::of(&b)])
+            .value;
+        let want: BTreeSet<i64> = (0..150).filter(|id| id % 3 == 0).collect();
+        assert_eq!(group.members[&1].pending, want);
+        assert!(group.members[&0].pending.is_empty());
+        assert_eq!(group.pending_union, want);
     }
 }

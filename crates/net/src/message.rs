@@ -329,9 +329,40 @@ impl Message {
         Ok(msg)
     }
 
-    /// Serialized size in bytes (drives per-byte link latency).
+    /// Serialized size in bytes (drives per-byte link latency): the length
+    /// [`Message::encode`] produces, computed from the same layout without
+    /// building the buffer.
     pub fn wire_len(&self) -> usize {
-        self.encode().len()
+        1 + match self {
+            Message::Connect
+            | Message::ConnectAck
+            | Message::Probe
+            | Message::MessageAck
+            | Message::Close
+            | Message::Suppressed => 0,
+            Message::ProbeReply { fields } => 4 + 8 * fields.len(),
+            Message::ReadAttrs { names } => 4 + names.iter().map(|n| str_len(n)).sum::<usize>(),
+            Message::AttrReply { values } => 4 + values.iter().map(value_len).sum::<usize>(),
+            Message::Photo { .. } => 3 * 8 + 1,
+            Message::PhotoAck { .. } => 8,
+            Message::SendMessage { body, .. } => 1 + str_len(body),
+        }
+    }
+}
+
+/// Encoded size of a string written by `put_str`.
+fn str_len(s: &str) -> usize {
+    4 + s.len()
+}
+
+/// Encoded size of a value written by `put_value`.
+fn value_len(v: &Value) -> usize {
+    1 + match v {
+        Value::Null => 0,
+        Value::Bool(_) => 1,
+        Value::Int(_) | Value::Float(_) => 8,
+        Value::Str(s) => str_len(s),
+        Value::Location(_) => 3 * 8,
     }
 }
 
@@ -435,6 +466,55 @@ mod tests {
         };
         assert!(big.wire_len() > small.wire_len() + 900);
         assert_eq!(Message::Close.wire_len(), 1);
+    }
+
+    #[test]
+    fn wire_len_is_the_encoded_length_of_every_variant() {
+        let all_values = vec![
+            Value::Null,
+            Value::Bool(false),
+            Value::Int(i64::MIN),
+            Value::Float(-0.5),
+            Value::Str(String::new()),
+            Value::Str("警报 — ünïcode".into()),
+            Value::Location(Location::new(1.0, 2.0, 3.0)),
+        ];
+        let messages = [
+            Message::Connect,
+            Message::ConnectAck,
+            Message::Probe,
+            Message::ProbeReply { fields: vec![] },
+            Message::ProbeReply {
+                fields: vec![1.5; 9],
+            },
+            Message::ReadAttrs { names: vec![] },
+            Message::ReadAttrs {
+                names: (0..40).map(|i| format!("attr_{i}_温度")).collect(),
+            },
+            Message::AttrReply { values: vec![] },
+            Message::AttrReply {
+                values: (0..5).flat_map(|_| all_values.clone()).collect(),
+            },
+            Message::Photo {
+                target: PtzPosition::new(45.0, -30.0, 0.5),
+                size: PhotoSize::Medium,
+            },
+            Message::PhotoAck { duration_us: 7 },
+            Message::SendMessage {
+                mms: false,
+                body: String::new(),
+            },
+            Message::SendMessage {
+                mms: true,
+                body: "📷 photos/admin/door.jpg".repeat(50),
+            },
+            Message::MessageAck,
+            Message::Close,
+            Message::Suppressed,
+        ];
+        for msg in messages {
+            assert_eq!(msg.wire_len(), msg.encode().len(), "{msg:?}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! over the wire (lossy — failed acquisitions surface as NULLs after
 //! retries); non-sensory attributes come from registry metadata.
 
-use aorta_data::{AttrKind, Tuple, Value};
+use aorta_data::{AttrKind, Schema, Tuple, Value};
 use aorta_device::{DeviceId, DeviceKind};
 use aorta_sim::{SimRng, SimTime};
 
@@ -53,9 +53,10 @@ impl ScanOperator {
 
     /// Produces one tuple per online device of the kind, in ID order.
     pub fn run(&self, registry: &mut DeviceRegistry, now: SimTime, rng: &mut SimRng) -> Vec<Tuple> {
+        let kind = KindScan::new(registry, self.kind);
         let ids: Vec<DeviceId> = registry.ids_of_kind(self.kind);
         ids.into_iter()
-            .filter_map(|id| self.scan_device(registry, id, now, rng))
+            .filter_map(|id| kind.scan_device(registry, id, now, rng))
             .collect()
     }
 
@@ -88,20 +89,57 @@ impl ScanOperator {
         now: SimTime,
         rng: &mut SimRng,
     ) -> Option<Tuple> {
-        let schema = registry.schema(self.kind).clone();
-        let channel = Channel::new(registry.link(self.kind).clone());
+        KindScan::new(registry, self.kind).scan_device(registry, id, now, rng)
+    }
+}
+
+/// What every device of one kind shares in a scan, built once per scan:
+/// the schema, the channel over the kind's link, the sensory attribute
+/// names and the `ReadAttrs` request carrying them.
+struct KindScan {
+    schema: Schema,
+    channel: Channel,
+    names: Vec<String>,
+    request: Message,
+}
+
+impl KindScan {
+    fn new(registry: &DeviceRegistry, kind: DeviceKind) -> KindScan {
+        let schema = registry.schema(kind).clone();
+        let names: Vec<String> = schema.sensory().map(|a| a.name().to_string()).collect();
+        KindScan {
+            channel: Channel::new(registry.link(kind).clone()),
+            request: Message::ReadAttrs {
+                names: names.clone(),
+            },
+            names,
+            schema,
+        }
+    }
+
+    fn scan_device(
+        &self,
+        registry: &mut DeviceRegistry,
+        id: DeviceId,
+        now: SimTime,
+        rng: &mut SimRng,
+    ) -> Option<Tuple> {
         let entry = registry.get_mut(id)?;
         if !entry.online {
             return None;
         }
+        let sensory_values = acquire_sensory(
+            &self.channel,
+            &mut entry.sim,
+            &self.names,
+            &self.request,
+            now,
+            rng,
+        );
 
-        // Gather the sensory attribute names to acquire over the wire.
-        let sensory_names: Vec<String> = schema.sensory().map(|a| a.name().to_string()).collect();
-        let sensory_values = acquire_sensory(&channel, &mut entry.sim, &sensory_names, now, rng);
-
-        let mut values = Vec::with_capacity(schema.len());
+        let mut values = Vec::with_capacity(self.schema.len());
         let mut sensory_iter = sensory_values.into_iter();
-        for attr in schema.iter() {
+        for attr in self.schema.iter() {
             let v = match attr.kind() {
                 AttrKind::Sensory => sensory_iter.next().unwrap_or(Value::Null),
                 AttrKind::NonSensory => non_sensory_value(&entry.sim, attr.name()),
@@ -110,7 +148,7 @@ impl ScanOperator {
         }
         let tuple = Tuple::new(values);
         debug_assert_eq!(
-            schema.check(&tuple),
+            self.schema.check(&tuple),
             Ok(()),
             "scan produced ill-typed tuple"
         );
@@ -124,15 +162,13 @@ fn acquire_sensory(
     channel: &Channel,
     sim: &mut DeviceSim,
     names: &[String],
+    request: &Message,
     now: SimTime,
     rng: &mut SimRng,
 ) -> Vec<Value> {
     if names.is_empty() {
         return Vec::new();
     }
-    let request = Message::ReadAttrs {
-        names: names.to_vec(),
-    };
     for _attempt in 0..=ACQUIRE_RETRIES {
         let reply = match sim {
             DeviceSim::Mote(m) => {
@@ -186,7 +222,7 @@ fn acquire_sensory(
                 }
             }
         };
-        match channel.exchange(&request, rng, || reply) {
+        match channel.exchange(request, rng, || reply) {
             Exchange::Reply { message, .. } => {
                 if let Message::AttrReply { values } = message {
                     return values;

@@ -63,6 +63,7 @@ proptest! {
     #[test]
     fn prop_encode_decode_identity(msg in arb_message()) {
         let bytes = msg.encode();
+        prop_assert_eq!(msg.wire_len(), bytes.len());
         let back = Message::decode(bytes).expect("own encoding decodes");
         prop_assert_eq!(back, msg);
     }
