@@ -32,25 +32,22 @@ use aorta_wal::{
     FileStore, LogStore, MemStore, SnapshotImage, WalHandle, WalManager, WalRecord, WalStats,
 };
 
-use crate::partition::{owner_of, PartitionPolicy};
+use crate::partition::owner_of;
 use crate::stats::ClusterStats;
 
 /// Cluster-level tunables. Per-shard engine parameters come from the
 /// `engine` template; each shard gets its own seed forked from `seed`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
-    /// Master seed: shard engine seeds and partition hashing fork from it.
+    /// Master seed: shard engine seeds fork from it.
     pub seed: u64,
-    /// Number of shards *k* (≥ 1).
+    /// Number of shards *k* (≥ 1). Devices are assigned to shards by
+    /// region stripe (see [`crate::stripe_of`]).
     pub shards: usize,
-    /// How devices are assigned to shards.
-    pub partition: PartitionPolicy,
     /// Backlog gap (max shard pending minus min shard pending, in
-    /// requests) above which the gateway migrates device ownership.
-    /// `u64::MAX` disables rebalancing.
+    /// requests) above which the gateway migrates one device's ownership
+    /// per rebalance decision. `u64::MAX` disables rebalancing.
     pub imbalance_threshold: u64,
-    /// Most devices migrated per rebalance decision.
-    pub migration_batch: usize,
     /// Template engine configuration; `seed` and `escalate_exhausted` are
     /// overridden per shard.
     pub engine: EngineConfig,
@@ -84,7 +81,7 @@ pub struct FailoverConfig {
     pub rebuild_delay: SimDuration,
     /// Backoff schedule for parked escalations: every gateway re-injection
     /// waits `backoff_base × 2^(attempt-1)` plus seeded jitter instead of
-    /// retrying immediately (the same policy the probe layer uses).
+    /// retrying immediately.
     pub retry: RetryPolicy,
 }
 
@@ -127,9 +124,7 @@ impl Default for ClusterConfig {
         ClusterConfig {
             seed: 42,
             shards: 2,
-            partition: PartitionPolicy::RegionStripes,
             imbalance_threshold: 16,
-            migration_batch: 1,
             engine: EngineConfig::default(),
             wal: None,
             failover: None,
@@ -146,12 +141,6 @@ impl ClusterConfig {
             shards,
             ..ClusterConfig::default()
         }
-    }
-
-    /// Sets the partition policy, builder style.
-    pub fn with_partition(mut self, partition: PartitionPolicy) -> Self {
-        self.partition = partition;
-        self
     }
 
     /// Sets the rebalance threshold, builder style.
@@ -378,16 +367,7 @@ impl ShardManager {
         let width = PervasiveLab::ROOM.0;
         let mut registries: Vec<DeviceRegistry> = (0..k).map(|_| DeviceRegistry::new()).collect();
         let mut place = |sim: aorta_net::DeviceSim, x: Option<f64>, fallback: usize| {
-            let s = owner_of(
-                config.partition,
-                config.seed,
-                sim.id(),
-                x,
-                width,
-                fallback,
-                k,
-            );
-            registries[s].register(sim, SimTime::ZERO);
+            registries[owner_of(x, width, fallback, k)].register(sim, SimTime::ZERO);
         };
         for (i, cam) in lab.cameras.iter().enumerate() {
             place(cam.clone().into(), Some(cam.mount().x), i);
@@ -830,7 +810,7 @@ impl ShardManager {
         let mut base_image = None;
         if let Some((at, image)) = manager.latest_snapshot() {
             // Frames below the vault key are already in the image.
-            suffix = suffix.split_off((at - manager.handle().base()) as usize);
+            suffix = suffix.split_off(at as usize);
             base_image = Some(image.fork_snapshot());
         }
         let replayed = suffix.len();
@@ -870,8 +850,8 @@ impl ShardManager {
     /// parked until the degraded window (`rebuild_delay` + transfer time)
     /// elapses; [`Self::adopt_rebuild`] then swaps it in under a bumped
     /// epoch. Returns `false` when the log cannot be cut into a shippable
-    /// image (compacted, or it crossed a device adoption, whose `MigrateIn`
-    /// is unreplayable from genesis) — the caller then recovers in place.
+    /// image (it crossed a device adoption, whose `MigrateIn` is
+    /// unreplayable from genesis) — the caller then recovers in place.
     ///
     /// A transfer the retransmission budget cannot repair, or a shipped
     /// image that fails its integrity gate, panics: a shard must never be
@@ -890,20 +870,20 @@ impl ShardManager {
             return false;
         };
         let manager = &mut dur.managers[s];
-        // Group-commit point: only durable frames may enter the image.
+        // The image's frames are final: no later `RunUntil` may coalesce
+        // into the tail it ships.
         manager.handle().seal_tail();
         let mut records = manager.records().expect("wal read at failover");
-        let shippable = manager.handle().base() == 0
-            && !records
-                .iter()
-                .any(|r| matches!(r, WalRecord::MigrateIn { .. }));
-        if !shippable {
+        if records
+            .iter()
+            .any(|r| matches!(r, WalRecord::MigrateIn { .. }))
+        {
             trace.emit(
                 now,
                 "gateway",
                 format!(
                     "shard {s}: log not shippable as an image \
-                     (compacted or crossed a device adoption), recovering in place"
+                     (crossed a device adoption), recovering in place"
                 ),
             );
             return false;
@@ -1262,9 +1242,10 @@ impl ShardManager {
             }
             // Partition windows apply even without failover (they only
             // exist when a plan injected them): a blocked path is not
-            // probed at all — no message can travel it.
+            // probed at all — no message can travel it. A halted shard
+            // is never quoted: an injection would sit in its queue forever.
             let reachable: Vec<bool> = (0..self.shards.len())
-                .map(|t| t != s && !self.blocked(s, t))
+                .map(|t| t != s && !self.shards[t].is_crashed() && !self.blocked(s, t))
                 .collect();
             match self.cheapest_sibling(&request, &reachable) {
                 Some((cost, t, device)) => {
@@ -1309,9 +1290,9 @@ impl ShardManager {
         );
     }
 
-    /// Migrates camera ownership from the most backlogged shard to the
-    /// least when the pending-request gap exceeds the configured
-    /// threshold. Only devices at a safe point move: online, no queued
+    /// Migrates one camera's ownership from the most backlogged shard to
+    /// the least when the pending-request gap exceeds the configured
+    /// threshold. Only a device at a safe point moves: online, no queued
     /// execution, no lock held, no action mid-flight — so no in-flight
     /// state is torn. The source always keeps at least one camera.
     fn maybe_rebalance(&mut self) {
@@ -1337,46 +1318,43 @@ impl ShardManager {
         if max_s == min_s || max_d - min_d < self.config.imbalance_threshold {
             return;
         }
-        let movable: Vec<DeviceId> = {
-            let source = &self.shards[max_s];
-            let cameras = source.registry().ids_of_kind(DeviceKind::Camera);
-            let spare = cameras.len().saturating_sub(1);
-            cameras
-                .into_iter()
-                .filter(|&d| {
-                    source.registry().get(d).is_some_and(|e| e.online) && source.device_idle(d)
-                })
-                .take(spare.min(self.config.migration_batch))
-                .collect()
-        };
-        for d in movable {
-            let Some(entry) = self.shards[max_s].migrate_out(d) else {
-                continue;
-            };
-            self.shards[min_s].migrate_in(entry);
-            self.migrations += 1;
-            // Snapshot barrier: the destination's MigrateIn record carries
-            // no device state (the adopted entry is a live image), so both
-            // shards vault an image *now* — no replay suffix ever has to
-            // cross the migration.
-            {
-                let ShardManager {
-                    durability, shards, ..
-                } = self;
-                if let Some(dur) = durability {
-                    dur.managers[max_s].force_snapshot(|| shards[max_s].fork_snapshot());
-                    dur.managers[min_s].force_snapshot(|| shards[min_s].fork_snapshot());
-                }
-            }
-            if let Some(m) = &self.obs {
-                m.incr("aorta_gateway_migrations", &[], 1);
-            }
-            self.trace.emit(
-                self.now,
-                "gateway",
-                format!("migrated {d}: s{max_s} (backlog {max_d}) -> s{min_s} (backlog {min_d})"),
-            );
+        let source = &self.shards[max_s];
+        let cameras = source.registry().ids_of_kind(DeviceKind::Camera);
+        if cameras.len() < 2 {
+            return;
         }
+        let Some(d) = cameras
+            .into_iter()
+            .find(|&d| source.registry().get(d).is_some_and(|e| e.online) && source.device_idle(d))
+        else {
+            return;
+        };
+        let Some(entry) = self.shards[max_s].migrate_out(d) else {
+            return;
+        };
+        self.shards[min_s].migrate_in(entry);
+        self.migrations += 1;
+        // Snapshot barrier: the destination's MigrateIn record carries no
+        // device state (the adopted entry is a live image), so both shards
+        // vault an image *now* — no replay suffix ever has to cross the
+        // migration.
+        {
+            let ShardManager {
+                durability, shards, ..
+            } = self;
+            if let Some(dur) = durability {
+                dur.managers[max_s].force_snapshot(|| shards[max_s].fork_snapshot());
+                dur.managers[min_s].force_snapshot(|| shards[min_s].fork_snapshot());
+            }
+        }
+        if let Some(m) = &self.obs {
+            m.incr("aorta_gateway_migrations", &[], 1);
+        }
+        self.trace.emit(
+            self.now,
+            "gateway",
+            format!("migrated {d}: s{max_s} (backlog {max_d}) -> s{min_s} (backlog {min_d})"),
+        );
     }
 
     /// Aggregated cluster statistics. After [`ShardManager::run_until`]
@@ -1690,19 +1668,16 @@ mod tests {
 
     #[test]
     fn every_device_lands_on_exactly_one_shard() {
-        for policy in [PartitionPolicy::RegionStripes, PartitionPolicy::Rendezvous] {
-            let cluster =
-                ShardManager::new(ClusterConfig::seeded(9, 4).with_partition(policy), lab());
-            let mut total = 0;
-            for s in 0..cluster.shard_count() {
-                let r = cluster.shard(s).registry();
-                total += r.ids_of_kind(DeviceKind::Camera).len()
-                    + r.ids_of_kind(DeviceKind::Sensor).len();
-            }
-            assert_eq!(total, 12 + 16, "{policy:?} lost or duplicated devices");
-            for c in 0..12u32 {
-                assert!(cluster.shard_owning(DeviceId::camera(c)).is_some());
-            }
+        let cluster = ShardManager::new(ClusterConfig::seeded(9, 4), lab());
+        let mut total = 0;
+        for s in 0..cluster.shard_count() {
+            let r = cluster.shard(s).registry();
+            total +=
+                r.ids_of_kind(DeviceKind::Camera).len() + r.ids_of_kind(DeviceKind::Sensor).len();
+        }
+        assert_eq!(total, 12 + 16, "lost or duplicated devices");
+        for c in 0..12u32 {
+            assert!(cluster.shard_owning(DeviceId::camera(c)).is_some());
         }
     }
 
@@ -1737,6 +1712,42 @@ mod tests {
         assert!(
             stats.per_shard[1].escalated_in > 0,
             "sibling adopted nothing: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn gateway_never_routes_into_a_halted_shard() {
+        // No WAL, so a process-crashed shard stays dead. Shard 1's cameras
+        // all crash at once, then shard 0's process dies: every escalation
+        // shard 1 raises has no live sibling and must be counted dropped,
+        // not injected into the halted engine to sit there forever.
+        let mut cluster = ShardManager::new(
+            ClusterConfig::seeded(11, 2).with_imbalance_threshold(u64::MAX),
+            lab(),
+        );
+        admit_queries(&mut cluster, false);
+        let mut plan = FaultPlan::new();
+        for c in 0..12u32 {
+            let id = DeviceId::camera(c);
+            if cluster.shard_owning(id) == Some(1) {
+                plan.schedule(SimTime::from_micros(1), FaultEvent::Crash(id));
+            }
+        }
+        let victim = DeviceId::camera(0);
+        assert_eq!(cluster.shard_owning(victim), Some(0));
+        plan.schedule(SimTime::from_micros(2), FaultEvent::ProcessCrash(victim));
+        cluster.inject_faults(plan);
+        cluster.run_for(RUN);
+
+        let stats = cluster.stats();
+        stats.check_conservation().unwrap();
+        assert!(cluster.shard(0).is_crashed(), "no wal, no recovery");
+        assert_eq!(cluster.rerouted(), 0, "{stats:?}");
+        assert_eq!(stats.per_shard[0].escalated_in, 0, "{stats:?}");
+        assert!(stats.per_shard[1].escalated_out > 0, "{stats:?}");
+        assert_eq!(
+            stats.gateway_dropped, stats.per_shard[1].escalated_out,
+            "{stats:?}"
         );
     }
 
@@ -1929,7 +1940,6 @@ mod tests {
     fn rebalancer_migrates_ownership_at_a_safe_point() {
         let mut config = ClusterConfig::seeded(5, 2);
         config.imbalance_threshold = 1;
-        config.migration_batch = 1;
         let mut cluster = ShardManager::new(config, lab());
         admit_queries(&mut cluster, true);
         let before: Vec<usize> = (0..2)
@@ -2159,7 +2169,6 @@ mod tests {
         // replay from genesis would hit the unreplayable MigrateIn).
         let mut config = ClusterConfig::seeded(5, 2).with_wal(1_000_000);
         config.imbalance_threshold = 1;
-        config.migration_batch = 1;
         let mut cluster = ShardManager::new(config, lab());
         admit_queries(&mut cluster, true);
         cluster.run_for(SimDuration::from_mins(6));

@@ -53,5 +53,5 @@ pub use cluster::{
     metrics_demo, ClusterConfig, FailoverConfig, FailoverEvent, ShardManager, WalClusterConfig,
     WalReport,
 };
-pub use partition::{owner_of, rendezvous_owner, stripe_of, PartitionPolicy};
+pub use partition::{owner_of, stripe_of};
 pub use stats::ClusterStats;

@@ -1,27 +1,8 @@
 //! Fleet partitioning: which shard owns which device.
 //!
-//! Two policies, matching the two natural keys a pervasive deployment has:
-//! physical placement (lab-floor regions keep a mote and the cameras that
-//! cover it co-resident, so cross-shard reroutes are the exception) and
-//! identity (rendezvous hashing spreads any fleet evenly with no geometry,
-//! at the price of routinely needing the gateway for coverage).
-
-use aorta_device::DeviceId;
-
-/// How the cluster assigns devices (and, for the gateway batch model,
-/// photo targets) to shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PartitionPolicy {
-    /// Slice the lab floor into `k` equal-width stripes along the x axis;
-    /// a device belongs to the stripe its location falls in. Devices with
-    /// no physical location (phones) are striped by index instead.
-    RegionStripes,
-    /// Rendezvous (highest-random-weight) hashing over `(seed, shard,
-    /// device)`: every device independently picks the shard with the
-    /// highest hash weight, so shard counts can change without reshuffling
-    /// more than `1/k` of the fleet.
-    Rendezvous,
-}
+//! One policy, keyed on physical placement: the lab floor is sliced into
+//! equal-width stripes along the x axis, so a mote and the cameras that
+//! cover it are co-resident and cross-shard reroutes are the exception.
 
 /// The stripe `[0, shards)` an x coordinate falls in on a floor of the
 /// given width. Coordinates at or beyond the width clamp into the last
@@ -35,42 +16,18 @@ pub fn stripe_of(x: f64, width: f64, shards: usize) -> usize {
     (s.max(0.0) as usize).min(shards - 1)
 }
 
-/// SplitMix64 finalizer — the same mixer `SimRng` seeds with, reused here
-/// as a stateless hash so rendezvous ownership needs no RNG state.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-/// Rendezvous hash: the shard with the highest weight for this device.
-pub fn rendezvous_owner(seed: u64, id: DeviceId, shards: usize) -> usize {
-    debug_assert!(shards > 0);
-    let device_key = mix(seed ^ ((id.kind() as u64) << 32 | id.index() as u64));
-    (0..shards)
-        .max_by_key(|&s| (mix(device_key ^ s as u64), std::cmp::Reverse(s)))
-        .unwrap_or(0)
-}
-
-/// Resolves a device's owning shard under a policy. `location_x` is the
-/// device's x coordinate when it has one; `fallback_index` breaks ties for
-/// location-less devices under [`PartitionPolicy::RegionStripes`].
+/// Resolves a device's owning shard: the stripe its x coordinate
+/// (`location_x`) falls in, or — for devices with no physical location
+/// (phones) — `fallback_index` striped round-robin.
 pub fn owner_of(
-    policy: PartitionPolicy,
-    seed: u64,
-    id: DeviceId,
     location_x: Option<f64>,
     width: f64,
     fallback_index: usize,
     shards: usize,
 ) -> usize {
-    match policy {
-        PartitionPolicy::RegionStripes => match location_x {
-            Some(x) => stripe_of(x, width, shards),
-            None => fallback_index % shards,
-        },
-        PartitionPolicy::Rendezvous => rendezvous_owner(seed, id, shards),
+    match location_x {
+        Some(x) => stripe_of(x, width, shards),
+        None => fallback_index % shards,
     }
 }
 
@@ -86,32 +43,5 @@ mod tests {
         assert_eq!(stripe_of(7.99, 8.0, 4), 3);
         assert_eq!(stripe_of(8.0, 8.0, 4), 3, "edge clamps into last stripe");
         assert_eq!(stripe_of(3.0, 8.0, 1), 0);
-    }
-
-    #[test]
-    fn rendezvous_is_deterministic_and_spread() {
-        let mut counts = [0usize; 4];
-        for i in 0..64 {
-            let s = rendezvous_owner(7, DeviceId::camera(i), 4);
-            assert_eq!(s, rendezvous_owner(7, DeviceId::camera(i), 4));
-            counts[s] += 1;
-        }
-        // A 64-device fleet over 4 shards should not collapse onto one.
-        assert!(
-            counts.iter().all(|&c| c >= 4),
-            "rendezvous spread too skewed: {counts:?}"
-        );
-    }
-
-    #[test]
-    fn rendezvous_reshuffles_little_when_a_shard_is_added() {
-        let moved = (0..100)
-            .filter(|&i| {
-                rendezvous_owner(3, DeviceId::sensor(i), 4)
-                    != rendezvous_owner(3, DeviceId::sensor(i), 5)
-            })
-            .count();
-        // The HRW property: only ~1/5 of devices move to the new shard.
-        assert!(moved <= 40, "{moved} of 100 devices moved on 4->5 shards");
     }
 }

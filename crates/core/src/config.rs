@@ -57,8 +57,10 @@ pub enum DispatchPolicy {
 
 /// Tunable engine parameters.
 ///
-/// The defaults correspond to the paper's deployment: synchronization and
-/// probing on, scheduled dispatch, one-second sensor sampling.
+/// The defaults correspond to the paper's deployment: synchronization on and
+/// scheduled dispatch. Every candidate is probed before costing (§4), the
+/// sensor tables are sampled once a second, and a device-level failure is
+/// terminal for its request.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Master seed for all engine randomness.
@@ -66,21 +68,12 @@ pub struct EngineConfig {
     /// Enable the locking mechanism (§4). Turning this off reproduces the
     /// §6.2 interference failures.
     pub sync_enabled: bool,
-    /// Enable the probing mechanism (§4). Turning it off skips availability
-    /// checks and uses the last known status for costing.
-    pub probe_enabled: bool,
-    /// How often the engine samples the sensor table for events.
-    pub sample_period: SimDuration,
     /// A request that cannot start executing within this window fails with
     /// "no device available" (events are transient; a late action is
     /// useless).
     pub request_timeout: SimDuration,
     /// Batch dispatch policy.
     pub dispatch: DispatchPolicy,
-    /// Extra execution attempts on *other* candidates after a device-level
-    /// failure (connect timeout, busy rejection). Zero (the default, and the
-    /// paper's behaviour) fails the request on first error.
-    pub retry_failed: u32,
     /// When the local candidate set is exhausted (no probeable candidate at
     /// dispatch, or no surviving candidate after a crash), park the request
     /// in an escalation buffer for an external gateway instead of failing it
@@ -128,11 +121,8 @@ impl Default for EngineConfig {
         EngineConfig {
             seed: 42,
             sync_enabled: true,
-            probe_enabled: true,
-            sample_period: SimDuration::from_secs(1),
             request_timeout: SimDuration::from_secs(30),
             dispatch: DispatchPolicy::Scheduled,
-            retry_failed: 0,
             escalate_exhausted: false,
             deadline: None,
             admission: None,
@@ -158,21 +148,9 @@ impl EngineConfig {
         self
     }
 
-    /// Disables probing.
-    pub fn without_probing(mut self) -> Self {
-        self.probe_enabled = false;
-        self
-    }
-
     /// Sets the dispatch policy, builder style.
     pub fn with_dispatch(mut self, dispatch: DispatchPolicy) -> Self {
         self.dispatch = dispatch;
-        self
-    }
-
-    /// Enables failover retries, builder style.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retry_failed = retries;
         self
     }
 
@@ -216,17 +194,14 @@ mod tests {
     fn defaults_match_paper_deployment() {
         let c = EngineConfig::default();
         assert!(c.sync_enabled);
-        assert!(c.probe_enabled);
         assert_eq!(c.dispatch, DispatchPolicy::Scheduled);
-        assert_eq!(c.sample_period, SimDuration::from_secs(1));
     }
 
     #[test]
     fn builders_toggle_flags() {
-        let c = EngineConfig::seeded(7).without_sync().without_probing();
+        let c = EngineConfig::seeded(7).without_sync();
         assert_eq!(c.seed, 7);
         assert!(!c.sync_enabled);
-        assert!(!c.probe_enabled);
         let c = EngineConfig::default().with_dispatch(DispatchPolicy::MinCost);
         assert_eq!(c.dispatch, DispatchPolicy::MinCost);
     }

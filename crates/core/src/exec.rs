@@ -1,7 +1,7 @@
 //! The continuous executor: event detection, device-selection optimization,
 //! synchronization, and action execution on the virtual clock.
 //!
-//! Every `sample_period` the engine scans the sensor tables through the
+//! Every [`SAMPLE_PERIOD`] the engine scans the sensor tables through the
 //! communication layer, evaluates each registered query's event conjuncts,
 //! and fires an [`ActionRequest`] per rising edge. Requests pending in one
 //! epoch are batched per shared action operator and dispatched together:
@@ -28,6 +28,10 @@ use crate::expr::{eval_expr, eval_predicate, Env, EvalContext};
 use crate::pindex::{GroupEpoch, Source, TupleOutcome};
 use crate::shared::{ActionRequest, Aim, CandidateBlock, EpochScans};
 use crate::{Aorta, DispatchPolicy};
+
+/// How often the engine samples the sensor tables for events: the paper's
+/// one-second sampling.
+const SAMPLE_PERIOD: SimDuration = SimDuration::from_secs(1);
 
 /// Events on the engine's internal virtual-time queue.
 ///
@@ -129,7 +133,7 @@ pub struct EngineStats {
     pub beeps_delivered: u64,
     /// Mean event-to-action-completion latency over executed requests.
     pub mean_action_latency: Option<SimDuration>,
-    /// Failover retries dispatched after device-level failures.
+    /// Re-selections after the assigned device went offline.
     pub retries: u64,
     /// Requests whose device crashed before execution and for which no
     /// remaining candidate could take over.
@@ -874,9 +878,9 @@ impl Aorta {
     }
 
     /// Re-runs device selection for a request whose assigned device died.
-    /// Unlike [`Aorta::maybe_retry`], this is not gated on the configured
-    /// retry budget: a crash invalidates the assignment itself, so failover
-    /// is always attempted while any live candidate remains.
+    /// A device-level failure (connect timeout, busy rejection) is terminal,
+    /// but a crash invalidates the assignment itself, so failover is always
+    /// attempted while any live candidate remains.
     fn failover_reselect(&mut self, request: &ActionRequest, failed: DeviceId) -> bool {
         let mut retry = request.clone();
         retry.attempts += 1;
@@ -907,7 +911,7 @@ impl Aorta {
         // Schedule the next epoch first so a panic in user handlers cannot
         // stall the clock.
         self.queue
-            .push(self.now + self.config.sample_period, EngineEvent::Sample);
+            .push(self.now + SAMPLE_PERIOD, EngineEvent::Sample);
 
         if self.catalog.query_count() == 0 {
             return;
@@ -1425,20 +1429,14 @@ impl Aorta {
                     BreakerDecision::Admit => {}
                 }
             }
-            let probed = if self.config.probe_enabled {
-                match self
-                    .prober
-                    .probe(&mut self.registry, d, self.now, &mut self.rng)
-                {
-                    aorta_net::ProbeOutcome::Available { status, .. } => Some(status),
-                    _ => None,
-                }
-            } else {
-                self.unprobed_status(d)
+            let probed = match self
+                .prober
+                .probe(&mut self.registry, d, self.now, &mut self.rng)
+            {
+                aorta_net::ProbeOutcome::Available { status, .. } => Some(status),
+                _ => None,
             };
-            if self.config.probe_enabled {
-                self.breaker_note(d, probed.is_some());
-            }
+            self.breaker_note(d, probed.is_some());
             if probed.is_none() {
                 self.trace.emit(
                     self.now,
@@ -1773,35 +1771,6 @@ impl Aorta {
 
     // --- execution -----------------------------------------------------------
 
-    /// After a device-level failure, re-dispatches the request to its
-    /// remaining candidates (when retries are configured). Returns whether
-    /// a retry was launched — if so, the failure is counted as a retry
-    /// rather than a terminal failure.
-    fn maybe_retry(&mut self, request: &ActionRequest, failed_device: DeviceId) -> bool {
-        if request.attempts >= self.config.retry_failed {
-            return false;
-        }
-        let mut retry = request.clone();
-        retry.attempts += 1;
-        Arc::make_mut(&mut retry.candidates).retain(|(d, _)| *d != failed_device);
-        if retry.candidates.is_empty() {
-            return false;
-        }
-        self.raw_stats.retries += 1;
-        self.wal_stage(retry.query_id, LifecycleStage::Retried);
-        self.trace.emit(
-            self.now,
-            "dispatch",
-            format!(
-                "query {}: retrying after failure on {failed_device} (attempt {})",
-                retry.query_id, retry.attempts
-            ),
-        );
-        let action = retry.action.clone();
-        self.dispatch_batch(&action, vec![retry]);
-        true
-    }
-
     fn record_latency(&mut self, request: &ActionRequest, completed_at: SimTime) {
         let latency = completed_at.saturating_duration_since(request.created_at);
         self.raw_stats.latency_total_us += latency.as_micros();
@@ -1987,10 +1956,8 @@ impl Aorta {
                     }
                     None => {
                         self.breaker_note(device, false);
-                        if !self.maybe_retry(request, device) {
-                            self.raw_stats.connect_failures += 1;
-                            self.wal_stage(request.query_id, LifecycleStage::Failed);
-                        }
+                        self.raw_stats.connect_failures += 1;
+                        self.wal_stage(request.query_id, LifecycleStage::Failed);
                     }
                 }
             }
@@ -1998,8 +1965,8 @@ impl Aorta {
                 let now = self.now;
                 // Audited fold: `None` means the device de-registered or
                 // is not a mote — either way the beep was not delivered,
-                // and `false` routes into the failure/retry path below
-                // rather than vanishing.
+                // and `false` routes into the failure path below rather
+                // than vanishing.
                 let ok = self
                     .registry
                     .get_mut(device)
@@ -2014,10 +1981,8 @@ impl Aorta {
                     self.breaker_note(device, true);
                 } else {
                     self.breaker_note(device, false);
-                    if !self.maybe_retry(request, device) {
-                        self.raw_stats.connect_failures += 1;
-                        self.wal_stage(request.query_id, LifecycleStage::Failed);
-                    }
+                    self.raw_stats.connect_failures += 1;
+                    self.wal_stage(request.query_id, LifecycleStage::Failed);
                 }
             }
             ActionHandler::Custom(handler) => {
@@ -2125,18 +2090,12 @@ impl Aorta {
                 if !matches!(e, PhotoError::OutOfRange) {
                     self.breaker_note(device, false);
                 }
-                // Out-of-range targets fail on every camera alike; the
-                // transient errors are worth failing over.
-                let retried =
-                    !matches!(e, PhotoError::OutOfRange) && self.maybe_retry(request, device);
-                if !retried {
-                    match e {
-                        PhotoError::ConnectTimeout => self.raw_stats.connect_failures += 1,
-                        PhotoError::BusyRejected => self.raw_stats.busy_rejections += 1,
-                        PhotoError::OutOfRange => self.raw_stats.out_of_range += 1,
-                    }
-                    self.wal_stage(request.query_id, LifecycleStage::Failed);
+                match e {
+                    PhotoError::ConnectTimeout => self.raw_stats.connect_failures += 1,
+                    PhotoError::BusyRejected => self.raw_stats.busy_rejections += 1,
+                    PhotoError::OutOfRange => self.raw_stats.out_of_range += 1,
                 }
+                self.wal_stage(request.query_id, LifecycleStage::Failed);
             }
         }
     }

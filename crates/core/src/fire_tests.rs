@@ -176,15 +176,13 @@ struct Observed {
 }
 
 /// One scenario over an AQ set: two waves of periodic spikes with a camera
-/// crash (failover re-selection) and flaky cameras (retries) in between, a
+/// crash (failover re-selection) and flaky cameras in between, a
 /// gateway-style `inject_request` between two epochs, and a hand-built
 /// batch with unusable device ids.
 fn run_scenario(aqs: &[String], seed: u64) -> Observed {
     let lab = PervasiveLab::with_sizes(4, 9, 1)
         .with_periodic_events(SimDuration::from_secs(20), SimDuration::from_millis(300));
-    let config = EngineConfig::seeded(seed)
-        .with_retries(2)
-        .with_observability();
+    let config = EngineConfig::seeded(seed).with_observability();
     let mut engine = Aorta::with_lab(config, lab);
     for aq in aqs {
         engine.execute_sql(aq).unwrap();
@@ -326,11 +324,10 @@ fn shared_blocks_match_the_per_plan_reference() {
     }
     // The scenario reaches the paths it claims to: per-query replay of join
     // errors and bad ids (one deduplicated line per query), failover
-    // re-selection, retries, adoption.
+    // re-selection (which narrows a shared block copy-on-write), adoption.
     assert_eq!(traces[2].matches("device conjunct").count(), 3);
     assert_eq!(traces[3].matches("unusable id").count(), 3);
     assert!(traces[0].contains("re-running device selection"));
-    assert!(traces[0].contains("retrying after failure"));
     assert!(traces[0].contains("adopted escalated request"));
     assert!(retries > 0);
 }
@@ -374,14 +371,14 @@ fn requests_fired_by_one_event_hold_one_block() {
     }
 }
 
-/// A retry or failover narrows the retried request's own candidates; the
-/// siblings that share its block — and the original — keep every device.
+/// A failover re-selection narrows the retried request's own candidates;
+/// the siblings that share its block — and the original — keep every device.
 #[test]
 fn retries_copy_on_write_and_leave_sibling_blocks_whole() {
     let lab = PervasiveLab::with_sizes(4, 9, 0)
         .with_reliable_cameras()
         .with_periodic_events(SimDuration::from_secs(20), SimDuration::ZERO);
-    let mut engine = Aorta::with_lab(EngineConfig::seeded(6).with_retries(1), lab);
+    let mut engine = Aorta::with_lab(EngineConfig::seeded(6), lab);
     for name in ["a", "b"] {
         engine
             .execute_sql(&photo_aq(name, ARGS, FROM, COVERED))
@@ -398,7 +395,7 @@ fn retries_copy_on_write_and_leave_sibling_blocks_whole() {
     assert!(whole.len() >= 2, "need a device to lose and one to keep");
     let ids = |r: &ActionRequest| r.candidates.iter().map(|(d, _)| *d).collect::<Vec<_>>();
 
-    assert!(engine.maybe_retry(original, whole[0]));
+    assert!(engine.failover_reselect(original, whole[0]));
     assert!(engine.failover_reselect(sibling, whole[1]));
     assert_eq!(ids(original), whole);
     assert_eq!(ids(sibling), whole);

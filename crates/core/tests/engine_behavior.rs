@@ -220,72 +220,6 @@ fn trace_can_be_disabled() {
     assert!(aorta.stats().requests > 0, "engine still works untraced");
 }
 
-/// Failover retries: with `retry_failed` configured, a connect failure on
-/// one camera re-dispatches the request to the other instead of failing.
-#[test]
-fn retries_fail_over_to_other_candidates() {
-    let build = |retries: u32| {
-        let mut registry = DeviceRegistry::new();
-        // Camera 0 never answers; camera 1 is perfect. Both cover the mote.
-        registry.register(
-            Camera::new(
-                0,
-                CameraSpec::axis_2130(),
-                Location::new(3.0, 3.0, 3.0),
-                90.0,
-                CameraFailureModel {
-                    connect_loss: 1.0,
-                    ..CameraFailureModel::reliable()
-                },
-            )
-            .into(),
-            SimTime::ZERO,
-        );
-        registry.register(
-            Camera::new(
-                1,
-                CameraSpec::axis_2130(),
-                Location::new(5.0, 3.0, 3.0),
-                90.0,
-                CameraFailureModel::reliable(),
-            )
-            .into(),
-            SimTime::ZERO,
-        );
-        registry.register(
-            Mote::new(0, Location::new(4.0, 4.5, 1.0), 1)
-                .with_per_hop_loss(0.0)
-                .with_spikes(SpikeModel::Periodic {
-                    period: SimDuration::from_mins(1),
-                    offset: SimDuration::ZERO,
-                    width: SimDuration::from_secs(2),
-                })
-                .into(),
-            SimTime::ZERO,
-        );
-        // Probing must be off so the dead camera stays a candidate and the
-        // failure happens at execution time (where retries kick in).
-        let config = EngineConfig::seeded(12)
-            .without_probing()
-            .with_retries(retries);
-        let mut aorta = Aorta::with_registry(config, registry);
-        aorta.execute_sql(SNAPSHOT_ALL).unwrap();
-        aorta.run_for(SimDuration::from_mins(5));
-        aorta.run_for(SimDuration::from_secs(10));
-        aorta.stats()
-    };
-    let without = build(0);
-    let with = build(2);
-    // Without retries, requests routed to the dead camera are lost.
-    assert!(without.connect_failures > 0, "{without:?}");
-    assert_eq!(without.retries, 0);
-    // With retries every failed attempt fails over and eventually succeeds.
-    assert!(with.retries > 0, "{with:?}");
-    assert_eq!(with.executed, with.requests, "{with:?}");
-    assert_eq!(with.connect_failures, 0, "{with:?}");
-    assert!(with.photos_ok >= with.requests, "{with:?}");
-}
-
 /// The dumped catalog script recreates the same plans on a fresh engine.
 #[test]
 fn dump_queries_restores_the_catalog() {

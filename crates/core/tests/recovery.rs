@@ -144,8 +144,8 @@ fn genesis_replay_recovery_matches_uninterrupted_run() {
 }
 
 /// Snapshot-based recovery (snapshot + suffix replay) lands in exactly the
-/// same state as full replay from genesis — before and after the log is
-/// compacted up to the snapshot. The windowed AQ puts sliding-window
+/// same state as full replay from genesis and as the uninterrupted engine.
+/// The windowed AQ puts sliding-window
 /// buffers into that state: the digest covers them, snapshots clone them
 /// and replay refills them from the same samples.
 #[test]
@@ -179,7 +179,7 @@ fn snapshot_replay_equals_genesis_replay() {
 
     // Snapshot + suffix replay.
     let (at, image) = manager.latest_snapshot().expect("snapshot taken");
-    let suffix = records[(at - handle.base()) as usize..].to_vec();
+    let suffix = records[at as usize..].to_vec();
     let from_snapshot =
         recover_engine(Some(image.fork_snapshot()), &spec, suffix, fp).expect("suffix replay");
     assert_eq!(from_snapshot.engine.state_digest(), target);
@@ -187,22 +187,6 @@ fn snapshot_replay_equals_genesis_replay() {
         from_snapshot.replayed < from_genesis.replayed,
         "the snapshot must shorten the replay"
     );
-
-    // Compact the log up to the snapshot and recover from what remains.
-    let dropped = manager.compact_to_snapshot().unwrap();
-    assert_eq!(dropped as u64, at);
-    let (at, image) = manager
-        .latest_snapshot()
-        .expect("snapshot survives compaction");
-    assert_eq!(at, handle.base());
-    let from_compacted = recover_engine(
-        Some(image.fork_snapshot()),
-        &spec,
-        manager.records().unwrap(),
-        fp,
-    )
-    .expect("compacted replay");
-    assert_eq!(from_compacted.engine.state_digest(), target);
 }
 
 /// The digest covers the predicate index's rising-edge state: two engines

@@ -6,10 +6,10 @@
 //! device … A system-provided TIMEOUT value is set for each type of devices
 //! to break the probe on unresponsive devices."
 //!
-//! On top of the paper's single-shot probe, the prober supports a per-kind
-//! [`RetryPolicy`]: transient wire loss can be ridden out by re-probing with
-//! exponential backoff, turning a spuriously "unavailable" device back into
-//! a selection candidate.
+//! Each logical probe is exactly that single attempt under the per-kind
+//! TIMEOUT: a device that does not answer in time is unavailable for this
+//! dispatch. [`RetryPolicy`] lives here as the backoff schedule the cluster
+//! gateway applies to parked escalations.
 
 use aorta_device::{DeviceId, PhysicalStatus};
 use aorta_obs::{SharedMetrics, SpanKind};
@@ -26,11 +26,11 @@ pub enum ProbeOutcome {
     Available {
         /// Its current physical status (feeds the cost model).
         status: PhysicalStatus,
-        /// Probe round-trip time (of the successful attempt).
+        /// Probe round-trip time.
         rtt: SimDuration,
     },
-    /// No answer within the per-kind TIMEOUT on any attempt; the device is
-    /// excluded from device-selection optimization.
+    /// No answer within the per-kind TIMEOUT; the device is excluded from
+    /// device-selection optimization.
     TimedOut,
     /// The device is not registered at all.
     Unknown,
@@ -51,16 +51,12 @@ impl ProbeOutcome {
     }
 }
 
-/// How a logical probe retries failed attempts.
+/// A bounded retry schedule with exponential backoff.
 ///
-/// An attempt that fails (offline device, unreachable radio, lost message,
-/// over-TIMEOUT reply) is retried after an exponentially growing backoff:
-/// the wait before attempt `k + 1` is `backoff_base × 2^(k-1)` plus a
-/// uniform jitter in `[0, jitter]` drawn from the caller's [`SimRng`].
-///
-/// The default policy is [`RetryPolicy::none`] — a single attempt, matching
-/// the paper's probe — so retries are strictly opt-in per device kind via
-/// [`DeviceRegistry::set_retry_policy`].
+/// A failed attempt is retried after an exponentially growing backoff: the
+/// wait before attempt `k + 1` is `backoff_base × 2^(k-1)` plus a uniform
+/// jitter in `[0, jitter]` drawn from the caller's [`SimRng`]. The default
+/// is [`RetryPolicy::none`], a single attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     max_attempts: u32,
@@ -92,7 +88,7 @@ impl RetryPolicy {
         }
     }
 
-    /// Total attempts allowed per logical probe (first try included).
+    /// Total attempts allowed (first try included).
     pub fn max_attempts(&self) -> u32 {
         self.max_attempts
     }
@@ -113,16 +109,6 @@ impl RetryPolicy {
         self.backoff_base
             .mul_f64((1u64 << (attempt - 1).min(32)) as f64)
     }
-
-    /// Upper bound on total backoff time over a fully failed probe: the sum
-    /// of the backoff schedule plus maximal jitter on every wait.
-    pub fn max_total_backoff(&self) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        for attempt in 1..self.max_attempts {
-            total = total + self.backoff_after(attempt) + self.jitter;
-        }
-        total
-    }
 }
 
 impl Default for RetryPolicy {
@@ -131,9 +117,9 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Why one probe attempt failed. Each failed attempt is classified into
-/// exactly one of these, so the prober's failure counters are mutually
-/// exclusive by construction.
+/// Why one probe failed. Each failed probe is classified into exactly one
+/// of these, so the prober's failure counters are mutually exclusive by
+/// construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AttemptFailure {
     /// The device is administratively offline.
@@ -149,18 +135,15 @@ enum AttemptFailure {
 
 /// Probes candidate devices through the communication layer.
 ///
-/// Counter semantics: `probes_sent` counts *attempts* (so
-/// `probes_sent == logical probes + retries`), `timeouts` counts logical
-/// probes whose every attempt failed, and the four failure-reason counters
+/// Counter semantics: `probes_sent` counts probes of registered devices,
+/// `timeouts` counts the failed ones, and the four failure-reason counters
 /// (`offline_failures`, `unreachable_failures`, `wire_lost`, `slow_replies`)
-/// partition the failed attempts — each failed attempt increments exactly
-/// one of them.
+/// partition the failed probes — each failed probe increments exactly one
+/// of them.
 #[derive(Debug, Clone, Default)]
 pub struct Prober {
     probes_sent: u64,
     timeouts: u64,
-    retries: u64,
-    recovered_by_retry: u64,
     offline_failures: u64,
     unreachable_failures: u64,
     wire_lost: u64,
@@ -175,54 +158,43 @@ impl Prober {
     }
 
     /// Attaches a metrics handle; every subsequent probe records attempt /
-    /// timeout counters, an RTT histogram, and one `probe` span per logical
-    /// probe. Recording is write-only and never changes probe behavior.
+    /// timeout counters, an RTT histogram, and one `probe` span. Recording
+    /// is write-only and never changes probe behavior.
     pub fn set_metrics(&mut self, metrics: SharedMetrics) {
         self.metrics = Some(metrics);
     }
 
-    /// Total probe attempts (retries included).
+    /// Total probes sent to registered devices.
     pub fn probes_sent(&self) -> u64 {
         self.probes_sent
     }
 
-    /// Logical probes that failed on every attempt.
+    /// Probes that got no timely answer.
     pub fn timeouts(&self) -> u64 {
         self.timeouts
     }
 
-    /// Attempts beyond the first, across all logical probes.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Logical probes that failed at least once but succeeded on a retry.
-    pub fn recovered_by_retry(&self) -> u64 {
-        self.recovered_by_retry
-    }
-
-    /// Attempts that failed because the device was administratively offline.
+    /// Probes that failed because the device was administratively offline.
     pub fn offline_failures(&self) -> u64 {
         self.offline_failures
     }
 
-    /// Attempts rejected by the device's own reliability model.
+    /// Probes rejected by the device's own reliability model.
     pub fn unreachable_failures(&self) -> u64 {
         self.unreachable_failures
     }
 
-    /// Attempts whose request or reply was lost on the wire.
+    /// Probes whose request or reply was lost on the wire.
     pub fn wire_lost(&self) -> u64 {
         self.wire_lost
     }
 
-    /// Attempts whose reply arrived after the TIMEOUT.
+    /// Probes whose reply arrived after the TIMEOUT.
     pub fn slow_replies(&self) -> u64 {
         self.slow_replies
     }
 
-    /// Probes one device: connect, exchange `Probe`/`ProbeReply`, close —
-    /// retrying per the registry's [`RetryPolicy`] for the device's kind.
+    /// Probes one device: connect, exchange `Probe`/`ProbeReply`, close.
     pub fn probe(
         &mut self,
         registry: &mut DeviceRegistry,
@@ -233,9 +205,9 @@ impl Prober {
         self.probe_timed(registry, id, now, rng).0
     }
 
-    /// Like [`Prober::probe`], also returning the total virtual time the
-    /// logical probe consumed: successful-attempt RTT, plus a full TIMEOUT
-    /// per failed attempt, plus every backoff wait.
+    /// Like [`Prober::probe`], also returning the virtual time the probe
+    /// consumed: the round-trip time on success, the full TIMEOUT otherwise
+    /// (the optimizer waits it out before it declares the device dead).
     pub fn probe_timed(
         &mut self,
         registry: &mut DeviceRegistry,
@@ -247,85 +219,45 @@ impl Prober {
             return (ProbeOutcome::Unknown, SimDuration::ZERO);
         }
         let device_label = id.to_string();
-        let policy = registry.retry_policy(id.kind());
         let timeout = registry.probe_timeout(id.kind());
         let channel = Channel::new(registry.link(id.kind()).clone());
-        let mut elapsed = SimDuration::ZERO;
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            self.probes_sent += 1;
-            if attempt > 1 {
-                self.retries += 1;
-            }
-            if let Some(m) = &self.metrics {
-                m.incr("aorta_probe_attempts", &[("device", &device_label)], 1);
-            }
-            match attempt_once(registry, id, timeout, &channel, now + elapsed, rng) {
-                Ok((status, rtt)) => {
-                    elapsed += rtt;
-                    if attempt > 1 {
-                        self.recovered_by_retry += 1;
-                    }
-                    if let Some(m) = &self.metrics {
-                        m.observe("aorta_probe_rtt", &[("device", &device_label)], rtt);
-                        m.span(
-                            SpanKind::Probe,
-                            now + elapsed,
-                            elapsed,
-                            &format!("device={device_label} attempts={attempt} outcome=available"),
-                        );
-                    }
-                    return (ProbeOutcome::Available { status, rtt }, elapsed);
+        self.probes_sent += 1;
+        if let Some(m) = &self.metrics {
+            m.incr("aorta_probe_attempts", &[("device", &device_label)], 1);
+        }
+        match attempt_once(registry, id, timeout, &channel, now, rng) {
+            Ok((status, rtt)) => {
+                if let Some(m) = &self.metrics {
+                    m.observe("aorta_probe_rtt", &[("device", &device_label)], rtt);
+                    m.span(
+                        SpanKind::Probe,
+                        now + rtt,
+                        rtt,
+                        &format!("device={device_label} attempts=1 outcome=available"),
+                    );
                 }
-                Err(failure) => {
-                    // The optimizer waits out the full TIMEOUT before it
-                    // declares an attempt dead.
-                    elapsed += timeout;
-                    match failure {
-                        AttemptFailure::Offline => self.offline_failures += 1,
-                        AttemptFailure::Unreachable => self.unreachable_failures += 1,
-                        AttemptFailure::WireLost => self.wire_lost += 1,
-                        AttemptFailure::SlowReply => self.slow_replies += 1,
-                    }
-                }
+                (ProbeOutcome::Available { status, rtt }, rtt)
             }
-            if attempt >= policy.max_attempts() {
+            Err(failure) => {
+                match failure {
+                    AttemptFailure::Offline => self.offline_failures += 1,
+                    AttemptFailure::Unreachable => self.unreachable_failures += 1,
+                    AttemptFailure::WireLost => self.wire_lost += 1,
+                    AttemptFailure::SlowReply => self.slow_replies += 1,
+                }
                 self.timeouts += 1;
                 if let Some(m) = &self.metrics {
                     m.incr("aorta_probe_timeouts", &[("device", &device_label)], 1);
                     m.span(
                         SpanKind::Probe,
-                        now + elapsed,
-                        elapsed,
-                        &format!("device={device_label} attempts={attempt} outcome=timeout"),
+                        now + timeout,
+                        timeout,
+                        &format!("device={device_label} attempts=1 outcome=timeout"),
                     );
                 }
-                return (ProbeOutcome::TimedOut, elapsed);
+                (ProbeOutcome::TimedOut, timeout)
             }
-            let mut wait = policy.backoff_after(attempt);
-            if !policy.jitter().is_zero() {
-                wait += SimDuration::from_micros(rng.range(0..=policy.jitter().as_micros()));
-            }
-            elapsed += wait;
         }
-    }
-
-    /// Probes every candidate, returning the available ones with status.
-    pub fn probe_all(
-        &mut self,
-        registry: &mut DeviceRegistry,
-        candidates: &[DeviceId],
-        now: SimTime,
-        rng: &mut SimRng,
-    ) -> Vec<(DeviceId, PhysicalStatus)> {
-        candidates
-            .iter()
-            .filter_map(|&id| match self.probe(registry, id, now, rng) {
-                ProbeOutcome::Available { status, .. } => Some((id, status)),
-                _ => None,
-            })
-            .collect()
     }
 }
 
@@ -457,18 +389,6 @@ mod tests {
         assert_eq!(prober.wire_lost(), 0);
     }
 
-    #[test]
-    fn probe_all_filters_unavailable() {
-        let mut reg = reliable_registry();
-        reg.set_online(DeviceId::camera(1), false);
-        let mut prober = Prober::new();
-        let mut rng = SimRng::seed(7);
-        let candidates = [DeviceId::camera(0), DeviceId::camera(1)];
-        let available = prober.probe_all(&mut reg, &candidates, SimTime::ZERO, &mut rng);
-        assert_eq!(available.len(), 1);
-        assert_eq!(available[0].0, DeviceId::camera(0));
-    }
-
     /// Regression: a lost reply and an over-TIMEOUT reply used to fall into
     /// one undifferentiated `timeouts` bucket. They are separate failure
     /// modes and must be counted exactly once each, mutually exclusively.
@@ -507,7 +427,7 @@ mod tests {
         reg.set_online(DeviceId::camera(0), false);
         let _ = prober.probe(&mut reg, DeviceId::camera(0), SimTime::ZERO, &mut rng);
 
-        // Every failed attempt classified exactly once.
+        // Every failed probe classified exactly once.
         let failed_attempts = prober.offline_failures()
             + prober.unreachable_failures()
             + prober.wire_lost()
@@ -518,75 +438,34 @@ mod tests {
     }
 
     #[test]
-    fn retry_recovers_from_transient_wire_loss() {
+    fn probe_time_is_rtt_or_one_timeout() {
         let mut reg = reliable_registry();
-        // Half the messages vanish in each direction, so one attempt
-        // succeeds only 25% of the time — but sixteen attempts almost
-        // never all fail (0.75^16 ≈ 1%).
-        reg.set_link(
-            DeviceKind::Camera,
-            LinkModel::new(SimDuration::ZERO, SimDuration::ZERO, 0.5),
-        );
-        reg.set_retry_policy(
-            DeviceKind::Camera,
-            RetryPolicy::new(
-                16,
-                SimDuration::from_millis(10),
-                SimDuration::from_millis(2),
-            ),
-        );
-        let mut prober = Prober::new();
-        let mut rng = SimRng::seed(9);
-        let mut available = 0;
-        for _ in 0..100 {
-            if prober
-                .probe(&mut reg, DeviceId::camera(0), SimTime::ZERO, &mut rng)
-                .is_available()
-            {
-                available += 1;
-            }
-        }
-        assert!(available >= 90, "only {available}/100 probes recovered");
-        assert!(prober.retries() > 0, "no retries were attempted");
-        assert!(
-            prober.recovered_by_retry() > 0,
-            "retries never recovered a probe"
-        );
-        // Attempt accounting: attempts = logical probes + retries.
-        assert_eq!(prober.probes_sent(), 100 + prober.retries());
-    }
-
-    #[test]
-    fn probe_time_includes_backoff_schedule() {
-        let mut reg = reliable_registry();
-        reg.set_link(
-            DeviceKind::Camera,
-            LinkModel::new(SimDuration::ZERO, SimDuration::ZERO, 1.0),
-        );
-        let policy = RetryPolicy::new(3, SimDuration::from_millis(100), SimDuration::ZERO);
-        reg.set_retry_policy(DeviceKind::Camera, policy);
         let mut prober = Prober::new();
         let mut rng = SimRng::seed(10);
         let (out, elapsed) =
             prober.probe_timed(&mut reg, DeviceId::camera(0), SimTime::ZERO, &mut rng);
+        let ProbeOutcome::Available { rtt, .. } = out else {
+            panic!("reliable camera unavailable: {out:?}");
+        };
+        assert_eq!(elapsed, rtt);
+        reg.set_link(
+            DeviceKind::Camera,
+            LinkModel::new(SimDuration::ZERO, SimDuration::ZERO, 1.0),
+        );
+        let (out, elapsed) =
+            prober.probe_timed(&mut reg, DeviceId::camera(0), SimTime::ZERO, &mut rng);
         assert_eq!(out, ProbeOutcome::TimedOut);
-        let timeout = reg.probe_timeout(DeviceKind::Camera);
-        // 3 failed attempts at full TIMEOUT + backoffs of 100ms and 200ms.
-        let expected = timeout + timeout + timeout + SimDuration::from_millis(300);
-        assert_eq!(elapsed, expected);
-        assert_eq!(policy.max_total_backoff(), SimDuration::from_millis(300));
+        assert_eq!(elapsed, reg.probe_timeout(DeviceKind::Camera));
     }
 
     #[test]
     fn retry_policy_validation_and_defaults() {
         assert_eq!(RetryPolicy::default(), RetryPolicy::none());
         assert_eq!(RetryPolicy::none().max_attempts(), 1);
-        assert_eq!(RetryPolicy::none().max_total_backoff(), SimDuration::ZERO);
         let p = RetryPolicy::new(3, SimDuration::from_millis(10), SimDuration::from_millis(5));
         assert_eq!(p.backoff_after(1), SimDuration::from_millis(10));
         assert_eq!(p.backoff_after(2), SimDuration::from_millis(20));
-        // Sum of backoffs (10 + 20) plus jitter cap on both waits.
-        assert_eq!(p.max_total_backoff(), SimDuration::from_millis(40));
+        assert_eq!(p.jitter(), SimDuration::from_millis(5));
     }
 
     #[test]

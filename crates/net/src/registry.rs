@@ -9,8 +9,6 @@ use aorta_device::{
 };
 use aorta_sim::{LinkModel, SimDuration, SimRng, SimTime};
 
-use crate::RetryPolicy;
-
 /// A simulated device of any kind.
 ///
 /// Camera is the large variant (photo history + busy intervals); entries
@@ -175,7 +173,6 @@ pub struct DeviceRegistry {
     cost_tables: BTreeMap<DeviceKind, OpCostTable>,
     probe_timeouts: BTreeMap<DeviceKind, SimDuration>,
     links: BTreeMap<DeviceKind, LinkModel>,
-    retry_policies: BTreeMap<DeviceKind, RetryPolicy>,
 }
 
 impl DeviceRegistry {
@@ -185,7 +182,6 @@ impl DeviceRegistry {
         let mut cost_tables = BTreeMap::new();
         let mut probe_timeouts = BTreeMap::new();
         let mut links = BTreeMap::new();
-        let mut retry_policies = BTreeMap::new();
         for kind in DeviceKind::ALL {
             // Profiles are generated/parsed through the XML catalog format,
             // exactly as an administrator would register them (§3.1).
@@ -196,7 +192,6 @@ impl DeviceRegistry {
             cost_tables.insert(kind, OpCostTable::defaults_for(kind));
             probe_timeouts.insert(kind, default_probe_timeout(kind));
             links.insert(kind, default_link(kind));
-            retry_policies.insert(kind, RetryPolicy::none());
         }
         DeviceRegistry {
             devices: BTreeMap::new(),
@@ -204,7 +199,6 @@ impl DeviceRegistry {
             cost_tables,
             probe_timeouts,
             links,
-            retry_policies,
         }
     }
 
@@ -340,16 +334,6 @@ impl DeviceRegistry {
     /// Overrides the link model for a kind.
     pub fn set_link(&mut self, kind: DeviceKind, link: LinkModel) {
         self.links.insert(kind, link);
-    }
-
-    /// The probe retry policy for a kind (default: single attempt).
-    pub fn retry_policy(&self, kind: DeviceKind) -> RetryPolicy {
-        self.retry_policies[&kind]
-    }
-
-    /// Overrides the probe retry policy for a kind.
-    pub fn set_retry_policy(&mut self, kind: DeviceKind, policy: RetryPolicy) {
-        self.retry_policies.insert(kind, policy);
     }
 
     /// Convenience: mutable access to a camera.

@@ -1,15 +1,14 @@
 //! Wire-format properties: encode∘decode is the identity on arbitrary
-//! messages, and decode never panics on arbitrary bytes. Plus retry/backoff
-//! properties of the prober: total probe time is bounded by the backoff
-//! schedule, attempts are conserved across the counters, and enough retries
-//! always ride out bounded wire loss.
+//! messages, and decode never panics on arbitrary bytes. Plus properties of
+//! the single-attempt prober: a probe takes at most one TIMEOUT, and the
+//! four failure counters partition the failed probes.
 
 use bytes::Bytes;
 use proptest::prelude::*;
 
 use aorta_data::{Location, Value};
 use aorta_device::{DeviceId, DeviceKind, PervasiveLab, PhotoSize, PtzPosition};
-use aorta_net::{DeviceRegistry, Message, ProbeOutcome, Prober, RetryPolicy};
+use aorta_net::{DeviceRegistry, Message, ProbeOutcome, Prober};
 use aorta_sim::{LinkModel, SimDuration, SimRng, SimTime};
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -90,7 +89,7 @@ proptest! {
     }
 }
 
-// --- probe retry / backoff properties ---------------------------------------
+// --- probe properties ---------------------------------------------------------
 
 /// A registry with reliable cameras over a deterministic wire; `loss` is the
 /// per-message loss on the camera link.
@@ -103,53 +102,35 @@ fn camera_registry(loss: f64) -> DeviceRegistry {
     reg
 }
 
-fn arb_policy() -> impl Strategy<Value = RetryPolicy> {
-    (1u32..6, 0u64..50_000, 0u64..10_000).prop_map(|(attempts, base_us, jitter_us)| {
-        RetryPolicy::new(
-            attempts,
-            SimDuration::from_micros(base_us),
-            SimDuration::from_micros(jitter_us),
-        )
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The virtual time a fully failed probe consumes is bounded by one
-    /// TIMEOUT per attempt plus the policy's worst-case backoff schedule.
+    /// A probe consumes at most one TIMEOUT of virtual time, and exactly
+    /// one when it fails.
     #[test]
-    fn prop_total_probe_time_bounded(policy in arb_policy(), seed in 1u64..10_000) {
-        let mut reg = camera_registry(1.0); // every message lost
-        reg.set_retry_policy(DeviceKind::Camera, policy);
+    fn prop_total_probe_time_bounded(loss in 0.0..=1.0f64, seed in 1u64..10_000) {
+        let mut reg = camera_registry(loss);
         let mut prober = Prober::new();
         let mut rng = SimRng::seed(seed);
         let (out, elapsed) =
             prober.probe_timed(&mut reg, DeviceId::camera(0), SimTime::ZERO, &mut rng);
-        prop_assert_eq!(out, ProbeOutcome::TimedOut);
         let timeout = reg.probe_timeout(DeviceKind::Camera);
-        let bound = timeout.mul_f64(policy.max_attempts() as f64) + policy.max_total_backoff();
-        prop_assert!(
-            elapsed <= bound,
-            "elapsed {elapsed} exceeds schedule bound {bound}"
-        );
-        // And at least the timeouts themselves were waited out.
-        prop_assert!(elapsed >= timeout.mul_f64(policy.max_attempts() as f64));
+        prop_assert!(elapsed <= timeout, "elapsed {elapsed} exceeds TIMEOUT {timeout}");
+        if out == ProbeOutcome::TimedOut {
+            prop_assert_eq!(elapsed, timeout);
+        }
     }
 
-    /// Attempt conservation across a batch of logical probes:
-    /// `probes_sent == logical + retries`, every failed attempt is
-    /// classified exactly once, and `timeouts` counts exactly the logical
-    /// probes that returned TimedOut.
+    /// Probe accounting across a batch: every probe is sent once,
+    /// `timeouts` counts exactly the probes that returned TimedOut, and the
+    /// four failure counters partition them.
     #[test]
     fn prop_attempt_accounting(
-        policy in arb_policy(),
         loss in 0.0..0.9f64,
         seed in 1u64..10_000,
         n in 1u64..40,
     ) {
         let mut reg = camera_registry(loss);
-        reg.set_retry_policy(DeviceKind::Camera, policy);
         let mut prober = Prober::new();
         let mut rng = SimRng::seed(seed);
         let mut available = 0u64;
@@ -161,37 +142,12 @@ proptest! {
                 available += 1;
             }
         }
-        prop_assert_eq!(prober.probes_sent(), n + prober.retries());
+        prop_assert_eq!(prober.probes_sent(), n);
         prop_assert_eq!(prober.timeouts(), n - available);
         let classified = prober.offline_failures()
             + prober.unreachable_failures()
             + prober.wire_lost()
             + prober.slow_replies();
-        // Failed attempts = all attempts minus the successful ones (one
-        // success per available logical probe).
-        prop_assert_eq!(classified, prober.probes_sent() - available);
-        prop_assert!(prober.recovered_by_retry() <= available);
-    }
-
-    /// A device whose wire recovers within the attempt budget is always
-    /// classified Available: with loss ≤ 0.5 and 64 attempts the chance of
-    /// total failure is ≤ 0.75^64 ≈ 1e-8 per probe — treat it as never.
-    #[test]
-    fn prop_generous_retry_rides_out_bounded_loss(
-        loss in 0.0..=0.5f64,
-        seed in 1u64..10_000,
-    ) {
-        let mut reg = camera_registry(loss);
-        reg.set_retry_policy(
-            DeviceKind::Camera,
-            RetryPolicy::new(64, SimDuration::from_millis(1), SimDuration::ZERO),
-        );
-        let mut prober = Prober::new();
-        let mut rng = SimRng::seed(seed);
-        let out = prober.probe(&mut reg, DeviceId::camera(0), SimTime::ZERO, &mut rng);
-        prop_assert!(
-            out.is_available(),
-            "loss {loss} defeated 64 attempts (seed {seed})"
-        );
+        prop_assert_eq!(classified, prober.timeouts());
     }
 }

@@ -38,9 +38,8 @@ pub const IMAGE_HEADER_LEN: usize = 52;
 /// A shippable image of one shard: manifest + the shard's complete sealed
 /// log, split at the donor's snapshot barrier.
 ///
-/// Valid only while the donor log is uncompacted (base 0) and free of
-/// `MigrateIn` records — both are loud errors at replay time, not silent
-/// staleness.
+/// Valid only while the donor log is free of `MigrateIn` records — a loud
+/// error at replay time, not silent staleness.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotImage {
     /// The shard this image reconstructs.

@@ -44,4 +44,4 @@ pub use image::{SnapshotImage, IMAGE_HEADER_LEN, IMAGE_MAGIC, IMAGE_VERSION};
 pub use manager::WalManager;
 pub use record::{LifecycleStage, WalRecord, WireRequest};
 pub use sink::{WalHandle, WalStats};
-pub use store::{FileStore, FlushPolicy, LogStore, MemStore};
+pub use store::{FileStore, LogStore, MemStore};

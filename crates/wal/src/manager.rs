@@ -4,9 +4,9 @@
 //! the previous one: a shard holds one image however long it runs.
 //!
 //! Snapshots are taken *between* host commands — always a safe point: no
-//! record is ever emitted mid-snapshot, so the vault key (the live frame
-//! count) exactly partitions the log into "already reflected in the
-//! snapshot" and "replay this".
+//! record is ever emitted mid-snapshot, so the vault key (the frame count)
+//! exactly partitions the log into "already reflected in the snapshot" and
+//! "replay this".
 //!
 //! Two snapshot triggers:
 //! - **cadence** — every `snapshot_every` appended frames;
@@ -23,10 +23,10 @@ use crate::sink::{WalHandle, WalStats};
 /// (the cluster instantiates it with a boxed engine image).
 pub struct WalManager<S> {
     handle: WalHandle,
-    /// (absolute frame index, state image) of the latest snapshot.
+    /// (frame index, state image) of the latest snapshot.
     vault: Option<(u64, S)>,
     snapshot_every: usize,
-    /// Absolute frame index at the last snapshot (or genesis).
+    /// Frame index at the last snapshot (or genesis).
     last_snapshot_at: u64,
     snapshots_taken: u64,
 }
@@ -34,7 +34,7 @@ pub struct WalManager<S> {
 impl<S> WalManager<S> {
     /// A manager over `handle`, snapshotting every `snapshot_every` frames.
     pub fn new(handle: WalHandle, snapshot_every: usize) -> Self {
-        let last_snapshot_at = handle.base() + handle.frame_count() as u64;
+        let last_snapshot_at = handle.frame_count() as u64;
         WalManager {
             handle,
             vault: None,
@@ -49,9 +49,9 @@ impl<S> WalManager<S> {
         self.handle.clone()
     }
 
-    /// Absolute frame position of the log tail.
+    /// Frame position of the log tail.
     pub fn position(&self) -> u64 {
-        self.handle.base() + self.handle.frame_count() as u64
+        self.handle.frame_count() as u64
     }
 
     /// Takes a snapshot now if the cadence says one is due.
@@ -78,7 +78,7 @@ impl<S> WalManager<S> {
         }
     }
 
-    /// The most recent snapshot and its absolute frame position.
+    /// The most recent snapshot and its frame position.
     pub fn latest_snapshot(&self) -> Option<(u64, &S)> {
         self.vault.as_ref().map(|(at, s)| (*at, s))
     }
@@ -88,7 +88,7 @@ impl<S> WalManager<S> {
         self.snapshots_taken
     }
 
-    /// Decodes the full live log.
+    /// Decodes the full log.
     ///
     /// # Errors
     ///
@@ -108,21 +108,6 @@ impl<S> WalManager<S> {
     /// Stream counters.
     pub fn stats(&self) -> WalStats {
         self.handle.stats()
-    }
-
-    /// Compacts the log up to the latest snapshot: frames the snapshot
-    /// already reflects are dropped, and recovery starts from the vault.
-    ///
-    /// # Errors
-    ///
-    /// [`WalError`] when the store refuses the truncation.
-    pub fn compact_to_snapshot(&mut self) -> Result<usize, WalError> {
-        let Some((at, _)) = self.latest_snapshot() else {
-            return Ok(0);
-        };
-        let drop = (at - self.handle.base()) as usize;
-        self.handle.truncate_prefix(drop)?;
-        Ok(drop)
     }
 }
 
@@ -179,9 +164,6 @@ mod tests {
         assert_eq!(m.snapshots_taken(), 3);
         assert_eq!(m.latest_snapshot().map(|(at, s)| (at, s.0)), Some((7, 100)));
         assert_eq!(Arc::strong_count(&alive), 2, "exactly one image alive");
-        // The key still lines up with the store after compaction.
-        assert_eq!(m.compact_to_snapshot().unwrap(), 7);
-        assert_eq!(m.latest_snapshot().unwrap().0, h.base());
         drop(m);
         assert_eq!(Arc::strong_count(&alive), 1);
     }
@@ -214,25 +196,5 @@ mod tests {
                 },
             ]
         );
-    }
-
-    #[test]
-    fn compaction_preserves_suffix() {
-        let h = WalHandle::record(Box::new(MemStore::new()), None, "t");
-        let mut m: WalManager<u64> = WalManager::new(h.clone(), 100);
-        for i in 0..5 {
-            h.append(WalRecord::RunUntil {
-                deadline: SimTime::from_micros(i),
-            });
-            h.append(WalRecord::DrainEscalated);
-        }
-        m.force_snapshot(|| 1);
-        h.append(WalRecord::DrainEscalated);
-        let dropped = m.compact_to_snapshot().unwrap();
-        assert_eq!(dropped, 10);
-        assert_eq!(m.records().unwrap(), vec![WalRecord::DrainEscalated]);
-        // The vault key still lines up with the compacted store.
-        let (at, _) = m.latest_snapshot().unwrap();
-        assert_eq!(at, h.base());
     }
 }

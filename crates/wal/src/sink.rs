@@ -23,9 +23,9 @@ use crate::store::LogStore;
 pub struct WalStats {
     /// Records appended (coalesced tail rewrites count once).
     pub appends: u64,
-    /// Live bytes in the store.
+    /// Bytes in the store.
     pub bytes: u64,
-    /// Live frames in the store.
+    /// Frames in the store.
     pub frames: u64,
 }
 
@@ -79,7 +79,7 @@ impl WalHandle {
         obs: Option<SharedMetrics>,
         obs_label: impl Into<String>,
     ) -> Self {
-        let next_lsn = store.base() + store.frame_count() as u64;
+        let next_lsn = store.frame_count() as u64;
         let tail_is_run_until = false;
         WalHandle(Arc::new(Mutex::new(SinkState::Record {
             store,
@@ -170,24 +170,16 @@ impl WalHandle {
     /// vault key (the frame count at snapshot time) promises every earlier
     /// frame is immutable — a coalescing rewrite of the tail would change a
     /// frame the snapshot's replay suffix excludes.
-    ///
-    /// Sealing is also the group-commit point: any appends the store's
-    /// [`FlushPolicy`](crate::FlushPolicy) was buffering are synced to
-    /// durable storage here, so a vaulted snapshot never refers to frames
-    /// that could still vanish in a crash.
     pub fn seal_tail(&self) {
         if let SinkState::Record {
-            store,
-            tail_is_run_until,
-            ..
+            tail_is_run_until, ..
         } = &mut *self.0.lock().expect("wal lock")
         {
             *tail_is_run_until = false;
-            store.sync().expect("wal sync failed");
         }
     }
 
-    /// Record mode: decodes the full live log.
+    /// Record mode: decodes the full log.
     ///
     /// # Errors
     ///
@@ -203,18 +195,10 @@ impl WalHandle {
         }
     }
 
-    /// Live frame count (record mode; 0 in verify mode).
+    /// Frame count (record mode; 0 in verify mode).
     pub fn frame_count(&self) -> usize {
         match &*self.0.lock().expect("wal lock") {
             SinkState::Record { store, .. } => store.frame_count(),
-            SinkState::Verify { .. } => 0,
-        }
-    }
-
-    /// Frames compacted off the front (record mode).
-    pub fn base(&self) -> u64 {
-        match &*self.0.lock().expect("wal lock") {
-            SinkState::Record { store, .. } => store.base(),
             SinkState::Verify { .. } => 0,
         }
     }
@@ -228,21 +212,6 @@ impl WalHandle {
                 frames: store.frame_count() as u64,
             },
             SinkState::Verify { .. } => WalStats::default(),
-        }
-    }
-
-    /// Drops the first `n` live frames (called by the manager after a
-    /// snapshot makes them redundant).
-    ///
-    /// # Errors
-    ///
-    /// [`WalError`] when `n` exceeds the live log.
-    pub fn truncate_prefix(&self, n: usize) -> Result<(), WalError> {
-        match &mut *self.0.lock().expect("wal lock") {
-            SinkState::Record { store, .. } => store.truncate_prefix(n),
-            SinkState::Verify { .. } => Err(WalError::Io(
-                "truncate_prefix on a verify-mode handle".into(),
-            )),
         }
     }
 

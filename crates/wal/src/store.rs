@@ -9,25 +9,6 @@ use crate::codec::decode_frame;
 use crate::error::WalError;
 use crate::record::WalRecord;
 
-/// When a [`FileStore`] makes buffered appends durable (group commit).
-///
-/// Whatever the policy, the log on disk is always a clean prefix of whole
-/// frames: a crash between batched appends loses the unflushed suffix but
-/// can never manufacture a corrupt or torn prefix out of flushed frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FlushPolicy {
-    /// Write and flush on every append — the durability point is the
-    /// return of `append` itself. The default, and the pre-policy behavior.
-    #[default]
-    EveryAppend,
-    /// Buffer appends and flush once `n` frames are pending (or on an
-    /// explicit [`LogStore::sync`], whichever comes first).
-    EveryN(usize),
-    /// Buffer appends and flush only on [`LogStore::sync`] — in practice,
-    /// when the sink seals the log tail at a snapshot barrier.
-    OnSeal,
-}
-
 /// Where encoded frames live. The sink talks to stores in whole frames;
 /// `replace_tail` exists solely for `RunUntil` tail-coalescing (rewriting
 /// the final frame in place bounds log volume under per-event stepping).
@@ -38,28 +19,16 @@ pub trait LogStore: Send {
     fn replace_tail(&mut self, frame: &[u8]) -> Result<(), WalError>;
     /// Decodes every stored frame, in order. Fails loudly on any damage.
     fn read_all(&mut self) -> Result<Vec<(u64, WalRecord)>, WalError>;
-    /// Number of live frames (after any prefix truncation).
+    /// Number of stored frames.
     fn frame_count(&self) -> usize;
-    /// Frames dropped from the front by compaction.
-    fn base(&self) -> u64;
-    /// Total live bytes.
+    /// Total stored bytes.
     fn byte_len(&self) -> u64;
-    /// Drops the first `n` live frames (snapshot compaction). The base
-    /// offset advances so LSNs stay stable.
-    fn truncate_prefix(&mut self, n: usize) -> Result<(), WalError>;
-    /// Forces any buffered appends to durable storage. A no-op for stores
-    /// that are always durable (or never are, like [`MemStore`]).
-    fn sync(&mut self) -> Result<(), WalError> {
-        Ok(())
-    }
 }
 
-/// Deterministic in-memory store: frames in a vector, plus a base offset
-/// recording how many were compacted away.
+/// Deterministic in-memory store: frames in a vector.
 #[derive(Debug, Default, Clone)]
 pub struct MemStore {
     frames: Vec<Vec<u8>>,
-    base: u64,
 }
 
 impl MemStore {
@@ -97,50 +66,21 @@ impl LogStore for MemStore {
         self.frames.len()
     }
 
-    fn base(&self) -> u64 {
-        self.base
-    }
-
     fn byte_len(&self) -> u64 {
         self.frames.iter().map(|f| f.len() as u64).sum()
     }
-
-    fn truncate_prefix(&mut self, n: usize) -> Result<(), WalError> {
-        if n > self.frames.len() {
-            return Err(WalError::Io(format!(
-                "truncate_prefix({n}) exceeds {} live frames",
-                self.frames.len()
-            )));
-        }
-        self.frames.drain(..n);
-        self.base += n as u64;
-        Ok(())
-    }
 }
 
-/// File-backed store with a configurable group-commit policy. Under the
-/// default [`FlushPolicy::EveryAppend`] every append is written and flushed
-/// immediately — the durability point is the return of `append` itself;
-/// under the batching policies appends accumulate in `pending` and reach
-/// disk on the policy's trigger or an explicit [`LogStore::sync`].
-///
-/// The logical log (`frame_count`, `read_all`, `replace_tail`) always
-/// includes pending frames; only *durability* is deferred, never
-/// visibility.
+/// File-backed store: every append is written and flushed immediately, so
+/// the durability point is the return of `append` itself.
 #[derive(Debug)]
 pub struct FileStore {
     file: File,
     path: PathBuf,
-    /// Byte offset where each durable frame starts (parallel to frame
-    /// order, excluding `pending`).
+    /// Byte offset where each frame starts, in frame order.
     offsets: Vec<u64>,
-    base: u64,
-    /// End of the durable bytes. Pending frames live past this point only
-    /// in memory.
+    /// End of the written bytes.
     end: u64,
-    /// Appended frames not yet written to the file.
-    pending: Vec<Vec<u8>>,
-    policy: FlushPolicy,
 }
 
 impl FileStore {
@@ -162,10 +102,7 @@ impl FileStore {
             file,
             path,
             offsets: Vec::new(),
-            base: 0,
             end: 0,
-            pending: Vec::new(),
-            policy: FlushPolicy::EveryAppend,
         })
     }
 
@@ -195,49 +132,13 @@ impl FileStore {
             file,
             path,
             offsets,
-            base: 0,
             end: buf.len() as u64,
-            pending: Vec::new(),
-            policy: FlushPolicy::EveryAppend,
         })
-    }
-
-    /// Sets the group-commit policy (builder style).
-    pub fn with_policy(mut self, policy: FlushPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The active group-commit policy.
-    pub fn policy(&self) -> FlushPolicy {
-        self.policy
-    }
-
-    /// Frames appended but not yet durable.
-    pub fn pending_frames(&self) -> usize {
-        self.pending.len()
     }
 
     /// The backing file path.
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Writes every pending frame to the file in one contiguous write.
-    fn flush_pending(&mut self) -> Result<(), WalError> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let batch: Vec<u8> = self.pending.concat();
-        self.write_at(self.end, &batch)?;
-        let mut pos = self.end;
-        for frame in &self.pending {
-            self.offsets.push(pos);
-            pos += frame.len() as u64;
-        }
-        self.pending.clear();
-        self.end = pos;
-        Ok(())
     }
 
     fn write_at(&mut self, pos: u64, bytes: &[u8]) -> Result<(), WalError> {
@@ -251,27 +152,13 @@ impl FileStore {
 
 impl LogStore for FileStore {
     fn append(&mut self, frame: &[u8]) -> Result<(), WalError> {
-        self.pending.push(frame.to_vec());
-        match self.policy {
-            FlushPolicy::EveryAppend => self.flush_pending(),
-            FlushPolicy::EveryN(n) => {
-                if self.pending.len() >= n.max(1) {
-                    self.flush_pending()
-                } else {
-                    Ok(())
-                }
-            }
-            FlushPolicy::OnSeal => Ok(()),
-        }
+        self.write_at(self.end, frame)?;
+        self.offsets.push(self.end);
+        self.end += frame.len() as u64;
+        Ok(())
     }
 
     fn replace_tail(&mut self, frame: &[u8]) -> Result<(), WalError> {
-        // A buffered tail is replaced in memory: coalescing never forces a
-        // write the policy was deferring.
-        if let Some(tail) = self.pending.last_mut() {
-            *tail = frame.to_vec();
-            return Ok(());
-        }
         let &pos = self
             .offsets
             .last()
@@ -292,12 +179,7 @@ impl LogStore for FileStore {
         self.file
             .read_to_end(&mut buf)
             .map_err(|e| WalError::Io(format!("read {}: {e}", self.path.display())))?;
-        // Pending frames are part of the logical log even before they are
-        // durable; readers must never see a shorter log than the sink wrote.
-        for frame in &self.pending {
-            buf.extend_from_slice(frame);
-        }
-        let mut out = Vec::with_capacity(self.offsets.len() + self.pending.len());
+        let mut out = Vec::with_capacity(self.offsets.len());
         let mut off = 0usize;
         while off < buf.len() {
             out.push(decode_frame(&buf, &mut off)?);
@@ -306,59 +188,11 @@ impl LogStore for FileStore {
     }
 
     fn frame_count(&self) -> usize {
-        self.offsets.len() + self.pending.len()
-    }
-
-    fn base(&self) -> u64 {
-        self.base
+        self.offsets.len()
     }
 
     fn byte_len(&self) -> u64 {
-        let durable = self.end - self.offsets.first().copied().unwrap_or(self.end);
-        durable + self.pending.iter().map(|f| f.len() as u64).sum::<u64>()
-    }
-
-    fn sync(&mut self) -> Result<(), WalError> {
-        self.flush_pending()
-    }
-
-    fn truncate_prefix(&mut self, n: usize) -> Result<(), WalError> {
-        // Compaction follows a snapshot barrier, which seals (and syncs)
-        // the tail first — but flush defensively so offsets stay coherent.
-        self.flush_pending()?;
-        if n > self.offsets.len() {
-            return Err(WalError::Io(format!(
-                "truncate_prefix({n}) exceeds {} live frames",
-                self.offsets.len()
-            )));
-        }
-        if n == 0 {
-            return Ok(());
-        }
-        // Rewrite the file with only the surviving suffix. Compaction is
-        // rare (it follows snapshots), so the full rewrite is acceptable.
-        self.file
-            .seek(SeekFrom::Start(0))
-            .map_err(|e| WalError::Io(format!("seek {}: {e}", self.path.display())))?;
-        let mut buf = Vec::new();
-        self.file
-            .read_to_end(&mut buf)
-            .map_err(|e| WalError::Io(format!("read {}: {e}", self.path.display())))?;
-        let cut = self.offsets[n] as usize;
-        let survivors = buf[cut..].to_vec();
-        self.file
-            .set_len(0)
-            .map_err(|e| WalError::Io(format!("truncate {}: {e}", self.path.display())))?;
-        self.write_at(0, &survivors)?;
-        self.offsets = self
-            .offsets
-            .split_off(n)
-            .iter()
-            .map(|o| o - cut as u64)
-            .collect();
-        self.base += n as u64;
-        self.end = survivors.len() as u64;
-        Ok(())
+        self.end
     }
 }
 
@@ -375,7 +209,7 @@ mod tests {
     }
 
     #[test]
-    fn mem_store_roundtrip_and_compaction() {
+    fn mem_store_roundtrip() {
         let mut s = MemStore::new();
         for i in 0..5 {
             s.append(&encode_frame(&rec(i), i)).unwrap();
@@ -384,10 +218,6 @@ mod tests {
         let all = s.read_all().unwrap();
         assert_eq!(all.len(), 5);
         assert_eq!(all[3], (3, rec(3)));
-        s.truncate_prefix(2).unwrap();
-        assert_eq!(s.base(), 2);
-        let all = s.read_all().unwrap();
-        assert_eq!(all[0], (2, rec(2)));
     }
 
     #[test]
@@ -408,86 +238,35 @@ mod tests {
     }
 
     #[test]
-    fn batched_appends_lost_in_a_crash_leave_a_clean_shorter_log() {
-        let path = std::env::temp_dir().join(format!("aorta_wal_batch_{}.wal", std::process::id()));
-        {
-            let mut s = FileStore::create(&path)
-                .unwrap()
-                .with_policy(FlushPolicy::EveryN(3));
-            for i in 0..5 {
-                s.append(&encode_frame(&rec(i), i)).unwrap();
-            }
-            // 3 flushed at the policy trigger, 2 still pending…
-            assert_eq!(s.pending_frames(), 2);
-            // …but the logical log shows all 5 to the sink.
-            assert_eq!(s.frame_count(), 5);
-            assert_eq!(s.read_all().unwrap().len(), 5);
-            // Crash: the store drops without a sync; pending frames die.
-        }
-        let mut s = FileStore::open(&path).unwrap();
-        let all = s.read_all().unwrap();
-        assert_eq!(all.len(), 3, "the flushed prefix survives, whole");
-        assert_eq!(all[2], (2, rec(2)));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn torn_batch_write_is_torn_never_a_corrupt_prefix() {
+    fn torn_tail_write_is_torn_never_a_corrupt_prefix() {
         let path = std::env::temp_dir().join(format!("aorta_wal_torn_{}.wal", std::process::id()));
         {
-            let mut s = FileStore::create(&path)
-                .unwrap()
-                .with_policy(FlushPolicy::OnSeal);
+            let mut s = FileStore::create(&path).unwrap();
             for i in 0..3 {
                 s.append(&encode_frame(&rec(i), i)).unwrap();
             }
-            s.sync().unwrap();
         }
-        // Simulate a crash mid-way through the next batch's write: half a
+        // Simulate a crash mid-way through the next append's write: half a
         // frame makes it to disk.
         let torn = encode_frame(&rec(3), 3);
         let mut bytes = std::fs::read(&path).unwrap();
-        let synced_len = bytes.len();
+        let written_len = bytes.len();
         bytes.extend_from_slice(&torn[..torn.len() / 2]);
         std::fs::write(&path, &bytes).unwrap();
-        // The damage is reported as a torn frame — typed, at the batch
-        // boundary — never as corruption of the flushed prefix.
+        // The damage is reported as a torn frame — typed, at the frame
+        // boundary — never as corruption of the written prefix.
         match FileStore::open(&path) {
-            Err(WalError::TornFrame { offset }) => assert_eq!(offset, synced_len as u64),
+            Err(WalError::TornFrame { offset }) => assert_eq!(offset, written_len as u64),
             other => panic!("expected TornFrame, got {other:?}"),
         }
-        // And the flushed prefix itself still decodes completely.
+        // And the written prefix itself still decodes completely.
         let mut off = 0usize;
         let mut survivors = 0;
-        while off < synced_len {
-            decode_frame(&bytes[..synced_len], &mut off).unwrap();
+        while off < written_len {
+            decode_frame(&bytes[..written_len], &mut off).unwrap();
             survivors += 1;
         }
         assert_eq!(survivors, 3);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn on_seal_policy_defers_everything_until_sync() {
-        let path = std::env::temp_dir().join(format!("aorta_wal_seal_{}.wal", std::process::id()));
-        let mut s = FileStore::create(&path)
-            .unwrap()
-            .with_policy(FlushPolicy::OnSeal);
-        for i in 0..4 {
-            s.append(&encode_frame(&rec(i), i)).unwrap();
-        }
-        // Tail coalescing edits the buffered frame without forcing a write.
-        s.replace_tail(&encode_frame(&rec(42), 3)).unwrap();
-        assert_eq!(s.pending_frames(), 4);
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
-        s.sync().unwrap();
-        assert_eq!(s.pending_frames(), 0);
-        assert!(std::fs::metadata(&path).unwrap().len() > 0);
-        drop(s);
-        let mut s = FileStore::open(&path).unwrap();
-        let all = s.read_all().unwrap();
-        assert_eq!(all.len(), 4);
-        assert_eq!(all[3], (3, rec(42)));
         std::fs::remove_file(&path).ok();
     }
 

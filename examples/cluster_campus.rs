@@ -7,7 +7,7 @@
 //! cargo run --example cluster_campus
 //! ```
 
-use aorta::cluster::{BatchConfig, ClusterConfig, PartitionPolicy, ShardManager};
+use aorta::cluster::{BatchConfig, ClusterConfig, ShardManager};
 use aorta_device::{DeviceId, PervasiveLab};
 use aorta_sim::{FaultEvent, FaultPlan, SimDuration, SimTime};
 
@@ -16,9 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // mount position so each engine owns a contiguous region.
     let lab = PervasiveLab::with_sizes(16, 24, 0)
         .with_periodic_events(SimDuration::from_mins(1), SimDuration::ZERO);
-    let mut config = ClusterConfig::seeded(2026, 4);
-    config.partition = PartitionPolicy::RegionStripes;
-    let mut cluster = ShardManager::new(config, lab);
+    let mut cluster = ShardManager::new(ClusterConfig::seeded(2026, 4), lab);
     println!("== cluster_campus: 4 shards, 16 cameras, 24 motes ==");
     for s in 0..cluster.shard_count() {
         println!(

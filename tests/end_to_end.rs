@@ -161,11 +161,12 @@ fn dropping_a_query_stops_its_requests() {
 }
 
 #[test]
-fn probing_disabled_still_executes() {
-    let mut aorta = Aorta::with_lab(EngineConfig::seeded(8).without_probing(), eventful_lab());
+fn every_dispatch_probes_its_candidates() {
+    let mut aorta = Aorta::with_lab(EngineConfig::seeded(8), eventful_lab());
     ten_queries(&mut aorta);
     aorta.run_for(SimDuration::from_mins(3));
     let stats = aorta.stats();
     assert!(stats.executed > 0);
-    assert_eq!(stats.probes, 0, "probing disabled sends no probes");
+    assert!(stats.probes > 0, "candidates are probed before costing");
+    assert!(stats.probe_timeouts <= stats.probes);
 }
