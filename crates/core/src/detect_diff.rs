@@ -14,7 +14,12 @@
 //! (suppression is bookkeeping, never behaviour), with a wire ledger that
 //! never exceeds the ship-everything baseline — and the reference charges
 //! that ledger from its own ship/suppress decision, read off its per-plan
-//! walk, so the two pushdown arms compare independent derivations.
+//! walk, so the two pushdown arms compare independent derivations. The
+//! pushdown arms run with observability on, and the reference counts the
+//! conjuncts its walk reaches, so the logical evaluation counters the index
+//! derives from its batch bitsets are checked against a per-tuple count.
+//! Batches range from one tuple to a few 64-tuple words, so partial final
+//! words and sources repeated across a word boundary are exercised.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -22,6 +27,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use aorta_data::{Location, Schema, Tuple, Value};
 use aorta_device::pushdown::numeric_sample;
 use aorta_device::{DeviceKind, PervasiveLab};
+use aorta_obs::detect_metrics;
 use aorta_sim::{SimDuration, SimRng};
 use aorta_sql::ast::Statement;
 
@@ -85,8 +91,9 @@ pub(super) fn reference_detect(engine: &mut Aorta, cache: &EpochScans) -> bool {
         .filter_map(|p| p.device.as_ref().map(|d| d.kind))
         .collect();
     let mut suppress: BTreeMap<DeviceKind, Vec<bool>> = BTreeMap::new();
+    let mut tally = Tally::default();
     for plan in &plans {
-        let rejected = detect_events(engine, plan, cache, &mut edge);
+        let rejected = detect_events(engine, plan, cache, &mut edge, &mut tally);
         if !device_kinds.contains(&plan.event_kind) {
             suppress
                 .entry(plan.event_kind)
@@ -99,8 +106,26 @@ pub(super) fn reference_detect(engine: &mut Aorta, cache: &EpochScans) -> bool {
     if engine.config.pushdown {
         engine.account_pushdown(cache, &suppress);
     }
+    if let Some(m) = &engine.obs {
+        m.incr(detect_metrics::INDEXED_EVALS, &[], tally.indexed);
+        m.incr(detect_metrics::FALLBACK_EVALS, &[], tally.other);
+        m.incr(
+            detect_metrics::CONJUNCT_EVALS,
+            &[],
+            tally.indexed + tally.other,
+        );
+    }
     REFERENCE_EDGE.set(Some(edge));
     true
+}
+
+/// Conjuncts the reference walk reached, split the way registration
+/// classifies them: `attr <op> constant` comparisons versus everything else
+/// (fallback and windowed conjuncts).
+#[derive(Default)]
+struct Tally {
+    indexed: u64,
+    other: u64,
 }
 
 /// Event detection as it was before the predicate index: one plan, one
@@ -109,23 +134,31 @@ pub(super) fn reference_detect(engine: &mut Aorta, cache: &EpochScans) -> bool {
 /// decide alone: windowed aggregates and `attr <op> constant` comparisons —
 /// rejected it: the walk stopped on a clean false inside that prefix. An
 /// id-less tuple, an error, or a stop further down is not a rejection.
+/// Every conjunct the walk evaluates is counted into `tally`.
 fn detect_events(
     engine: &mut Aorta,
     plan: &AqPlan,
     cache: &EpochScans,
     edge: &mut EdgeMap,
+    tally: &mut Tally,
 ) -> Vec<bool> {
     let event_schema = engine.registry.schema(plan.event_kind).clone();
     let id_idx = event_schema.index_of("id").expect("catalogs define id");
     let event_tuples = cache.scans.get(&plan.event_kind).expect("scanned above");
-    let pushed = plan
+    // Per conjunct: a windowed aggregate, an indexable comparison, or neither.
+    let windowed: Vec<bool> = (0..plan.event_conjuncts.len())
+        .map(|idx| plan.windowed.iter().any(|w| w.idx == idx))
+        .collect();
+    let indexed: Vec<bool> = plan
         .event_conjuncts
         .iter()
-        .enumerate()
-        .take_while(|(idx, c)| {
-            plan.windowed.iter().any(|w| w.idx == *idx)
-                || extract_comparison(c, &plan.event_binding, &event_schema).is_some()
-        })
+        .zip(&windowed)
+        .map(|(c, &w)| !w && extract_comparison(c, &plan.event_binding, &event_schema).is_some())
+        .collect();
+    let pushed = windowed
+        .iter()
+        .zip(&indexed)
+        .take_while(|(&w, &i)| w || i)
         .count();
     let mut rejected = vec![false; event_tuples.len()];
 
@@ -156,6 +189,11 @@ fn detect_events(
             let env = Env::new().bind(&plan.event_binding, &event_schema, tuple);
             let mut all = true;
             for (idx, conjunct) in plan.event_conjuncts.iter().enumerate() {
+                if indexed[idx] {
+                    tally.indexed += 1;
+                } else {
+                    tally.other += 1;
+                }
                 let outcome = match plan.windowed.iter().find(|w| w.idx == idx) {
                     Some(w) => {
                         match engine
@@ -247,6 +285,8 @@ const INT_ATTRS: [&str; 4] = ["accel_x", "accel_y", "light", "depth"];
 const ALL_ATTRS: [&str; 6] = ["accel_x", "accel_y", "light", "depth", "temp", "battery"];
 const OPS: [&str; 6] = [">", ">=", "<", "<=", "=", "<>"];
 const CONSTS: [i64; 8] = [-500, -1, 0, 1, 40, 100, 500, 501];
+/// Batch sizes around the first and second 64-tuple word boundaries.
+const WORD_EDGES: [u64; 6] = [63, 64, 65, 127, 128, 129];
 
 /// A random conjunct the comparison lanes cannot serve: a call or an OR —
 /// an interned fallback conjunct.
@@ -381,7 +421,13 @@ fn random_script(seed: u64, steps: usize) -> Vec<Op> {
                     offline.insert(source);
                 }
                 let online: Vec<i64> = (0..=11).filter(|s| !offline.contains(s)).collect();
-                let n = rng.range(1..=12u64);
+                // Mostly small batches; a fifth span one to three 64-tuple
+                // words, half of those sitting right on a word boundary.
+                let n = match rng.range(0..=9u64) {
+                    0 => *rng.pick(&WORD_EDGES).unwrap(),
+                    1 => rng.range(60..=140u64),
+                    _ => rng.range(1..=12u64),
+                };
                 Op::Batch(
                     (0..n)
                         .map(|_| random_tuple(&mut rng, &schema, &online))
@@ -448,15 +494,27 @@ impl Replay {
 }
 
 /// The four arms every comparison runs: {index, reference} × {pushdown off,
-/// pushdown on}, in that order.
+/// pushdown on}, in that order. The pushdown arms also record metrics.
 fn four_arms(seed: u64, lab: &PervasiveLab) -> [Replay; 4] {
     [(false, false), (true, false), (false, true), (true, true)].map(|(reference, pushdown)| {
         let mut config = EngineConfig::seeded(seed);
         if pushdown {
-            config = config.with_pushdown();
+            config = config.with_pushdown().with_observability();
         }
         Replay::new(config, lab.clone(), reference)
     })
+}
+
+/// The logical conjunct-evaluation counters an engine recorded: indexed,
+/// fallback (windowed included) and total.
+fn eval_counters(aorta: &Aorta) -> [u64; 3] {
+    let m = aorta.metrics().expect("observability is on");
+    [
+        detect_metrics::INDEXED_EVALS,
+        detect_metrics::FALLBACK_EVALS,
+        detect_metrics::CONJUNCT_EVALS,
+    ]
+    .map(|name| m.counter_total(name))
 }
 
 proptest::proptest! {
@@ -527,6 +585,10 @@ proptest::proptest! {
         proptest::prop_assert_eq!(
             push.saved_bytes(),
             push.baseline_bytes - push.wire_bytes()
+        );
+        proptest::prop_assert_eq!(
+            eval_counters(&index_push.aorta),
+            eval_counters(&reference_push.aorta)
         );
     }
 }
@@ -602,6 +664,70 @@ fn fixed_mixed_workload_is_byte_identical_to_the_reference() {
         );
     }
     assert_eq!(index.pushdown_stats(), PushdownStats::default());
+    assert_eq!(eval_counters(index_push), eval_counters(reference_push));
+}
+
+/// A fixed twin of the property's multi-word batches: 130 tuples — two full
+/// words and a partial third — with source 5 at tuples 63 and 64, so one
+/// source's two samples straddle the first word boundary. Its values flip
+/// from batch to batch, so the straddling pair rises, holds and falls in
+/// turn, under firing, erroring, fallback and windowed predicates, with
+/// id-less and NULL-valued tuples mid-word.
+#[test]
+fn a_source_straddling_a_word_boundary_matches_the_reference() {
+    let preds = [
+        "s.accel_x > 450",
+        "s.accel_x > 450",
+        "s.accel_x > 100 AND s.loc > 500", // errors mid-word, behind a filter
+        "s.accel_x > 300 AND distance(s.loc, s.loc) < 1.0",
+        "MAX(s.accel_x) OVER LAST 2 > 450",
+        "CAM s.accel_y >= 0 AND s.accel_x > 450",
+        "CAM AVG(s.accel_x) OVER LAST 3 > 200 AND (s.light > 600 OR s.depth = 2)",
+    ];
+    let lab = PervasiveLab::standard();
+    let schema = aorta_net::DeviceRegistry::from_lab(lab.clone())
+        .schema(DeviceKind::Sensor)
+        .clone();
+    let batch = |round: i64| -> Vec<Tuple> {
+        let mut rng = SimRng::seed(round as u64);
+        let mut tuples: Vec<Tuple> = (0..130)
+            .map(|_| random_tuple(&mut rng, &schema, &[0, 1, 2, 3, 4, 6, 7]))
+            .collect();
+        let mut set = |t: usize, name: &str, v: Value| {
+            let mut values = tuples[t].values().to_vec();
+            values[schema.index_of(name).expect("sensor attribute")] = v;
+            tuples[t] = Tuple::new(values);
+        };
+        // Source 5 on both sides of the boundary: high-then-low, both high,
+        // low-then-high, both low.
+        let (before, after) = [(600, 0), (600, 600), (0, 600), (0, 0)][round as usize % 4];
+        set(63, "id", Value::Int(5));
+        set(63, "accel_x", Value::Int(before));
+        set(64, "id", Value::Int(5));
+        set(64, "accel_x", Value::Int(after));
+        set(40, "id", Value::Null);
+        set(100, "accel_x", Value::Null);
+        set(128, "id", Value::Null);
+        tuples
+    };
+    let arms = four_arms(0xB0D, &lab).map(|mut replay| {
+        for p in preds {
+            replay.apply(&Op::Add(p.to_string()));
+        }
+        for round in 0..8 {
+            replay.apply(&Op::Batch(batch(round)));
+        }
+        replay.aorta
+    });
+    let [index, reference, index_push, reference_push] = &arms;
+    assert!(index.stats().events_detected > 0, "workload must fire");
+    assert!(index.stats().eval_errors > 0, "workload must error");
+    for other in [reference, index_push, reference_push] {
+        assert_eq!(other.stats(), index.stats());
+        assert_eq!(other.trace().render(), index.trace().render());
+    }
+    assert_eq!(index_push.pushdown_stats(), reference_push.pushdown_stats());
+    assert_eq!(eval_counters(index_push), eval_counters(reference_push));
 }
 
 /// The index must handle `eval_predicate` type mismatches exactly like the
