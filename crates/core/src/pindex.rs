@@ -13,17 +13,17 @@
 //!   a fallback keyed on (kind, event binding, `Debug` rendering) — so a
 //!   fallback shared by many groups is evaluated at most once per tuple
 //!   per epoch, and only when some group's walk reaches it,
-//! * comparisons are grouped by attribute into lanes; integer thresholds on
-//!   one attribute are kept sorted so a batch value resolves all of them
-//!   with two binary searches per tuple (one pass over the lane sets the
-//!   match bit of every threshold),
+//! * comparisons are grouped by attribute into lanes; a lane reads its
+//!   column once per batch, and each integer threshold compares 64 tuples
+//!   per word, branch-free,
 //! * queries with identical conjunct lists share one **query group** with a
 //!   single rising-edge state, so a firing group fans out to its members
 //!   instead of being recomputed per query. That state is two bitsets over
 //!   the kind's **source slots**: each event source gets a dense slot the
 //!   first time an epoch commits it, in first-seen order, never reused, and
-//!   phase A maps a batch tuple to its slot once per kind, then reads every
-//!   group's committed state with a bit test,
+//!   phase A maps a batch tuple to its slot once per kind, then finds the
+//!   sources whose state a group may change with word operations over the
+//!   batch's slot mask,
 //! * a conjunct comparing a **windowed aggregate** (`AGG(attr) OVER LAST n`)
 //!   is a stateful slot reading the query's own device-resident window, so a
 //!   plan with one is a group of its own: window state is per query and two
@@ -34,14 +34,13 @@
 //!   every group watching its kind stopped cleanly inside that prefix.
 //!
 //! Detection runs in three phases (see `exec.rs`): a batch phase here
-//! ([`PredicateIndex::plan_epoch`]) that touches no engine state beyond
-//! advancing the window bank, a per-plan replay phase in the engine that
-//! emits the traces and counters of the few *affected* plans (reading the
-//! committed edge bits through the same slots), and a commit phase
-//! ([`PredicateIndex::commit_epoch`]) that assigns new source slots and
-//! sets the edge bits that changed.
+//! ([`PredicateIndex::plan_epoch`]) that walks groups over 64-tuple words
+//! and touches no engine state beyond advancing the window bank, a
+//! per-plan replay phase in the engine that emits the traces and counters
+//! of the few *affected* plans (reading the committed edge bits through
+//! the same slots), and a commit phase ([`PredicateIndex::commit_epoch`])
+//! that assigns new source slots and sets the edge bits that changed.
 
-use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
 use aorta_data::{Schema, Tuple, Value};
@@ -291,7 +290,7 @@ impl QueryGroup {
     }
 
     fn observed_count(&self) -> usize {
-        self.observed.iter().map(|w| w.count_ones() as usize).sum()
+        popcount(&self.observed) as usize
     }
 }
 
@@ -425,8 +424,8 @@ pub(crate) struct EpochOutcomes {
     pub suppress: BTreeMap<DeviceKind, Vec<bool>>,
 }
 
-/// Packed bit matrix over one scan batch: per interned id, one bit per
-/// tuple.
+/// Packed bit matrix over one scan batch: per interned id, one row of
+/// 64-tuple words. Phase A reads it a word at a time, never a bit.
 struct BitRows {
     words_per_row: usize,
     words: Vec<u64>,
@@ -445,8 +444,57 @@ impl BitRows {
         self.words[row * self.words_per_row + t / 64] |= 1 << (t % 64);
     }
 
-    fn get(&self, row: usize, t: usize) -> bool {
-        self.words[row * self.words_per_row + t / 64] >> (t % 64) & 1 == 1
+    fn row(&self, row: usize) -> &[u64] {
+        &self.words[row * self.words_per_row..][..self.words_per_row]
+    }
+
+    fn row_mut(&mut self, row: usize) -> &mut [u64] {
+        &mut self.words[row * self.words_per_row..][..self.words_per_row]
+    }
+}
+
+/// Set bits across a run of words.
+fn popcount(words: &[u64]) -> u64 {
+    words.iter().map(|w| u64::from(w.count_ones())).sum()
+}
+
+/// Calls `f` with the index of every set bit of a word-packed set, in
+/// ascending order.
+fn for_each_bit(words: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in words.iter().enumerate() {
+        let mut rest = word;
+        while rest != 0 {
+            f(w * 64 + rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+    }
+}
+
+/// ORs into `row` the tuples of `mask` whose value in `col` (zero-padded to
+/// whole words) satisfies `op` against `c`.
+fn pack_matches<T: PartialOrd + Copy>(row: &mut [u64], col: &[T], mask: &[u64], op: CmpOp, c: T) {
+    match op {
+        CmpOp::Eq => pack(row, col, mask, |v| v == c),
+        CmpOp::Ne => pack(row, col, mask, |v| v != c),
+        CmpOp::Lt => pack(row, col, mask, |v| v < c),
+        CmpOp::Le => pack(row, col, mask, |v| v <= c),
+        CmpOp::Gt => pack(row, col, mask, |v| v > c),
+        CmpOp::Ge => pack(row, col, mask, |v| v >= c),
+    }
+}
+
+/// One branch-free loop per word, so 64 comparisons of a threshold
+/// vectorise; a word with no such value is skipped.
+fn pack<T: Copy>(row: &mut [u64], column: &[T], mask: &[u64], holds: impl Fn(T) -> bool) {
+    for ((word, values), &mask) in row.iter_mut().zip(column.chunks_exact(64)).zip(mask) {
+        if mask == 0 {
+            continue;
+        }
+        let mut bits = 0u64;
+        for (i, &v) in values.iter().enumerate() {
+            bits |= u64::from(holds(v)) << i;
+        }
+        *word |= bits & mask;
     }
 }
 
@@ -473,15 +521,69 @@ struct KindBatch {
     /// the (id, tuple) pairs already decided.
     fallbacks: SlotBits,
     fallback_done: BitRows,
-    /// Whether some tuple has no usable id.
-    has_idless: bool,
+    /// Tuples with a usable id, one bit per tuple.
+    with_id: Vec<u64>,
+    /// The source slots the batch's tuples occupy, one bit per slot.
+    slot_mask: Vec<u64>,
+    /// For a suppressible kind: tuples every group so far rejected cleanly
+    /// inside its pushed prefix (id-less tuples start, and stay, clear).
+    suppress: Option<Vec<u64>>,
+}
+
+/// Phase A's buffers, reused across groups and epochs; nothing in them
+/// outlives the use that fills it. Per conjunct slot `si`, `stops` holds
+/// the tuples whose walk stopped there on a false (row `2 * si`) or an
+/// error (`2 * si + 1`).
+#[derive(Debug, Clone, Default)]
+struct Walk {
+    live: Vec<u64>,
+    stops: Vec<u64>,
+    /// Source slots whose rising-edge state this batch may change.
+    interest: Vec<u64>,
+    /// A lane's column: `Int` values, non-NaN `Float` values, and which
+    /// tuples hold each (the `Int` mask first).
+    ints: Vec<i64>,
+    floats: Vec<f64>,
+    masks: Vec<u64>,
+}
+
+impl Walk {
+    /// Records slot `si`'s verdict on one word of the live tuples.
+    fn settle(&mut self, si: usize, w: usize, matched: u64, errored: u64) {
+        let words = self.live.len();
+        let live = self.live[w];
+        self.stops[2 * si * words + w] = live & !errored & !matched;
+        self.stops[(2 * si + 1) * words + w] = live & errored;
+        self.live[w] = live & matched & !errored;
+    }
+
+    /// Slot `si`'s clean-false and error stops, split.
+    fn stopped(&self, si: usize) -> (&[u64], &[u64]) {
+        let words = self.live.len();
+        self.stops[2 * si * words..][..2 * words].split_at(words)
+    }
+
+    /// Per-tuple outcomes in batch order, derived from the stop words.
+    fn outcomes(&self, sources: &[Option<Source>], slots: usize) -> Vec<TupleOutcome> {
+        let mut stops: Vec<TupleOutcome> = sources
+            .iter()
+            .map(|s| s.map_or(TupleOutcome::Idless, |_| TupleOutcome::Matched))
+            .collect();
+        for idx in 0..slots {
+            let (clean, error) = self.stopped(idx);
+            for (words, error) in [(clean, false), (error, true)] {
+                for_each_bit(words, |t| stops[t] = TupleOutcome::Stop { idx, error });
+            }
+        }
+        stops
+    }
 }
 
 /// Attribute lane: all interned comparisons on one (kind, attribute),
-/// split so integer thresholds resolve in one sorted pass.
+/// split so integer thresholds resolve over buffered column words.
 #[derive(Debug, Clone, Default)]
 struct AttrLane {
-    /// Int-constant comparisons sorted by constant.
+    /// Int-constant comparisons.
     ints: Vec<(i64, CmpOp, usize)>,
     /// Comparisons with non-Int constants: per-comparison `compare()`.
     general: Vec<usize>,
@@ -507,6 +609,8 @@ pub struct PredicateIndex {
     groups: Interner<GroupKey, QueryGroup>,
     /// Per kind: the source slots group edge bits are addressed by.
     sources: BTreeMap<DeviceKind, SourceSlots>,
+    /// Phase A's reusable buffers.
+    scratch: Walk,
 }
 
 impl PredicateIndex {
@@ -685,11 +789,9 @@ impl PredicateIndex {
         };
         let words = entry.value.observed.iter().zip(&entry.value.high);
         for (w, (&observed, &is_high)) in words.enumerate() {
-            let mut rest = observed & is_high;
-            while rest != 0 {
-                high.insert(table.source_of[w * 64 + rest.trailing_zeros() as usize]);
-                rest &= rest - 1;
-            }
+            for_each_bit(&[observed & is_high], |i| {
+                high.insert(table.source_of[w * 64 + i]);
+            });
         }
         high
     }
@@ -745,7 +847,6 @@ impl PredicateIndex {
                 _ => lane.general.push(id),
             }
         }
-        lane.ints.sort_by_key(|(c, _, _)| *c);
         let by_attr = self.lanes.entry(kind).or_default();
         if lane.ints.is_empty() && lane.general.is_empty() {
             by_attr.remove(attr);
@@ -789,52 +890,61 @@ impl PredicateIndex {
     }
 
     /// Evaluates every interned comparison of `kind` over a scan batch.
-    fn eval_cmps(&self, kind: DeviceKind, tuples: &[Tuple], schema: &Schema) -> SlotBits {
+    /// Per lane, the column is read once: `Int` and non-NaN `Float` values
+    /// into buffers each integer threshold then compares 64 tuples per word
+    /// (a float against `c as f64`, which is what `compare()` does), every
+    /// other non-NULL value through `compare()` per comparison.
+    fn eval_cmps(
+        &self,
+        kind: DeviceKind,
+        tuples: &[Tuple],
+        schema: &Schema,
+        walk: &mut Walk,
+    ) -> SlotBits {
         let mut bits = SlotBits::new(self.cmps.id_bound(), tuples.len());
         let Some(lanes) = self.lanes.get(&kind) else {
             return bits;
         };
+        let words = tuples.len().div_ceil(64);
+        walk.ints.resize(words * 64, 0);
+        walk.floats.resize(words * 64, 0.0);
+        let (ints, floats, masks) = (&mut walk.ints, &mut walk.floats, &mut walk.masks);
         for (attr, lane) in lanes {
             let Some(col) = schema.index_of(attr) else {
                 continue; // registration checked the schema; defensive only
             };
+            masks.clear();
+            masks.resize(2 * words, 0);
+            let (is_int, is_float) = masks.split_at_mut(words);
             for (t, tuple) in tuples.iter().enumerate() {
-                match tuple.get(col) {
-                    // NULL (or missing) never matches and never errors,
-                    // exactly like the scalar NULL-comparison path.
-                    None | Some(Value::Null) => {}
-                    Some(v @ Value::Int(n)) => {
-                        // One pass over the sorted thresholds: two binary
-                        // searches classify every threshold against `n`.
-                        let lt = lane.ints.partition_point(|(c, _, _)| c < n);
-                        let le = lane.ints.partition_point(|(c, _, _)| c <= n);
-                        for (i, (_, op, id)) in lane.ints.iter().enumerate() {
-                            let ord = match i {
-                                i if i < lt => Ordering::Greater,
-                                i if i < le => Ordering::Equal,
-                                _ => Ordering::Less,
-                            };
-                            if op.matches(ord) {
-                                bits.matched.set(*id, t);
-                            }
-                        }
-                        for &id in &lane.general {
-                            self.eval_general(id, v, &mut bits, t);
-                        }
+                let bit = 1 << (t % 64);
+                // NULL (or missing) never matches and never errors, exactly
+                // like the scalar NULL-comparison path.
+                let Some(v) = tuple.get(col).filter(|v| !v.is_null()) else {
+                    continue;
+                };
+                match v {
+                    Value::Int(n) => (ints[t], is_int[t / 64]) = (*n, is_int[t / 64] | bit),
+                    Value::Float(x) if !x.is_nan() => {
+                        (floats[t], is_float[t / 64]) = (*x, is_float[t / 64] | bit);
                     }
-                    Some(v) => {
-                        // Non-Int value (float, string, bool, location):
-                        // every comparison goes through `compare()`, which
-                        // reproduces the scalar mixed-type semantics —
-                        // including its errors.
+                    // Anything else (a NaN, string, bool, location) goes
+                    // through `compare()`, which reproduces the scalar
+                    // mixed-type semantics — including its errors.
+                    _ => {
                         for &(_, _, id) in &lane.ints {
-                            self.eval_general(id, v, &mut bits, t);
-                        }
-                        for &id in &lane.general {
                             self.eval_general(id, v, &mut bits, t);
                         }
                     }
                 }
+                for &id in &lane.general {
+                    self.eval_general(id, v, &mut bits, t);
+                }
+            }
+            for &(c, op, id) in &lane.ints {
+                let row = bits.matched.row_mut(id);
+                pack_matches(row, ints, is_int, op, c);
+                pack_matches(row, floats, is_float, op, c as f64);
             }
         }
         bits
@@ -853,21 +963,20 @@ impl PredicateIndex {
     }
 
     /// Phase A: evaluates each distinct comparison once per batch, walks
-    /// every group's conjunct list per tuple — deciding a fallback conjunct
-    /// the first time any walk reaches it for that tuple — and computes
-    /// which plans need side effects replayed. The only state it moves is
-    /// `windows`: a windowed group's windows advance on every tuple that
-    /// has an id, before the walk, so a windowed slot sees the window
-    /// including the current sample — `LAST n` is the last n samples
-    /// taken, and a non-numeric one (a lossy scan's NULL) still occupies a
-    /// slot.
+    /// every group's conjunct list over the batch 64 tuples per word —
+    /// deciding a fallback conjunct the first time any walk reaches it for
+    /// a tuple — and computes which plans need side effects replayed. The
+    /// only state it moves is `windows` (`&mut self` is for the reusable
+    /// buffers): a windowed slot advances on every tuple with an id and
+    /// reads a tuple's aggregate right after its own sample — `LAST n` is
+    /// the last n samples taken, a lossy scan's NULL included.
     ///
     /// For each kind in `suppressible` the same walk folds the in-network
     /// ship/suppress decision into [`EpochOutcomes::suppress`]: anything
     /// uncertain — an id-less tuple, an erroring conjunct, a group with no
     /// pushed prefix, a kind no group watches — ships.
     pub(crate) fn plan_epoch(
-        &self,
+        &mut self,
         cache: &BTreeMap<DeviceKind, Vec<Tuple>>,
         ctx: &EvalContext<'_>,
         windows: &mut WindowBank,
@@ -877,10 +986,10 @@ impl PredicateIndex {
         // Per scanned kind, prepared when its first group comes up — so a
         // kind no group watches costs nothing and gets no source slots.
         let mut batches: BTreeMap<DeviceKind, KindBatch> = BTreeMap::new();
-        // Scratch reused across groups: the walk's outcomes (copied out
-        // only for an affected group), and the source slots the current
-        // group recorded this batch with the state it recorded last.
-        let mut stops: Vec<TupleOutcome> = Vec::new();
+        // Scratch reused across groups: the walk's words, and the source
+        // slots the current group recorded this batch with the state it
+        // recorded last.
+        let mut walk = std::mem::take(&mut self.scratch);
         let mut recorded: Vec<u64> = Vec::new();
         let mut recorded_high: Vec<u64> = Vec::new();
         for (gid, entry) in self.groups.iter() {
@@ -891,155 +1000,187 @@ impl PredicateIndex {
             let schema = ctx.registry.schema(key.kind);
             let batch = batches.entry(key.kind).or_insert_with(|| {
                 let (sources, fresh) = self.map_sources(key.kind, tuples, schema);
+                let known = self.sources.get(&key.kind).map_or(0, |s| s.source_of.len());
+                let mut with_id = vec![0u64; tuples.len().div_ceil(64)];
+                let mut slot_mask = vec![0u64; (known + fresh.len()).div_ceil(64)];
+                for (t, source) in sources.iter().enumerate() {
+                    if let Some(source) = source {
+                        with_id[t / 64] |= 1 << (t % 64);
+                        slot_mask[source.slot as usize / 64] |= 1 << (source.slot % 64);
+                    }
+                }
                 let fallbacks = self.fallbacks.id_bound();
-                let has_idless = sources.iter().any(Option::is_none);
                 out.sources.insert(key.kind, sources);
                 if !fresh.is_empty() {
                     out.commit.new_sources.push((key.kind, fresh));
                 }
                 KindBatch {
-                    cmps: self.eval_cmps(key.kind, tuples, schema),
+                    cmps: self.eval_cmps(key.kind, tuples, schema, &mut walk),
                     fallbacks: SlotBits::new(fallbacks, tuples.len()),
                     fallback_done: BitRows::new(fallbacks, tuples.len()),
-                    has_idless,
+                    suppress: suppressible.contains(&key.kind).then(|| with_id.clone()),
+                    with_id,
+                    slot_mask,
                 }
             });
             let sources = &out.sources[&key.kind];
-            let mut suppress = suppressible.contains(&key.kind).then(|| {
-                out.suppress
-                    .entry(key.kind)
-                    .or_insert_with(|| sources.iter().map(Option::is_some).collect())
-            });
 
-            stops.clear();
-            let mut changes: Vec<(u32, bool)> = Vec::new();
-            let has_pending = !group.pending_union.is_empty();
-            let mut rising_shared = false;
-            let mut pending_rising = false;
-            let mut any_error = false;
-            let mut reached_indexed = 0u64;
-            let mut reached_fallback = 0u64;
+            // The walk: `live` starts at the tuples with an id and loses,
+            // slot by slot, those the conjunct stops.
+            let words = batch.with_id.len();
+            walk.live.clone_from(&batch.with_id);
+            walk.stops.clear();
+            walk.stops.resize(2 * group.slots.len() * words, 0);
             let mut window_errors: BTreeMap<usize, String> = BTreeMap::new();
-            for (t, tuple) in tuples.iter().enumerate() {
-                // An id-less tuple has no source, hence no window to advance.
-                let Some(source) = sources[t] else {
-                    stops.push(TupleOutcome::Idless);
-                    continue;
-                };
-                if let Some(query) = key.windowed_query {
-                    for slot in &group.slots {
-                        if let ConjunctSlot::Windowed { cmp, col } = slot {
-                            let sample = numeric_sample(tuple.get(*col));
-                            windows.advance(query, cmp.idx, source.id, cmp.window, sample);
+            for (si, slot) in group.slots.iter().enumerate() {
+                let any_live = walk.live.iter().any(|&w| w != 0);
+                match slot {
+                    ConjunctSlot::Indexed(_) | ConjunctSlot::Fallback(_) if !any_live => {}
+                    ConjunctSlot::Indexed(id) => {
+                        for w in 0..words {
+                            let matched = batch.cmps.matched.row(*id)[w];
+                            walk.settle(si, w, matched, batch.cmps.errored.row(*id)[w]);
                         }
                     }
-                }
-                let mut stop: Option<(usize, bool)> = None;
-                for (si, slot) in group.slots.iter().enumerate() {
-                    let ok = match slot {
-                        ConjunctSlot::Indexed(id) => {
-                            if batch.cmps.errored.get(*id, t) {
-                                stop = Some((si, true));
-                                break;
-                            }
-                            batch.cmps.matched.get(*id, t)
-                        }
-                        ConjunctSlot::Fallback(id) => {
-                            if !batch.fallback_done.get(*id, t) {
-                                batch.fallback_done.set(*id, t);
-                                let fallback = self.fallbacks.get(*id);
-                                let env = Env::new().bind(&fallback.key.binding, schema, tuple);
+                    ConjunctSlot::Fallback(id) => {
+                        let fallback = self.fallbacks.get(*id);
+                        for w in 0..words {
+                            let done = &mut batch.fallback_done.row_mut(*id)[w];
+                            let todo = walk.live[w] & !*done;
+                            *done |= todo;
+                            for_each_bit(&[todo], |i| {
+                                let t = w * 64 + i;
+                                let env =
+                                    Env::new().bind(&fallback.key.binding, schema, &tuples[t]);
                                 match eval_predicate(&fallback.value, &env, ctx) {
                                     Ok(true) => batch.fallbacks.matched.set(*id, t),
                                     Ok(false) => {}
                                     Err(_) => batch.fallbacks.errored.set(*id, t),
                                 }
-                            }
-                            if batch.fallbacks.errored.get(*id, t) {
-                                stop = Some((si, true));
-                                break;
-                            }
-                            batch.fallbacks.matched.get(*id, t)
+                            });
+                            let matched = batch.fallbacks.matched.row(*id)[w];
+                            walk.settle(si, w, matched, batch.fallbacks.errored.row(*id)[w]);
                         }
-                        ConjunctSlot::Windowed { cmp, .. } => {
-                            let query = key.windowed_query.expect("windowed groups key on it");
-                            // An all-NULL (or empty) window has no aggregate:
-                            // the conjunct is false, not an error — a mote
-                            // warming up or a lossy stretch is normal
-                            // operation, not a broken query.
-                            match windows
-                                .aggregate(query, cmp.idx, source.id, cmp.agg)
-                                .map(|v| v.compare(&cmp.constant))
-                            {
-                                None => false,
-                                Some(Ok(ord)) => cmp.op.matches(ord),
-                                Some(Err(e)) => {
-                                    window_errors.entry(si).or_insert_with(|| {
-                                        crate::EngineError::Eval(e.to_string()).to_string()
-                                    });
-                                    stop = Some((si, true));
-                                    break;
+                    }
+                    ConjunctSlot::Windowed { cmp, col } => {
+                        // Every tuple with an id advances the window, in
+                        // batch order; a live one reads it right after its
+                        // own sample, before a later sample of its source.
+                        let query = key.windowed_query.expect("windowed groups key on it");
+                        for w in 0..words {
+                            let (mut matched, mut errored) = (0u64, 0u64);
+                            let live = walk.live[w];
+                            for_each_bit(&[batch.with_id[w]], |i| {
+                                let t = w * 64 + i;
+                                let source = sources[t].expect("with_id tuples have a source");
+                                let sample = numeric_sample(tuples[t].get(*col));
+                                windows.advance(query, cmp.idx, source.id, cmp.window, sample);
+                                if live >> i & 1 == 0 {
+                                    return;
                                 }
-                            }
+                                // No aggregate (an all-NULL or empty
+                                // window) is false, not an error.
+                                match windows
+                                    .aggregate(query, cmp.idx, source.id, cmp.agg)
+                                    .map(|v| v.compare(&cmp.constant))
+                                {
+                                    None => {}
+                                    Some(Ok(ord)) => matched |= u64::from(cmp.op.matches(ord)) << i,
+                                    Some(Err(e)) => {
+                                        window_errors.entry(si).or_insert_with(|| {
+                                            crate::EngineError::Eval(e.to_string()).to_string()
+                                        });
+                                        errored |= 1 << i;
+                                    }
+                                }
+                            });
+                            walk.settle(si, w, matched, errored);
                         }
-                    };
-                    if !ok {
-                        stop = Some((si, false));
-                        break;
                     }
                 }
-                let reached = match stop {
-                    Some((si, _)) => si + 1,
-                    None => group.slots.len(),
-                };
-                reached_indexed += u64::from(group.indexed_prefix[reached]);
-                reached_fallback += reached as u64 - u64::from(group.indexed_prefix[reached]);
-                let matched = stop.is_none();
-                if let Some((_, true)) = stop {
-                    any_error = true;
-                }
-                if let Some(suppress) = &mut suppress {
-                    suppress[t] &= matches!(stop, Some((si, false)) if si < group.pushed_len);
-                }
-                // Only what the commit must write is recorded: a state that
-                // differs from the committed one (or is new), and any later
-                // sample of a source already recorded. In the steady state
-                // that is nothing. With members pending, every observed
-                // source is recorded so the commit can retire it.
-                let committed = group.edge(source.slot);
-                let seen = bit(&recorded, source.slot);
-                let in_batch = if has_pending || committed != Some(matched) || seen {
-                    let before = seen.then(|| bit(&recorded_high, source.slot));
-                    set_bit(&mut recorded, source.slot, true);
-                    set_bit(&mut recorded_high, source.slot, matched);
-                    changes.push((source.slot, matched));
-                    before
-                } else {
-                    None
-                };
-                // Audited fold: `unwrap_or(false)` is the edge state's
-                // "never observed ⇒ low" encoding, not a swallowed failure.
-                let was = in_batch.unwrap_or(committed.unwrap_or(false));
-                if matched && !was {
-                    rising_shared = true;
-                }
-                if matched && in_batch.is_none() && group.pending_union.contains(&source.id) {
-                    // A member still pending on this source sees was=false
-                    // where the shared state says true.
-                    pending_rising = true;
-                }
-                stops.push(match stop {
-                    None => TupleOutcome::Matched,
-                    Some((idx, error)) => TupleOutcome::Stop { idx, error },
-                });
             }
 
+            // Logical tallies from popcounts: a walk that stopped at slot
+            // `si` evaluated the first `si + 1` conjuncts, a match all.
+            let mut reached_indexed = 0u64;
+            let mut reached_fallback = 0u64;
+            let mut tally = |tuples: u64, reached: usize| {
+                let indexed = u64::from(group.indexed_prefix[reached]);
+                reached_indexed += tuples * indexed;
+                reached_fallback += tuples * (reached as u64 - indexed);
+            };
+            for si in 0..group.slots.len() {
+                let (clean, error) = walk.stopped(si);
+                tally(popcount(clean) + popcount(error), si + 1);
+            }
+            tally(popcount(&walk.live), group.slots.len());
             let member_count = group.members.len() as u64;
             out.tally.indexed += reached_indexed * member_count;
             out.tally.fallback += reached_fallback * member_count;
             out.tally.total += (reached_indexed + reached_fallback) * member_count;
 
-            let affected = any_error || batch.has_idless || rising_shared || pending_rising;
+            let any_error = (0..group.slots.len()).any(|si| popcount(walk.stopped(si).1) > 0);
+            if let Some(suppress) = &mut batch.suppress {
+                for (w, suppressed) in suppress.iter_mut().enumerate() {
+                    *suppressed &= (0..group.pushed_len)
+                        .fold(0, |rejected, si| rejected | walk.stopped(si).0[w]);
+                }
+            }
+
+            // Edge comparison in slot space: with no member pending, only a
+            // source held high or never observed, or one that matched, can
+            // change state. Only what the commit must write is recorded: a
+            // changed (or new) state, any later sample of a source already
+            // recorded, and with members pending every observed source.
+            let has_pending = !group.pending_union.is_empty();
+            walk.interest.clone_from(&batch.slot_mask);
+            if !has_pending {
+                for (w, interest) in walk.interest.iter_mut().enumerate() {
+                    let observed = group.observed.get(w).copied().unwrap_or(0);
+                    *interest &= group.high.get(w).copied().unwrap_or(0) | !observed;
+                }
+                for_each_bit(&walk.live, |t| {
+                    let slot = sources[t].expect("matched tuples have a source").slot;
+                    walk.interest[slot as usize / 64] |= 1 << (slot % 64);
+                });
+            }
+            let mut changes: Vec<(u32, bool)> = Vec::new();
+            let mut rising_shared = false;
+            let mut pending_rising = false;
+            if popcount(&walk.interest) > 0 {
+                for (t, source) in sources.iter().enumerate() {
+                    let Some(source) = source.filter(|s| bit(&walk.interest, s.slot)) else {
+                        continue;
+                    };
+                    let matched = walk.live[t / 64] >> (t % 64) & 1 == 1;
+                    let committed = group.edge(source.slot);
+                    let seen = bit(&recorded, source.slot);
+                    let in_batch = if has_pending || committed != Some(matched) || seen {
+                        let before = seen.then(|| bit(&recorded_high, source.slot));
+                        set_bit(&mut recorded, source.slot, true);
+                        set_bit(&mut recorded_high, source.slot, matched);
+                        changes.push((source.slot, matched));
+                        before
+                    } else {
+                        None
+                    };
+                    // Audited fold: `unwrap_or(false)` is the edge state's
+                    // "never observed ⇒ low" encoding, not a swallowed
+                    // failure.
+                    let was = in_batch.unwrap_or(committed.unwrap_or(false));
+                    if matched && !was {
+                        rising_shared = true;
+                    }
+                    if matched && in_batch.is_none() && group.pending_union.contains(&source.id) {
+                        // A member still pending on this source sees
+                        // was=false where the shared state says true.
+                        pending_rising = true;
+                    }
+                }
+            }
+
+            let has_idless = popcount(&batch.with_id) < tuples.len() as u64;
+            let affected = any_error || has_idless || rising_shared || pending_rising;
             if !changes.is_empty() {
                 recorded.fill(0);
                 out.commit.edges.push((gid, changes));
@@ -1055,12 +1196,20 @@ impl PredicateIndex {
                 }
                 out.groups.push(GroupEpoch {
                     group: gid,
-                    stops: stops.clone(),
+                    stops: walk.outcomes(sources, group.slots.len()),
                     window_errors,
                 });
             }
         }
+        for (kind, batch) in batches {
+            if let Some(words) = batch.suppress {
+                let tuples = 0..cache[&kind].len() as u32;
+                out.suppress
+                    .insert(kind, tuples.map(|t| bit(&words, t)).collect());
+            }
+        }
         out.affected.sort();
+        self.scratch = walk;
         out
     }
 
@@ -1141,7 +1290,7 @@ mod tests {
 
     /// Phase A over one sensor batch, without committing.
     fn plan_only(
-        index: &PredicateIndex,
+        index: &mut PredicateIndex,
         reg: &DeviceRegistry,
         tuples: Vec<Tuple>,
     ) -> EpochOutcomes {
@@ -1152,7 +1301,7 @@ mod tests {
     }
 
     fn outcome_for(
-        index: &PredicateIndex,
+        index: &mut PredicateIndex,
         reg: &DeviceRegistry,
         qid: u32,
         tuples: Vec<Tuple>,
@@ -1265,7 +1414,7 @@ mod tests {
             [false, true, true],  // >=
         ];
         for (plan, want) in plans.iter().zip(expected) {
-            let stops = outcome_for(&index, &reg, plan.query_id, tuples.clone());
+            let stops = outcome_for(&mut index, &reg, plan.query_id, tuples.clone());
             for (t, want_match) in want.into_iter().enumerate() {
                 let got = stops[t] == TupleOutcome::Matched;
                 assert_eq!(got, want_match, "{} on tuple {t}", plan.name);
@@ -1284,7 +1433,7 @@ mod tests {
             sensor_tuple(&reg, None, Value::Int(600)),
             sensor_tuple(&reg, Some(3), Value::Int(600)),
         ];
-        let stops = outcome_for(&index, &reg, 0, tuples);
+        let stops = outcome_for(&mut index, &reg, 0, tuples);
         assert_eq!(stops[0], TupleOutcome::Idless);
         assert_eq!(stops[1], TupleOutcome::Matched);
     }
@@ -1303,7 +1452,7 @@ mod tests {
         let mut values = tuple.values().to_vec();
         values[loc_idx] = Value::Location(aorta_data::Location::ORIGIN);
         tuple = Tuple::new(values);
-        let stops = outcome_for(&index, &reg, 0, vec![tuple]);
+        let stops = outcome_for(&mut index, &reg, 0, vec![tuple]);
         assert_eq!(
             stops[0],
             TupleOutcome::Stop {
@@ -1528,7 +1677,7 @@ mod tests {
         let loc = schema.index_of("loc").unwrap();
         let mut values = sensor_tuple(&reg, Some(1), Value::Int(5)).values().to_vec();
         values[loc] = Value::Location(aorta_data::Location::ORIGIN);
-        let out = plan_only(&index, &reg, vec![Tuple::new(values)]);
+        let out = plan_only(&mut index, &reg, vec![Tuple::new(values)]);
         let stops = |qid: u32| out.groups[out.by_query[&qid]].stops.clone();
         assert_eq!(
             stops(0),
