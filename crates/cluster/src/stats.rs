@@ -91,22 +91,7 @@ impl ClusterStats {
 
     /// Sum of every terminal outcome counter over all shards.
     pub fn terminal(&self) -> u64 {
-        self.per_shard
-            .iter()
-            .map(|s| {
-                s.executed
-                    + s.degraded
-                    + s.connect_failures
-                    + s.busy_rejections
-                    + s.no_candidate
-                    + s.timed_out
-                    + s.out_of_range
-                    + s.action_errors
-                    + s.orphaned
-                    + s.shed
-                    + s.expired
-            })
-            .sum()
+        self.per_shard.iter().map(EngineStats::terminal).sum()
     }
 
     /// Mean event-to-completion latency over executed requests,

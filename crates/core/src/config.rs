@@ -59,8 +59,9 @@ pub enum DispatchPolicy {
 ///
 /// The defaults correspond to the paper's deployment: synchronization on and
 /// scheduled dispatch. Every candidate is probed before costing (§4), the
-/// sensor tables are sampled once a second, and a device-level failure is
-/// terminal for its request.
+/// sensor tables are sampled once a second, a device-level failure is
+/// terminal for its request, and a request that cannot start within 30 s
+/// of its event times out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineConfig {
     /// Master seed for all engine randomness.
@@ -68,10 +69,6 @@ pub struct EngineConfig {
     /// Enable the locking mechanism (§4). Turning this off reproduces the
     /// §6.2 interference failures.
     pub sync_enabled: bool,
-    /// A request that cannot start executing within this window fails with
-    /// "no device available" (events are transient; a late action is
-    /// useless).
-    pub request_timeout: SimDuration,
     /// Batch dispatch policy.
     pub dispatch: DispatchPolicy,
     /// When the local candidate set is exhausted (no probeable candidate at
@@ -121,7 +118,6 @@ impl Default for EngineConfig {
         EngineConfig {
             seed: 42,
             sync_enabled: true,
-            request_timeout: SimDuration::from_secs(30),
             dispatch: DispatchPolicy::Scheduled,
             escalate_exhausted: false,
             deadline: None,

@@ -52,8 +52,10 @@ fn one_physical_event_fires_one_request() {
 /// queueing forever (events are transient).
 #[test]
 fn stale_requests_time_out() {
-    // One camera, one-second timeout, a burst of ten simultaneous events:
-    // at most a couple of photos fit into the deadline window.
+    // One camera and a burst of a hundred simultaneous events: the camera works
+    // through the queue a photo at a time, and the photos whose turn comes
+    // more than 30 s after their event time out.
+    const MOTES: u32 = 100;
     let mut registry = DeviceRegistry::new();
     registry.register(
         Camera::new(
@@ -66,9 +68,10 @@ fn stale_requests_time_out() {
         .into(),
         SimTime::ZERO,
     );
-    for i in 0..10 {
+    for i in 0..MOTES {
+        let at = Location::new(3.0 + 0.1 * f64::from(i % 20), 4.0 + f64::from(i / 20), 1.0);
         registry.register(
-            Mote::new(i, Location::new(4.0 + 0.2 * f64::from(i), 4.0, 1.0), 1)
+            Mote::new(i, at, 1)
                 .with_per_hop_loss(0.0)
                 .with_spikes(SpikeModel::Periodic {
                     period: SimDuration::from_mins(10),
@@ -79,18 +82,16 @@ fn stale_requests_time_out() {
             SimTime::ZERO,
         );
     }
-    let mut config = EngineConfig::seeded(2);
-    config.request_timeout = SimDuration::from_secs(1);
-    let mut aorta = Aorta::with_registry(config, registry);
+    let mut aorta = Aorta::with_registry(EngineConfig::seeded(2), registry);
     aorta.execute_sql(SNAPSHOT_ALL).unwrap();
-    aorta.run_for(SimDuration::from_mins(1));
+    aorta.run_for(SimDuration::from_mins(2));
     let stats = aorta.stats();
-    assert_eq!(stats.requests, 10, "{stats:?}");
+    assert_eq!(stats.requests, u64::from(MOTES), "{stats:?}");
     assert!(stats.timed_out >= 5, "{stats:?}");
     assert!(stats.executed >= 1, "{stats:?}");
     assert_eq!(
         stats.executed + stats.timed_out + stats.connect_failures,
-        10,
+        u64::from(MOTES),
         "{stats:?}"
     );
 }

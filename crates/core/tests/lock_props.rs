@@ -271,18 +271,7 @@ fn crash_mid_execution_relocks_deterministically_on_replay() {
     assert!(!engine.locks().is_locked(cam, engine.now()));
     assert_eq!(engine.state_digest(), reference.state_digest());
     let stats = engine.stats();
-    let accounted = stats.executed
-        + stats.degraded
-        + stats.connect_failures
-        + stats.busy_rejections
-        + stats.no_candidate
-        + stats.timed_out
-        + stats.out_of_range
-        + stats.action_errors
-        + stats.orphaned
-        + stats.shed
-        + stats.expired
-        + engine.pending_requests();
+    let accounted = stats.terminal() + engine.pending_requests();
     assert_eq!(stats.requests, accounted, "{stats:?}");
 }
 
@@ -352,17 +341,6 @@ fn expired_request_releases_its_device_lock() {
         );
     }
     // Conservation still closes with the expiry counted.
-    let accounted = stats.executed
-        + stats.degraded
-        + stats.connect_failures
-        + stats.busy_rejections
-        + stats.no_candidate
-        + stats.timed_out
-        + stats.out_of_range
-        + stats.action_errors
-        + stats.orphaned
-        + stats.shed
-        + stats.expired
-        + aorta.pending_requests();
+    let accounted = stats.terminal() + aorta.pending_requests();
     assert_eq!(stats.requests, accounted, "{stats:?}");
 }

@@ -68,18 +68,7 @@ fn no_request_is_silently_lost_under_heavy_faults() {
     // Conservation: admitted == terminally resolved + visibly pending. The
     // overload outcomes (degraded/shed/expired) are part of the identity
     // even though they stay zero with the overload knobs off.
-    let accounted = stats.executed
-        + stats.degraded
-        + stats.connect_failures
-        + stats.busy_rejections
-        + stats.no_candidate
-        + stats.timed_out
-        + stats.out_of_range
-        + stats.action_errors
-        + stats.orphaned
-        + stats.shed
-        + stats.expired
-        + aorta.pending_requests();
+    let accounted = stats.terminal() + aorta.pending_requests();
     assert_eq!(
         stats.requests,
         accounted,
