@@ -512,7 +512,7 @@ fn e13(full: bool) {
         write_bench_parallel_json(&report);
     }
     // CI runs the smoke arm: a byte of divergence between a threaded arm
-    // and the sequential oracle must fail the process, not just print.
+    // and the 1-thread run must fail the process, not just print.
     assert!(
         report.all_match,
         "a threaded arm diverged from the 1-thread oracle"

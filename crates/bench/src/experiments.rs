@@ -1373,7 +1373,6 @@ fn e12_cluster(seed: u64, shards: usize, crashes: usize, loss: f64) -> aorta_clu
                 loss,
                 ..ShipConfig::default()
             },
-            ..FailoverConfig::default()
         });
     let mut cluster = ShardManager::new(config, lab);
     for i in 0..10 {
@@ -1570,7 +1569,7 @@ pub struct E13Row {
 
 /// The full **E13** report: wall-clock (not virtual-makespan) scaling of
 /// parallel shard stepping, with every threaded arm byte-checked against
-/// the sequential oracle.
+/// the 1-thread run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct E13Report {
     /// Camera fleet size.
@@ -1612,11 +1611,9 @@ fn e13_arm(seed: u64, shards: usize, threads: usize, virtual_secs: u64) -> (f64,
     use std::time::Instant;
 
     // Reliable cameras keep the wave escalation-free: probe failures would
-    // otherwise escalate ~7% of requests to the gateway, and every
-    // cross-shard escalation is a synchronization point that trips the
-    // parallel window back to the sequential oracle (see DESIGN.md §13).
-    // E13 measures the scaling of the clean-wave fast path; the storm
-    // proptests in tests/determinism.rs cover the escalating case.
+    // otherwise escalate ~7% of requests to the gateway. E13 measures the
+    // scaling of shard stepping itself; the storm proptests in
+    // tests/determinism.rs cover the escalating case.
     let lab = PervasiveLab::with_sizes(E13_CAMERAS, E13_MOTES, 0)
         .with_reliable_cameras()
         .with_periodic_events(SimDuration::from_secs(30), SimDuration::ZERO);

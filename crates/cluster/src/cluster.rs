@@ -2,27 +2,30 @@
 //!
 //! A [`ShardManager`] owns *k* independent [`Aorta`] engines, each over a
 //! disjoint slice of the device fleet, and drives them on **one** virtual
-//! clock: at every step it advances the shard whose next pending work has
-//! the smallest `(SimTime, shard_id)`, which serializes the per-shard event
-//! queues into a single deterministic global order — identical seeds yield
-//! byte-identical cluster traces, exactly as for a standalone engine.
+//! clock in lookahead windows: shards interact only through the gateway,
+//! whose earliest effect comes `LOOKAHEAD` after its cause, so within a
+//! window every shard runs on its own and the gateway acts at the barrier
+//! that closes it. Windows are cut from virtual time alone — identical
+//! seeds yield byte-identical cluster traces at any thread count, exactly
+//! as for a standalone engine.
 //!
 //! The gateway role is folded into the manager: DDL (`CREATE AQ`,
 //! `CREATE ACTION`) is broadcast to every shard, so any shard can detect
 //! events over its own devices and serve adopted requests; when a shard's
 //! candidate set is exhausted (crash storms, or simply no covering device
-//! in its region) the shard escalates the request and the gateway re-routes
-//! it to the sibling offering the cheapest eligible device. Above a
+//! in its region) the shard escalates the request, the gateway parks it,
+//! and after a backoff delivers it to the sibling offering the cheapest
+//! eligible device. Above a
 //! configurable backlog imbalance the gateway also migrates device
 //! ownership between shards — only at a safe point (no queued execution,
 //! no lock held, no action physically in progress).
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 
 use aorta_core::{
     genesis_fingerprint, recover_engine, restore_from_image, ActionRequest, Aorta, CustomHandler,
-    EngineConfig, EngineError, ExecOutput, GenesisSpec,
+    EngineConfig, EngineError, ExecOutput, GenesisSpec, SAMPLE_PERIOD,
 };
 use aorta_device::{DeviceId, DeviceKind, PervasiveLab};
 use aorta_net::{ship_bytes, DeviceRegistry, EpochFence, RetryPolicy, ShipConfig};
@@ -57,47 +60,55 @@ pub struct ClusterConfig {
     pub wal: Option<WalClusterConfig>,
     /// Cross-host failover: when set (and durability is on), a
     /// process-crashed shard is rebuilt on a *fresh host* from a shipped
-    /// [`SnapshotImage`] instead of in place, behind epoch fencing and a
-    /// parked-escalation queue. `None` (the default) keeps the in-place
-    /// recovery path byte-identical to previous releases.
+    /// [`SnapshotImage`] instead of in place, behind epoch fencing. `None`
+    /// (the default) recovers a crashed shard in place.
     pub failover: Option<FailoverConfig>,
-    /// Worker threads for parallel shard stepping. `0` (the default) means
-    /// auto: one thread per host core. `1` forces the sequential oracle.
-    /// Thread count never changes a single byte of any trace or stat — it
-    /// only changes how fast the same bytes are produced (see
+    /// Worker threads for shard stepping. `0` (the default) means auto:
+    /// one thread per host core; `1` runs every window inline. Thread count
+    /// never changes a single byte of any trace or stat — it only changes
+    /// how fast the same bytes are produced (see
     /// [`ShardManager::run_until`]).
     pub threads: usize,
 }
 
 /// Cross-host failover tunables.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FailoverConfig {
     /// Simulated network parameters for shipping the snapshot image to the
     /// adopting host (chunking, loss, duplication, reordering, bandwidth).
     pub ship: ShipConfig,
-    /// Fixed rebuild cost on the adopting host (process start + replay),
-    /// added to the shipment's transfer time to give the degraded window
-    /// its length on the virtual clock.
-    pub rebuild_delay: SimDuration,
-    /// Backoff schedule for parked escalations: every gateway re-injection
-    /// waits `backoff_base × 2^(attempt-1)` plus seeded jitter instead of
-    /// retrying immediately.
-    pub retry: RetryPolicy,
 }
 
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            ship: ShipConfig::default(),
-            rebuild_delay: SimDuration::from_millis(100),
-            retry: RetryPolicy::new(
-                6,
-                SimDuration::from_millis(50),
-                SimDuration::from_millis(25),
-            ),
-        }
-    }
-}
+/// The gateway's backoff schedule for parked escalations: delivery attempt
+/// `a` waits `50 ms × 2^(a-1)` plus up to 25 ms of seeded jitter, and an
+/// escalation no sibling can take by the sixth attempt is dropped.
+const GATEWAY_RETRY: RetryPolicy = RetryPolicy::new(
+    6,
+    SimDuration::from_millis(50),
+    SimDuration::from_millis(25),
+);
+
+/// Fixed rebuild cost on a failover's adopting host (process start +
+/// replay), added to the shipment's transfer time to give the degraded
+/// window its length on the virtual clock.
+const REBUILD_DELAY: SimDuration = SimDuration::from_millis(100);
+
+/// The lookahead L: the least virtual time between a shard's action and
+/// its earliest effect on another shard. Shards interact only through the
+/// gateway, and the gateway's earliest effect is a parked escalation's
+/// first delivery, `GATEWAY_RETRY.backoff_after(1)` after it escalated.
+const LOOKAHEAD: SimDuration = GATEWAY_RETRY.backoff_base();
+
+// A failover adoption is a gateway effect too: it must not land inside the
+// window in which its shard crashed.
+const _: () = assert!(LOOKAHEAD.as_micros() <= REBUILD_DELAY.as_micros());
+
+/// The least fleet a window's sample epochs must scan between them for the
+/// window to fan out over the worker pool. An epoch scans and tests every
+/// device its shard owns, at about a microsecond each, while handing a
+/// lane to a worker and back costs tens of microseconds on a two-core
+/// host: below this size the hand-off costs more than it saves.
+const FAN_OUT_DEVICES: usize = 512;
 
 /// Durability tunables for a WAL-enabled cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,9 +188,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the worker-thread count for parallel shard stepping, builder
-    /// style. `0` means auto (one per host core); `1` is the sequential
-    /// oracle every threaded run is byte-compared against.
+    /// Sets the worker-thread count for shard stepping, builder style. `0`
+    /// means auto (one per host core); `1` runs every window inline.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -233,11 +243,7 @@ pub struct WalReport {
 
 /// Cross-host failover runtime state (present only when configured).
 struct Failover {
-    config: FailoverConfig,
-    /// Gateway-owned RNG (image shipping, backoff jitter), forked from the
-    /// cluster seed *after* every shard seed — adding it never perturbs
-    /// the shard streams.
-    rng: SimRng,
+    ship: ShipConfig,
     /// One fence per shard slot: the incarnation epoch the gateway believes
     /// current, plus the count of stale-epoch messages it refused.
     fences: Vec<EpochFence>,
@@ -245,17 +251,38 @@ struct Failover {
     /// every failover adopts on a fresh host id).
     hosts: Vec<u32>,
     next_host: u32,
-    /// Escalations parked at the gateway awaiting backoff delivery.
-    waiting: Vec<Parked>,
-    next_seq: u64,
     /// In-flight rebuilds: the replacement engine is ready but not adopted
     /// until the degraded window (`ready_at`) elapses on the virtual clock.
     rebuilds: Vec<Option<PendingRebuild>>,
     events: Vec<FailoverEvent>,
 }
 
-/// One escalation parked at the gateway (satellite of the backoff fix: the
-/// gateway never re-injects immediately when failover is on).
+/// Engines out of the manager for a window, with their shard slots.
+type Batch = Vec<(usize, Aorta)>;
+
+/// One thread of the window runner's pool: given a window's queue of
+/// engines and its end, it runs engines off the queue until it is empty
+/// and hands back the ones it ran.
+struct Worker {
+    jobs: mpsc::Sender<(Arc<Mutex<Batch>>, SimTime)>,
+    done: mpsc::Receiver<Batch>,
+}
+
+/// Pops engines off `queue` and runs each to `end` until the queue is
+/// empty; returns the engines it ran.
+fn run_lane(queue: &Mutex<Batch>, end: SimTime) -> Batch {
+    let mut ran = Vec::new();
+    loop {
+        // The guard drops here: the lock is never held while a shard runs.
+        let job = queue.lock().expect("window queue").pop();
+        let Some(mut job) = job else { return ran };
+        job.1.run_until(end);
+        ran.push(job);
+    }
+}
+
+/// One escalation parked at the gateway: every escalation waits out a
+/// backoff before its delivery to a sibling.
 struct Parked {
     request: ActionRequest,
     /// Shard slot that escalated the request.
@@ -323,6 +350,19 @@ pub struct ShardManager {
     gateway_dropped: u64,
     gateway_expired: u64,
     migrations: u64,
+    /// Gateway-owned RNG (backoff jitter, image shipping), forked from the
+    /// cluster seed *after* every shard seed, so it never perturbs the
+    /// shard streams.
+    rng: SimRng,
+    /// Escalations parked at the gateway awaiting backoff delivery.
+    waiting: Vec<Parked>,
+    next_seq: u64,
+    /// Worker threads for a fanned-out window: `threads`, resolved on the
+    /// first window that could fan out.
+    lanes: Option<usize>,
+    /// Windows that ran on the worker pool.
+    #[cfg(test)]
+    fanned_out: u64,
     /// Gateway-level metrics (`None` unless the engine template enables
     /// observability; each shard then carries its own registry too).
     obs: Option<SharedMetrics>,
@@ -337,16 +377,12 @@ pub struct ShardManager {
 }
 
 // Compile-time thread-safety audit (see the matching assertion on `Aorta`
-// in aorta-core): the parallel runner fans per-shard state out across
-// `std::thread::scope` workers, so the engines must be shareable (`Sync`)
-// and their clones movable (`Send`); the manager itself — gateway, WAL
-// managers, failover state — must stay `Send` so whole clusters can be
-// driven from worker threads (the E13 benchmark does).
+// in aorta-core): the window runner moves engines to its pool workers by
+// value, and the manager itself — gateway, WAL managers, failover state —
+// must stay `Send` so whole clusters can be driven from worker threads
+// (the E13 benchmark does).
 const _: () = {
     const fn assert_send<T: Send>() {}
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Aorta>();
-    assert_send::<Box<Aorta>>();
     assert_send::<ShardManager>();
 };
 
@@ -415,7 +451,9 @@ impl ShardManager {
                     None => Box::new(MemStore::new()),
                 };
                 let fingerprint = genesis_fingerprint(engine_config.seed, s as u64);
-                let handle = WalHandle::record(store, Some(dur.obs.clone()), format!("s{s}"));
+                // Stream counters are published when the registry is read
+                // (see `wal_metrics_snapshot`), not on every append.
+                let handle = WalHandle::record(store, None, format!("s{s}"));
                 handle.append(WalRecord::Genesis { fingerprint });
                 engine.attach_wal(handle.clone());
                 dur.managers
@@ -430,21 +468,16 @@ impl ShardManager {
             shards.push(engine);
         }
 
-        // Forked after every shard seed, so enabling failover leaves the
-        // shard RNG streams (and thus every existing artifact) untouched.
         let failover = config.failover.clone().map(|fc| {
             assert!(
                 durability.is_some(),
                 "failover requires a WAL: the snapshot image is cut from the shard's log"
             );
             Failover {
-                config: fc,
-                rng: seeder.fork(u64::MAX),
+                ship: fc.ship,
                 fences: (0..k).map(|_| EpochFence::new(1)).collect(),
                 hosts: (0..k as u32).collect(),
                 next_host: k as u32,
-                waiting: Vec::new(),
-                next_seq: 0,
                 rebuilds: (0..k).map(|_| None).collect(),
                 events: Vec::new(),
             }
@@ -460,6 +493,12 @@ impl ShardManager {
             gateway_dropped: 0,
             gateway_expired: 0,
             migrations: 0,
+            rng: seeder.fork(u64::MAX),
+            waiting: Vec::new(),
+            next_seq: 0,
+            lanes: None,
+            #[cfg(test)]
+            fanned_out: 0,
             obs,
             durability,
             failover,
@@ -537,248 +576,209 @@ impl ShardManager {
             .position(|s| s.registry().get(device).is_some())
     }
 
-    /// Advances the shared virtual clock to `deadline`.
+    /// Advances the shared virtual clock to `deadline`, one lookahead
+    /// window at a time.
     ///
-    /// Shards are interleaved in `(next_event_time, shard_id)` order: the
-    /// shard with the earliest pending work runs first, ties break on the
-    /// lower shard ID. After each step the gateway services that shard's
-    /// escalations and checks the rebalance condition, so cross-shard
-    /// failover happens at the same virtual instant the exhaustion did.
-    ///
-    /// When the configuration permits (`parallel_eligible`: several
-    /// shards, several workers, no WAL, no failover, rebalancer off) and
-    /// more than one worker thread is available, shards step **concurrently
-    /// between cross-shard synchronization points** instead: the window up
-    /// to the earliest cross-shard interaction (an escalation or a process
-    /// crash — the only gateway-visible events in an eligible
-    /// configuration) runs on clones in parallel, and the interaction
-    /// itself is replayed through this sequential loop. The merged outcome
-    /// is bit-for-bit identical to the sequential interleaving; only wall
-    /// time changes. `ClusterConfig::with_threads(1)` keeps the sequential
-    /// path as the oracle.
+    /// No shard can affect another inside a window: every cross-shard
+    /// effect passes the gateway, and the gateway's earliest (a parked
+    /// escalation's first delivery) comes at least the lookahead L = 50 ms
+    /// (its first backoff) after its cause. A window closes on the grid of
+    /// L multiples — the first one at or after the earliest pending shard
+    /// work, so stretches with no work are skipped whole — or sooner at the
+    /// next gateway timer or the deadline. Every live shard runs to the
+    /// window's end on its own, inline or on the worker pool; then the
+    /// gateway takes the window's escalations and process crashes in
+    /// `(instant, shard)` order, services its timers, and samples the
+    /// rebalancer and the snapshot cadence. The windows are a function of
+    /// virtual time alone: thread count, the inline-or-pool choice and
+    /// `run_for` call boundaries on multiples of L change no byte.
     pub fn run_until(&mut self, deadline: SimTime) {
-        if self.parallel_eligible() {
-            self.run_windows_parallel(deadline);
-        } else {
-            self.run_steps(deadline);
-        }
-        // Tail: every surviving shard coasts to the deadline (faults past
-        // its last event may still be due), with the same crash/escalation
-        // follow-ups a mid-run step gets — a crash or escalation landing
-        // exactly at the deadline is recovered/routed, never stranded.
-        for s in 0..self.shards.len() {
-            self.shards[s].run_until(deadline);
-            self.recover_if_crashed(s);
-            self.route_escalated(s);
-        }
-        self.maybe_snapshots();
-        self.now = deadline;
-        self.gateway_tick();
-    }
-
-    /// Whether [`Self::run_until`] may execute windows on the thread pool.
-    ///
-    /// Parallel stepping requires every between-step gateway sweep to be a
-    /// provable no-op unless a shard escalates or crashes (which trips the
-    /// window back to the sequential oracle). That holds exactly when:
-    ///
-    /// - there is more than one shard and more than one worker thread;
-    /// - durability is off — a WAL records the stepping slice boundaries
-    ///   (`RunUntil` frames) and snapshot cadence, which are artifacts of
-    ///   the sequential interleaving itself;
-    /// - failover is off — gateway timers (parked deliveries, rebuild
-    ///   adoptions) can fire between any two steps (failover already
-    ///   requires a WAL; checked separately for clarity);
-    /// - rebalancing is off — the imbalance check samples every shard's
-    ///   backlog after every step.
-    ///
-    /// Ineligible configurations take the sequential path at any thread
-    /// count, so thread count never changes their bytes either.
-    fn parallel_eligible(&self) -> bool {
-        self.shards.len() > 1
-            && self.config.effective_threads() > 1
-            && self.config.wal.is_none()
-            && self.config.failover.is_none()
-            && self.config.imbalance_threshold == u64::MAX
-    }
-
-    /// Parallel window driver: repeatedly clone the live shards, run the
-    /// clones concurrently toward `deadline` under a shared tripwire, and
-    /// either commit the clones (no shard escalated or crashed — the whole
-    /// window was interaction-free, so the sequential interleaving would
-    /// have produced exactly these per-shard states) or discard them and
-    /// replay the prefix up to the earliest interaction through the
-    /// sequential oracle, then try again from there.
-    ///
-    /// The tripwire carries the earliest violation instant in microseconds
-    /// (`u64::MAX` = none): each clone stops before processing any work at
-    /// or past it, and lowers it when it escalates or crashes. Because a
-    /// clone keeps running while its pending work lies strictly below the
-    /// wire, the final value is exactly the first instant the sequential
-    /// interleaving would have seen a cross-shard interaction — replaying
-    /// `(-∞, wire]` sequentially therefore reproduces the oracle's order,
-    /// including `(event_time, shard_id)`-ordered same-instant batches and
-    /// the gateway's routing at the interaction itself.
-    fn run_windows_parallel(&mut self, deadline: SimTime) {
-        // After this many consecutive tripped windows, finish the call
-        // sequentially: interaction-dense phases (crash storms) would
-        // otherwise pay a full clone fan-out per interaction.
-        const MAX_TRIPPED_WINDOWS: u32 = 3;
-        let mut tripped_windows = 0;
-        loop {
-            let live: Vec<usize> = (0..self.shards.len())
-                .filter(|&s| {
-                    !self.shards[s].is_crashed()
-                        && self.shards[s]
-                            .next_event_time()
-                            .is_some_and(|t| t <= deadline)
-                })
-                .collect();
-            if live.is_empty() {
-                return; // nothing left below the deadline; the tail coasts
-            }
-            if tripped_windows >= MAX_TRIPPED_WINDOWS {
-                self.run_steps(deadline);
-                return;
-            }
-            let lanes = self.config.effective_threads().min(live.len());
-            let mut lane_shards: Vec<Vec<usize>> = vec![Vec::new(); lanes];
-            for (i, &s) in live.iter().enumerate() {
-                lane_shards[i % lanes].push(s);
-            }
-            let tripwire = AtomicU64::new(u64::MAX);
-            let shards = &self.shards;
-            let clones: Vec<(usize, Box<Aorta>)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = lane_shards
-                    .into_iter()
-                    .map(|lane| {
-                        let tw = &tripwire;
-                        scope.spawn(move || {
-                            lane.into_iter()
-                                .map(|s| {
-                                    debug_assert_eq!(
-                                        shards[s].escalated_backlog(),
-                                        0,
-                                        "window started with an undrained escalation buffer"
-                                    );
-                                    let mut clone = shards[s].fork_snapshot();
-                                    clone.run_until_bounded(deadline, tw);
-                                    (s, clone)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("shard worker panicked"))
-                    .collect()
-            });
-            let wire = tripwire.load(Ordering::Acquire);
-            if wire == u64::MAX {
-                // Interaction-free to the deadline: the clones *are* the
-                // sequential outcome. Swap them in and let the tail finish.
-                for (s, clone) in clones {
-                    self.shards[s] = *clone;
+        std::thread::scope(|scope| {
+            let mut pool = Vec::new();
+            while self.now < deadline {
+                let end = self.window_end(deadline);
+                let worked = self.run_window(end, scope, &mut pool);
+                self.now = end;
+                if worked || self.next_gateway_time().is_some_and(|g| g <= end) {
+                    self.barrier();
                 }
-                return;
             }
-            // Tripped: discard the clones and replay sequentially through
-            // the interaction instant, then open the next window there.
-            drop(clones);
-            tripped_windows += 1;
-            self.run_steps(SimTime::from_micros(wire));
-        }
+        });
     }
 
-    /// The sequential oracle loop: steps shards in `(next_event_time,
-    /// shard_id)` order while their next pending work is at or before
-    /// `cutoff`, interleaving gateway timers due by then. The pure
-    /// sequential path passes the run's deadline; the parallel driver
-    /// passes the tripped instant to replay an interaction prefix.
-    fn run_steps(&mut self, cutoff: SimTime) {
-        loop {
-            let next = (0..self.shards.len())
-                .filter(|&s| !self.shards[s].is_crashed())
-                .filter_map(|s| Some((self.shards[s].next_event_time()?, s)))
-                .filter(|&(t, _)| t <= cutoff)
-                .min();
-            // Gateway timers (rebuild adoptions, parked deliveries) share
-            // the same clock; a shard step wins ties so escalations drain
-            // before the gateway acts at the same instant.
-            let gateway = self.next_gateway_time().filter(|&g| g <= cutoff);
-            match (next, gateway) {
-                (Some((t, s)), g) if g.is_none_or(|g| t <= g) => {
-                    self.now = t;
-                    self.shards[s].run_until(t);
+    /// The end of the window opening at `self.now`.
+    fn window_end(&self, deadline: SimTime) -> SimTime {
+        let step = LOOKAHEAD.as_micros();
+        let grid = self
+            .shards
+            .iter()
+            .filter(|e| !e.is_crashed())
+            .filter_map(Aorta::next_event_time)
+            .min()
+            .map(|t| {
+                // A just-adopted rebuild may still hold work from before
+                // `now`; it runs in the next window like any other.
+                let t = t.max(self.now + SimDuration::from_micros(1));
+                SimTime::from_micros(t.as_micros().div_ceil(step) * step)
+            });
+        [Some(deadline), grid, self.next_gateway_time()]
+            .into_iter()
+            .flatten()
+            .min()
+            .expect("the deadline is always a candidate")
+    }
+
+    /// Runs every live shard to `end` and returns whether any had work due
+    /// by then. A window fans out over the worker pool only when at least
+    /// two shards have a sample epoch due in it and those shards own
+    /// [`FAN_OUT_DEVICES`] between them; every other window runs inline.
+    /// The pool's workers are spawned on the first fan-out of a
+    /// `run_until` call; engines leave the manager by value for the window
+    /// and every lane pulls the next one off a shared queue.
+    fn run_window<'scope>(
+        &mut self,
+        end: SimTime,
+        scope: &'scope std::thread::Scope<'scope, '_>,
+        pool: &mut Vec<Worker>,
+    ) -> bool {
+        let period = SAMPLE_PERIOD.as_micros();
+        let (mut busy, mut epochs, mut devices) = (0, 0, 0);
+        for engine in self.shards.iter().filter(|e| !e.is_crashed()) {
+            let Some(t) = engine.next_event_time().filter(|&t| t <= end) else {
+                continue;
+            };
+            busy += 1;
+            if t.as_micros().div_ceil(period) <= end.as_micros() / period {
+                epochs += 1;
+                devices += engine.registry().len();
+            }
+        }
+        let lanes = if epochs < 2 || devices < FAN_OUT_DEVICES {
+            1
+        } else {
+            let threads = *self
+                .lanes
+                .get_or_insert_with(|| self.config.effective_threads());
+            threads.min(epochs)
+        };
+        if lanes < 2 {
+            for engine in self.shards.iter_mut().filter(|e| !e.is_crashed()) {
+                engine.run_until(end);
+            }
+            return busy > 0;
+        }
+        #[cfg(test)]
+        {
+            self.fanned_out += 1;
+        }
+        while pool.len() < lanes - 1 {
+            let (jobs, inbox) = mpsc::channel::<(Arc<Mutex<Batch>>, SimTime)>();
+            let (outbox, done) = mpsc::channel();
+            scope.spawn(move || {
+                for (queue, end) in inbox {
+                    if outbox.send(run_lane(&queue, end)).is_err() {
+                        break;
+                    }
+                }
+            });
+            pool.push(Worker { jobs, done });
+        }
+        let (mut engines, live): (Batch, Batch) = std::mem::take(&mut self.shards)
+            .into_iter()
+            .enumerate()
+            .partition(|(_, e)| e.is_crashed());
+        // Popped from the back: lowest shard first.
+        let queue = Arc::new(Mutex::new(live.into_iter().rev().collect()));
+        for worker in &pool[..lanes - 1] {
+            worker
+                .jobs
+                .send((Arc::clone(&queue), end))
+                .expect("shard worker alive");
+        }
+        engines.extend(run_lane(&queue, end));
+        for worker in &pool[..lanes - 1] {
+            engines.extend(worker.done.recv().expect("shard worker panicked"));
+        }
+        engines.sort_by_key(|&(s, _)| s);
+        self.shards = engines.into_iter().map(|(_, e)| e).collect();
+        true
+    }
+
+    /// The gateway's turn at the barrier closing a window (`self.now`).
+    ///
+    /// It takes the window's escalations and process crashes in
+    /// `(instant, shard)` order, with the clock set to each one's instant:
+    /// an escalation parks, a crash is failed over (or recovered in place).
+    /// In-place recovery without failover goes first: it draws no gateway
+    /// randomness and writes no gateway line, and the recovered engine
+    /// holds the window's escalations again with their own instants. A
+    /// corpse awaiting a cross-host rebuild is never drained — the
+    /// rebuild's replay re-derives its escalations. Then the gateway
+    /// services the timers due at the barrier, samples the rebalance
+    /// condition, and takes any cadence snapshots.
+    fn barrier(&mut self) {
+        let end = self.now;
+        if self.failover.is_none() {
+            for s in 0..self.shards.len() {
+                self.recover_if_crashed(s);
+            }
+        }
+        let mut arrivals = Vec::new();
+        for s in 0..self.shards.len() {
+            if self.failover.is_some() && self.shards[s].is_crashed() && !self.is_rebuilding(s) {
+                arrivals.push((self.shards[s].now(), s, None));
+            }
+            arrivals.extend(self.drain(s).into_iter().map(|(t, r)| (t, s, Some(r))));
+        }
+        arrivals.sort_by_key(|&(t, s, _)| (t, s));
+        for (t, s, arrival) in arrivals {
+            self.now = t;
+            match arrival {
+                Some(request) => self.admit(s, request),
+                None => {
                     self.recover_if_crashed(s);
                     self.route_escalated(s);
-                    self.gateway_tick();
-                    self.maybe_rebalance();
-                    self.maybe_snapshots();
                 }
-                (_, Some(g)) => {
-                    self.now = g;
-                    self.gateway_tick();
-                }
-                (_, None) => break,
             }
         }
+        self.now = end;
+        self.gateway_tick();
+        self.maybe_rebalance();
+        self.maybe_snapshots();
     }
 
-    /// The earliest pending gateway timer: a rebuild's adoption instant or
-    /// a parked escalation's delivery instant. `None` without failover.
+    /// The earliest pending gateway timer: a parked escalation's delivery
+    /// instant or a rebuild's adoption instant.
     fn next_gateway_time(&self) -> Option<SimTime> {
-        let fo = self.failover.as_ref()?;
-        let rebuild = fo
-            .rebuilds
+        let rebuilds = self
+            .failover
             .iter()
-            .filter_map(|r| r.as_ref().map(|r| r.ready_at))
-            .min();
-        let parked = fo.waiting.iter().map(|p| p.next_at).min();
-        match (rebuild, parked) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+            .flat_map(|fo| fo.rebuilds.iter().flatten().map(|r| r.ready_at));
+        self.waiting.iter().map(|p| p.next_at).chain(rebuilds).min()
     }
 
     /// Services every gateway timer due at the current instant: rebuild
     /// adoptions first (an adopted shard can then receive deliveries at the
     /// same instant), then parked escalations in `(next_at, seq)` order.
-    /// No-op without failover.
     fn gateway_tick(&mut self) {
-        if self.failover.is_none() {
-            return;
-        }
-        loop {
-            let due = {
-                let fo = self.failover.as_ref().expect("checked above");
-                (0..self.shards.len()).find(|&s| {
-                    fo.rebuilds[s]
-                        .as_ref()
-                        .is_some_and(|r| r.ready_at <= self.now)
-                })
-            };
-            let Some(s) = due else { break };
+        while let Some(s) = (0..self.shards.len()).find(|&s| {
+            self.failover.as_ref().is_some_and(|fo| {
+                fo.rebuilds[s]
+                    .as_ref()
+                    .is_some_and(|r| r.ready_at <= self.now)
+            })
+        }) {
             self.adopt_rebuild(s);
         }
-        loop {
-            let idx = {
-                let fo = self.failover.as_ref().expect("checked above");
-                fo.waiting
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, p)| p.next_at <= self.now)
-                    .min_by_key(|(_, p)| (p.next_at, p.seq))
-                    .map(|(i, _)| i)
-            };
-            let Some(i) = idx else { break };
-            let parked = self
-                .failover
-                .as_mut()
-                .expect("checked above")
-                .waiting
-                .remove(i);
+        while let Some(i) = self
+            .waiting
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.next_at <= self.now)
+            .min_by_key(|(_, p)| (p.next_at, p.seq))
+            .map(|(i, _)| i)
+        {
+            let parked = self.waiting.remove(i);
             self.deliver_parked(parked);
         }
     }
@@ -847,7 +847,7 @@ impl ShardManager {
     /// Cross-host failover, phase 1: cut a [`SnapshotImage`] from the dead
     /// shard's sealed log, ship it over the simulated network to a fresh
     /// host, and rebuild the engine there by replay. The rebuilt engine is
-    /// parked until the degraded window (`rebuild_delay` + transfer time)
+    /// parked until the degraded window ([`REBUILD_DELAY`] + transfer time)
     /// elapses; [`Self::adopt_rebuild`] then swaps it in under a bumped
     /// epoch. Returns `false` when the log cannot be cut into a shippable
     /// image (it crossed a device adoption, whose `MigrateIn` is
@@ -864,6 +864,7 @@ impl ShardManager {
             failover,
             trace,
             obs,
+            rng,
             ..
         } = self;
         let (Some(dur), Some(fo)) = (durability.as_mut(), failover.as_mut()) else {
@@ -901,7 +902,7 @@ impl ShardManager {
             suffix,
         };
         let bytes = image.encode();
-        let shipment = ship_bytes(&bytes, &fo.config.ship, &mut fo.rng)
+        let shipment = ship_bytes(&bytes, &fo.ship, rng)
             .unwrap_or_else(|e| panic!("shard {s}: snapshot image transfer failed: {e}"));
         // Decode what actually arrived — the receiver's integrity gate. A
         // torn or corrupt image is refused loudly, never replayed.
@@ -922,7 +923,7 @@ impl ShardManager {
         engine.attach_wal(manager.handle());
         let new_host = fo.next_host;
         fo.next_host += 1;
-        let ready_at = now + fo.config.rebuild_delay + shipment.elapsed;
+        let ready_at = now + REBUILD_DELAY + shipment.elapsed;
         fo.rebuilds[s] = Some(PendingRebuild {
             engine,
             ready_at,
@@ -1010,16 +1011,12 @@ impl ShardManager {
     fn park(&mut self, from: usize, request: ActionRequest, attempt: u32) {
         let now = self.now;
         let query_id = request.query_id;
-        let fo = self.failover.as_mut().expect("gated by caller");
-        let retry = fo.config.retry;
-        let jitter = SimDuration::from_micros(fo.rng.range(0..=retry.jitter().as_micros()));
-        // Always strictly in the future, so a zero-backoff policy cannot
-        // spin the gateway at one instant.
-        let next_at =
-            (now + retry.backoff_after(attempt) + jitter).max(now + SimDuration::from_micros(1));
-        let seq = fo.next_seq;
-        fo.next_seq += 1;
-        fo.waiting.push(Parked {
+        let jitter =
+            SimDuration::from_micros(self.rng.range(0..=GATEWAY_RETRY.jitter().as_micros()));
+        let next_at = now + GATEWAY_RETRY.backoff_after(attempt) + jitter;
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.waiting.push(Parked {
             request,
             from,
             attempt,
@@ -1045,23 +1042,7 @@ impl ShardManager {
             attempt,
             ..
         } = parked;
-        if request.deadline != SimTime::MAX && self.now >= request.deadline {
-            self.gateway_expired += 1;
-            if let Some(m) = &self.obs {
-                m.incr("aorta_gateway_expired", &[], 1);
-            }
-            self.trace.emit(
-                self.now,
-                "gateway",
-                format!(
-                    "query {}: deadline passed while parked, escalation dropped",
-                    request.query_id
-                ),
-            );
-            return;
-        }
-        if request.hops as usize + 1 >= self.shards.len() {
-            self.drop_request(&request, "visited every shard");
+        if self.expire_if_late(&request, "while parked") {
             return;
         }
         // Select among siblings that are alive, reachable (no active
@@ -1103,20 +1084,10 @@ impl ShardManager {
                 );
                 self.shards[t].inject_request(request);
             }
-            None => {
-                let budget = self
-                    .failover
-                    .as_ref()
-                    .expect("gated by caller")
-                    .config
-                    .retry
-                    .max_attempts();
-                if attempt < budget {
-                    self.park(from, request, attempt + 1);
-                } else {
-                    self.drop_request(&request, "no eligible sibling within the retry budget");
-                }
+            None if attempt < GATEWAY_RETRY.max_attempts() => {
+                self.park(from, request, attempt + 1);
             }
+            None => self.drop_request(&request, "no eligible sibling within the retry budget"),
         }
     }
 
@@ -1180,24 +1151,19 @@ impl ShardManager {
         self.run_until(self.now + duration);
     }
 
-    /// Drains shard `s`'s escalation buffer and re-routes each request to
-    /// the sibling offering the cheapest eligible device (ties break on the
-    /// lower shard ID). A request that has already visited every shard, or
-    /// for which no sibling has an eligible device, is terminally dropped —
-    /// and counted, never lost.
-    fn route_escalated(&mut self, s: usize) {
-        // A corpse awaiting cross-host rebuild is never drained: its
-        // buffered escalations are re-derived by the replay, so draining
-        // both would double-count the same work. The backlog stays visible
-        // as in-flight (`gateway_parked`) until adoption.
-        if self.failover.is_some() && self.shards[s].is_crashed() {
-            return;
-        }
+    /// Takes shard `s`'s escalations, each with the instant it escalated
+    /// at. A corpse awaiting a cross-host rebuild is never drained: its
+    /// buffered escalations are re-derived by the replay, so draining both
+    /// would double-count the same work. The backlog stays visible as
+    /// in-flight (`gateway_parked`) until adoption.
+    fn drain(&mut self, s: usize) -> Vec<(SimTime, ActionRequest)> {
         // An empty hand-off is not a command: the drain (and its WAL
         // record) happens only when the buffer holds something, so quiet
         // `RunUntil` frames stay adjacent in the log and coalesce.
-        if self.shards[s].escalated_backlog() == 0 {
-            return;
+        if self.shards[s].escalated_backlog() == 0
+            || (self.failover.is_some() && self.shards[s].is_crashed())
+        {
+            return Vec::new();
         }
         let escalated = self.shards[s].drain_escalated();
         if let Some(m) = &self.obs {
@@ -1208,74 +1174,53 @@ impl ShardManager {
                 escalated.len() as u64,
             );
         }
-        for mut request in escalated {
-            // The deadline rides with the request: an escalation carries its
-            // *remaining* budget, never a fresh one — so a request cannot
-            // ping-pong between shards past the instant its result became
-            // worthless. Expired escalations are counted, not retried.
-            if request.deadline != SimTime::MAX && self.now >= request.deadline {
-                self.gateway_expired += 1;
-                if let Some(m) = &self.obs {
-                    m.incr("aorta_gateway_expired", &[], 1);
-                }
-                self.trace.emit(
-                    self.now,
-                    "gateway",
-                    format!(
-                        "query {}: deadline passed in flight, escalation dropped",
-                        request.query_id
-                    ),
-                );
-                continue;
-            }
-            if request.hops as usize + 1 >= self.shards.len() {
-                self.drop_request(&request, "visited every shard");
-                continue;
-            }
-            // With failover on, the gateway never re-injects immediately:
-            // every escalation parks for a backed-off, jittered delivery
-            // (and degraded-mode routing happens at delivery time, when
-            // shard liveness and partition windows are re-checked).
-            if self.failover.is_some() {
-                self.park(s, request, 1);
-                continue;
-            }
-            // Partition windows apply even without failover (they only
-            // exist when a plan injected them): a blocked path is not
-            // probed at all — no message can travel it. A halted shard
-            // is never quoted: an injection would sit in its queue forever.
-            let reachable: Vec<bool> = (0..self.shards.len())
-                .map(|t| t != s && !self.shards[t].is_crashed() && !self.blocked(s, t))
-                .collect();
-            match self.cheapest_sibling(&request, &reachable) {
-                Some((cost, t, device)) => {
-                    request.hops += 1;
-                    self.rerouted += 1;
-                    if let Some(m) = &self.obs {
-                        m.incr("aorta_gateway_rerouted", &[], 1);
-                        m.span(
-                            SpanKind::GatewayRoute,
-                            self.now,
-                            SimDuration::ZERO,
-                            &format!(
-                                "query={} s{s}->s{t} device={device} estimate={cost}",
-                                request.query_id
-                            ),
-                        );
-                    }
-                    self.trace.emit(
-                        self.now,
-                        "gateway",
-                        format!(
-                            "query {}: rerouted s{s} -> s{t} (cheapest {device}, estimate {cost})",
-                            request.query_id
-                        ),
-                    );
-                    self.shards[t].inject_request(request);
-                }
-                None => self.drop_request(&request, "no eligible device on any sibling"),
-            }
+        escalated
+    }
+
+    /// Drains shard `s` and admits each escalation at the current instant.
+    fn route_escalated(&mut self, s: usize) {
+        for (_, request) in self.drain(s) {
+            self.admit(s, request);
         }
+    }
+
+    /// Admits one escalation from shard `from` at the current instant and
+    /// parks it for its first backed-off delivery — the gateway's one path
+    /// to a sibling. The deadline rides with the request: an escalation
+    /// carries its *remaining* budget, never a fresh one, so a request
+    /// cannot ping-pong between shards past the instant its result became
+    /// worthless. An expired escalation is counted, and one that has
+    /// visited every shard is dropped — neither is retried.
+    fn admit(&mut self, from: usize, request: ActionRequest) {
+        if self.expire_if_late(&request, "in flight") {
+            return;
+        }
+        if request.hops as usize + 1 >= self.shards.len() {
+            self.drop_request(&request, "visited every shard");
+            return;
+        }
+        self.park(from, request, 1);
+    }
+
+    /// Counts `request` expired at the gateway when its deadline has
+    /// passed; `phase` says where the gateway held it.
+    fn expire_if_late(&mut self, request: &ActionRequest, phase: &str) -> bool {
+        if request.deadline == SimTime::MAX || self.now < request.deadline {
+            return false;
+        }
+        self.gateway_expired += 1;
+        if let Some(m) = &self.obs {
+            m.incr("aorta_gateway_expired", &[], 1);
+        }
+        self.trace.emit(
+            self.now,
+            "gateway",
+            format!(
+                "query {}: deadline passed {phase}, escalation dropped",
+                request.query_id
+            ),
+        );
+        true
     }
 
     fn drop_request(&mut self, request: &ActionRequest, why: &str) {
@@ -1362,28 +1307,26 @@ impl ShardManager {
     /// request is terminally resolved on some shard, visibly pending, or
     /// counted dropped by the gateway.
     pub fn stats(&self) -> ClusterStats {
-        let (gateway_parked, failovers, zombie_rejects) = match &self.failover {
-            Some(fo) => (
-                // Parked escalations, plus the undrained backlog of any
-                // corpse awaiting rebuild (in-flight work the replay will
-                // re-derive) — both are "at the gateway", not lost.
-                fo.waiting.len() as u64
-                    + (0..self.shards.len())
-                        .filter(|&s| fo.rebuilds[s].is_some())
-                        .map(|s| self.shards[s].escalated_backlog())
-                        .sum::<u64>(),
+        // Parked escalations, plus the undrained backlog of any corpse
+        // awaiting rebuild (in-flight work the replay will re-derive) —
+        // both are "at the gateway", not lost.
+        let corpses: u64 = (0..self.shards.len())
+            .filter(|&s| self.is_rebuilding(s))
+            .map(|s| self.shards[s].escalated_backlog())
+            .sum();
+        let (failovers, zombie_rejects) = self.failover.as_ref().map_or((0, 0), |fo| {
+            (
                 fo.events.len() as u64,
                 fo.fences.iter().map(EpochFence::rejected).sum(),
-            ),
-            None => (0, 0, 0),
-        };
+            )
+        });
         ClusterStats {
             per_shard: self.shards.iter().map(Aorta::stats).collect(),
             pending: self.pending_requests(),
             rerouted: self.rerouted,
             gateway_dropped: self.gateway_dropped,
             gateway_expired: self.gateway_expired,
-            gateway_parked,
+            gateway_parked: self.waiting.len() as u64 + corpses,
             migrations: self.migrations,
             failovers,
             zombie_rejects,
@@ -1472,9 +1415,7 @@ impl ShardManager {
 
     /// Escalations currently parked in the gateway's backoff queue.
     pub fn parked_requests(&self) -> u64 {
-        self.failover
-            .as_ref()
-            .map_or(0, |fo| fo.waiting.len() as u64)
+        self.waiting.len() as u64
     }
 
     /// Delivers an escalation message claiming to come from incarnation
@@ -1482,8 +1423,8 @@ impl ShardManager {
     /// message stamped with a fenced-off (stale) epoch is refused and
     /// counted in [`Self::zombie_rejects`], never applied: this is how a
     /// partition-isolated old incarnation's late messages die. A message
-    /// stamped with the current epoch is admitted into the normal parked
-    /// delivery path and `true` is returned — the caller then vouches that
+    /// stamped with the current epoch is admitted into the gateway's one
+    /// parked delivery path and `true` is returned — the caller then vouches that
     /// some shard's `escalated_out` covers the request, or the conservation
     /// ledger will (correctly) flag the orphan.
     ///
@@ -1514,14 +1455,23 @@ impl ShardManager {
             );
             return false;
         }
-        self.park(from, request, 1);
+        self.admit(from, request);
         true
     }
 
     /// The WAL's own metrics registry (append/recovery series), kept apart
     /// from the deterministic cluster snapshot. `None` without a WAL.
     pub fn wal_metrics_snapshot(&self) -> Option<MetricsRegistry> {
-        self.durability.as_ref().map(|d| d.obs.snapshot())
+        let dur = self.durability.as_ref()?;
+        let mut snap = dur.obs.snapshot();
+        for (s, manager) in dur.managers.iter().enumerate() {
+            let stats = manager.stats();
+            let shard = format!("s{s}");
+            let labels = [("shard", shard.as_str())];
+            snap.counter_set("aorta_wal_appends", &labels, stats.appends);
+            snap.counter_set("aorta_wal_bytes", &labels, stats.bytes);
+        }
+        Some(snap)
     }
 
     /// Requests the gateway re-routed to a sibling shard.
@@ -1685,7 +1635,8 @@ mod tests {
     fn dead_stripe_fails_over_to_sibling_shard() {
         // Two stripe shards; kill shard 0's entire camera block before any
         // event fires. Shard 0 still detects events on its motes, exhausts
-        // its (all-dead) candidates, and the gateway must re-route to s1.
+        // its (all-dead) candidates, and the gateway parks each escalation
+        // and then delivers it to s1.
         let mut cluster = ShardManager::new(
             ClusterConfig::seeded(11, 2).with_imbalance_threshold(u64::MAX),
             lab(),
@@ -1708,7 +1659,10 @@ mod tests {
             cluster.rerouted() > 0,
             "no cross-shard failover happened: {stats:?}"
         );
-        assert!(cluster.gateway_trace().any("gateway", "rerouted s0 -> s1"));
+        assert!(cluster
+            .gateway_trace()
+            .any("gateway", "escalation from s0 parked (attempt 1)"));
+        assert!(cluster.gateway_trace().any("gateway", "delivered s0 -> s1"));
         assert!(
             stats.per_shard[1].escalated_in > 0,
             "sibling adopted nothing: {stats:?}"
@@ -1719,8 +1673,10 @@ mod tests {
     fn gateway_never_routes_into_a_halted_shard() {
         // No WAL, so a process-crashed shard stays dead. Shard 1's cameras
         // all crash at once, then shard 0's process dies: every escalation
-        // shard 1 raises has no live sibling and must be counted dropped,
-        // not injected into the halted engine to sit there forever.
+        // shard 1 raises has no live sibling and must be counted dropped
+        // once its retry budget runs out, not injected into the halted
+        // engine to sit there forever. The run ends well after the last
+        // event's escalations have used up their budget.
         let mut cluster = ShardManager::new(
             ClusterConfig::seeded(11, 2).with_imbalance_threshold(u64::MAX),
             lab(),
@@ -1737,11 +1693,12 @@ mod tests {
         assert_eq!(cluster.shard_owning(victim), Some(0));
         plan.schedule(SimTime::from_micros(2), FaultEvent::ProcessCrash(victim));
         cluster.inject_faults(plan);
-        cluster.run_for(RUN);
+        cluster.run_for(RUN + SimDuration::from_secs(10));
 
         let stats = cluster.stats();
         stats.check_conservation().unwrap();
         assert!(cluster.shard(0).is_crashed(), "no wal, no recovery");
+        assert_eq!(stats.gateway_parked, 0, "{stats:?}");
         assert_eq!(cluster.rerouted(), 0, "{stats:?}");
         assert_eq!(stats.per_shard[0].escalated_in, 0, "{stats:?}");
         assert!(stats.per_shard[1].escalated_out > 0, "{stats:?}");
@@ -1782,8 +1739,8 @@ mod tests {
         stats.check_conservation().unwrap();
     }
 
-    /// An eligible (rebalance-off, WAL-off) config for the parallel path.
-    fn parallel_config(seed: u64, shards: usize, threads: usize) -> ClusterConfig {
+    /// A rebalance-off, WAL-off config on `threads` workers.
+    fn threaded_config(seed: u64, shards: usize, threads: usize) -> ClusterConfig {
         ClusterConfig::seeded(seed, shards)
             .with_imbalance_threshold(u64::MAX)
             .with_threads(threads)
@@ -1801,35 +1758,32 @@ mod tests {
     }
 
     #[test]
-    fn parallel_windows_match_oracle_on_clean_wave() {
-        // No faults → no escalations → the whole run is one clean window
-        // committed straight from the clones.
+    fn threads_1_equals_threads_n_on_clean_wave() {
+        // No faults, so no escalations: shards never interact.
         for shards in [2, 4] {
             let run = |threads: usize| {
-                let mut cluster = ShardManager::new(parallel_config(29, shards, threads), lab());
+                let mut cluster = ShardManager::new(threaded_config(29, shards, threads), lab());
                 admit_queries(&mut cluster, true);
                 cluster.run_for(RUN);
                 (cluster.stats(), cluster.render_trace())
             };
-            let oracle = run(1);
+            let one = run(1);
             for threads in [2, 4, 8] {
                 assert_eq!(
                     run(threads),
-                    oracle,
-                    "threads={threads} shards={shards} diverged from the oracle"
+                    one,
+                    "threads={threads} shards={shards} diverged from threads=1"
                 );
             }
         }
     }
 
     #[test]
-    fn parallel_windows_match_oracle_under_escalation_fallback() {
-        // The dead-stripe scenario: shard 0's cameras all die, every one of
-        // its detections escalates — each window trips and replays through
-        // the sequential oracle, and with more trips than the hysteresis
-        // budget the run also exercises the finish-sequentially path.
+    fn threads_1_equals_threads_n_under_escalation() {
+        // The dead-stripe scenario: shard 0's cameras all die, and every one
+        // of its detections escalates, parks and is delivered to s1.
         let run = |threads: usize| {
-            let mut cluster = ShardManager::new(parallel_config(11, 2, threads), lab());
+            let mut cluster = ShardManager::new(threaded_config(11, 2, threads), lab());
             admit_queries(&mut cluster, false);
             let mut plan = FaultPlan::new();
             for c in 0..12u32 {
@@ -1842,34 +1796,137 @@ mod tests {
             cluster.run_for(RUN);
             (cluster.stats(), cluster.render_trace())
         };
-        let (oracle_stats, oracle_trace) = run(1);
-        assert!(oracle_stats.rerouted > 0, "scenario must actually escalate");
-        oracle_stats.check_conservation().unwrap();
+        let (one_stats, one_trace) = run(1);
+        assert!(one_stats.rerouted > 0, "scenario must actually escalate");
+        one_stats.check_conservation().unwrap();
         for threads in [2, 4, 8] {
             let (stats, trace) = run(threads);
-            assert_eq!(stats, oracle_stats, "threads={threads} stats diverged");
-            assert_eq!(trace, oracle_trace, "threads={threads} trace diverged");
+            assert_eq!(stats, one_stats, "threads={threads} stats diverged");
+            assert_eq!(trace, one_trace, "threads={threads} trace diverged");
         }
     }
 
     #[test]
-    fn parallel_windows_match_oracle_under_crash_storm() {
-        // Escalations land at arbitrary instants, so windows trip at
-        // arbitrary points.
+    fn threads_1_equals_threads_n_under_crash_storm() {
+        // Escalations and device crashes land at arbitrary instants inside
+        // the windows.
         for seed in [21, 0xBEEF] {
             let run = |threads: usize| {
-                let mut cluster = ShardManager::new(parallel_config(seed, 4, threads), lab());
+                let mut cluster = ShardManager::new(threaded_config(seed, 4, threads), lab());
                 admit_queries(&mut cluster, true);
                 cluster.inject_faults(crash_storm(seed));
                 cluster.run_for(RUN);
                 (cluster.stats(), cluster.render_trace())
             };
-            let oracle = run(1);
-            oracle.0.check_conservation().unwrap();
+            let one = run(1);
+            one.0.check_conservation().unwrap();
             for threads in [2, 8] {
-                assert_eq!(run(threads), oracle, "seed={seed} threads={threads}");
+                assert_eq!(run(threads), one, "seed={seed} threads={threads}");
             }
         }
+    }
+
+    /// Every control-plane feature on — WAL, failover, deadlines,
+    /// admission, breakers and the rebalancer — on `threads` workers, under
+    /// a seeded storm over the motes, a dead camera stripe on shard 0 (so
+    /// its detections escalate) and two process crashes.
+    fn full_control_plane(threads: usize) -> ShardManager {
+        let mut config = ClusterConfig::seeded(11, 2)
+            .with_imbalance_threshold(1)
+            .with_wal(64)
+            .with_failover(FailoverConfig::default())
+            .with_threads(threads);
+        config.engine = config
+            .engine
+            .clone()
+            .with_deadline(SimDuration::from_secs(20))
+            .with_admission(aorta_core::AdmissionConfig::default())
+            .with_breakers(aorta_net::BreakerConfig::default());
+        let mut cluster = ShardManager::new(config, lab());
+        admit_queries(&mut cluster, false);
+        let motes: Vec<DeviceId> = (0..16).map(DeviceId::sensor).collect();
+        let storm = aorta_sim::FaultConfig {
+            crash_rate: 0.25,
+            loss_burst_rate: 0.3,
+            extra_loss: 0.5,
+            ..aorta_sim::FaultConfig::default()
+        };
+        let mut plan = FaultPlan::generate(41, RUN, &motes, &storm);
+        for c in 0..12u32 {
+            let id = DeviceId::camera(c);
+            if cluster.shard_owning(id) == Some(0) {
+                plan.schedule(SimTime::from_micros(1), FaultEvent::Crash(id));
+            }
+        }
+        for (s, secs) in [(1, 40), (0, 100)] {
+            let victim = motes
+                .iter()
+                .copied()
+                .find(|&d| cluster.shard_owning(d) == Some(s))
+                .expect("every shard owns a mote");
+            let at = SimTime::ZERO + SimDuration::from_secs(secs);
+            plan.schedule(at, FaultEvent::ProcessCrash(victim));
+        }
+        cluster.inject_faults(plan);
+        cluster
+    }
+
+    #[test]
+    fn call_boundaries_on_the_lookahead_grid_change_no_byte() {
+        let run = |calls: u64| {
+            let mut cluster = full_control_plane(2);
+            for _ in 0..calls {
+                cluster.run_for(SimDuration::from_secs(240 / calls));
+            }
+            let logs: Vec<Vec<WalRecord>> = (0..2).map(|s| shard_log(&cluster, s)).collect();
+            (cluster.render_trace(), cluster.stats(), logs)
+        };
+        let (trace, stats, logs) = run(1);
+        stats.check_conservation().unwrap();
+        assert!(
+            stats.failovers > 0 && stats.migrations > 0 && stats.rerouted > 0,
+            "the scenario must fail over, migrate and deliver: {stats:?}"
+        );
+        let (stepped_trace, stepped_stats, stepped_logs) = run(240);
+        assert!(
+            trace == stepped_trace,
+            "the trace moved with call boundaries"
+        );
+        assert_eq!(stats, stepped_stats);
+        assert!(logs == stepped_logs, "a WAL moved with call boundaries");
+    }
+
+    #[test]
+    fn durable_failover_windows_fan_out_over_the_pool() {
+        // A fleet above `FAN_OUT_DEVICES`, so sample windows reach the
+        // pool, with a WAL and a mid-run cross-host failover.
+        let run = |threads: usize| {
+            let lab = PervasiveLab::with_sizes(24, 600, 0)
+                .with_periodic_events(SimDuration::from_secs(20), SimDuration::ZERO);
+            let config = ClusterConfig::seeded(7, 2)
+                .with_imbalance_threshold(u64::MAX)
+                .with_wal(128)
+                .with_failover(FailoverConfig::default())
+                .with_threads(threads);
+            let mut cluster = ShardManager::new(config, lab);
+            admit_queries(&mut cluster, true);
+            let victim = DeviceId::camera(0);
+            let mut plan = FaultPlan::new();
+            let at = SimTime::ZERO + SimDuration::from_secs(30);
+            plan.schedule(at, FaultEvent::ProcessCrash(victim));
+            cluster.inject_faults(plan);
+            cluster.run_for(SimDuration::from_secs(90));
+            let stats = cluster.stats();
+            stats.check_conservation().unwrap();
+            assert_eq!(stats.failovers, 1, "{stats:?}");
+            (cluster.fanned_out, cluster.render_trace(), stats)
+        };
+        let (inline, trace, stats) = run(1);
+        assert_eq!(inline, 0, "one thread never fans out");
+        let (fanned, pooled_trace, pooled_stats) = run(2);
+        assert!(fanned > 0, "no window reached the worker pool");
+        assert!(trace == pooled_trace, "the pool moved a trace byte");
+        assert_eq!(stats, pooled_stats);
     }
 
     #[test]
@@ -1908,9 +1965,9 @@ mod tests {
     fn escalation_exactly_at_the_deadline_is_routed_not_stranded() {
         // Same edge from the escalation side: stop the run exactly on a
         // detection epoch, when the dead-stripe shard escalates at the
-        // final instant. The escalation must be drained and routed (or
-        // terminally counted) before run_until returns.
-        let mut cluster = ShardManager::new(parallel_config(11, 2, 1), lab());
+        // final instant. The escalation must be drained and parked before
+        // run_until returns, then delivered or counted dropped.
+        let mut cluster = ShardManager::new(threaded_config(11, 2, 1), lab());
         admit_queries(&mut cluster, false);
         let mut plan = FaultPlan::new();
         for c in 0..12u32 {
@@ -1921,7 +1978,8 @@ mod tests {
         }
         cluster.inject_faults(plan);
         // Periodic events fire every minute; stop exactly on an epoch.
-        cluster.run_until(SimTime::ZERO + SimDuration::from_mins(1));
+        let epoch = SimTime::ZERO + SimDuration::from_mins(1);
+        cluster.run_until(epoch);
         for s in 0..cluster.shard_count() {
             assert_eq!(
                 cluster.shard(s).escalated_backlog(),
@@ -1929,11 +1987,22 @@ mod tests {
                 "shard {s} stranded an escalation at the deadline"
             );
         }
+        let stats = cluster.stats();
+        stats.check_conservation().unwrap();
+        assert!(stats.gateway_parked > 0, "nothing parked at the deadline");
+        assert!(cluster
+            .gateway_trace()
+            .iter()
+            .any(|e| e.time == epoch && e.message.contains("parked (attempt 1)")));
+        // The backoff budget is well under five seconds.
+        cluster.run_for(SimDuration::from_secs(5));
+        let stats = cluster.stats();
+        stats.check_conservation().unwrap();
+        assert_eq!(stats.gateway_parked, 0, "{stats:?}");
         assert!(
-            cluster.rerouted() + cluster.stats().gateway_dropped > 0,
-            "the deadline-instant escalation was neither routed nor counted"
+            stats.rerouted + stats.gateway_dropped > 0,
+            "the deadline-instant escalation was neither delivered nor counted"
         );
-        cluster.stats().check_conservation().unwrap();
     }
 
     #[test]
@@ -2470,9 +2539,9 @@ mod tests {
 
     #[test]
     fn partition_window_blocks_routing_without_failover() {
-        // Partitions apply even on the immediate-injection path: a window
-        // covering the whole run on the only escape path s0 -> s1 forces
-        // terminal drops instead of reroutes — counted, never lost.
+        // Partitions apply even without failover: a window covering the
+        // whole run on the only escape path s0 -> s1 forces terminal drops
+        // instead of deliveries — counted, never lost.
         let run = |partitioned: bool| {
             let mut cluster = ShardManager::new(
                 ClusterConfig::seeded(11, 2).with_imbalance_threshold(u64::MAX),

@@ -9,10 +9,12 @@
 //!
 //! Three properties carry over from the single engine, by construction:
 //!
-//! * **Determinism** — shards step in `(next_event_time, shard_id)` order
-//!   and each shard's engine seed forks from the cluster seed, so the
-//!   concatenated cluster trace is byte-identical across runs of the same
-//!   seed, crash storms included.
+//! * **Determinism** — shards run in lookahead windows cut from virtual
+//!   time alone, the gateway acts at each window's barrier in
+//!   `(instant, shard)` order, and each shard's engine seed forks from the
+//!   cluster seed, so the concatenated cluster trace is byte-identical
+//!   across runs of the same seed at any thread count, crash storms
+//!   included.
 //! * **Conservation** — [`ClusterStats::check_conservation`]: every
 //!   admitted request terminates on exactly one shard, is visibly pending,
 //!   or is a counted gateway drop; a re-routed request is counted once.

@@ -102,9 +102,10 @@ pub struct Aorta {
     pub(crate) baseline_links: BTreeMap<DeviceKind, LinkModel>,
     /// Custom handlers registered before their `CREATE ACTION` statement.
     staged_handlers: BTreeMap<String, CustomHandler>,
-    /// Requests whose local candidate set is exhausted, parked for the
-    /// cluster gateway (only fills when `escalate_exhausted` is set).
-    pub(crate) escalated: Vec<crate::ActionRequest>,
+    /// Requests whose local candidate set is exhausted, with the instant
+    /// each escalated at, parked for the cluster gateway (only fills when
+    /// `escalate_exhausted` is set).
+    pub(crate) escalated: Vec<(SimTime, crate::ActionRequest)>,
     /// Per-device circuit breakers (`None` when the config leaves them off).
     pub(crate) breakers: Option<BreakerBank>,
     /// Token bucket pacing admissions (`None` without an admission config).
@@ -142,13 +143,12 @@ pub struct Aorta {
     pub(crate) epoch: u64,
 }
 
-// Compile-time thread-safety audit: the cluster's parallel window runner
-// shares engines immutably across worker threads while cloning (`Sync`) and
-// moves the clones back across the join (`Send`). A future `Rc`/`RefCell`
+// Compile-time thread-safety audit: the cluster's window runner moves
+// engines to its worker threads by value (`Send`). A future `Rc`/`RefCell`
 // leaking into engine state fails this build, not the parallel runtime.
 const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Aorta>();
+    const fn assert_send<T: Send>() {}
+    assert_send::<Aorta>();
 };
 
 impl Aorta {

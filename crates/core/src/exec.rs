@@ -30,8 +30,8 @@ use crate::shared::{ActionRequest, Aim, CandidateBlock, EpochScans};
 use crate::{Aorta, DispatchPolicy};
 
 /// How often the engine samples the sensor tables for events: the paper's
-/// one-second sampling.
-const SAMPLE_PERIOD: SimDuration = SimDuration::from_secs(1);
+/// one-second sampling. Epochs fall on whole multiples of it.
+pub const SAMPLE_PERIOD: SimDuration = SimDuration::from_secs(1);
 
 /// A request that cannot start executing within this window of its event
 /// times out (events are transient; a late action is useless).
@@ -413,73 +413,15 @@ impl Aorta {
     /// same clock: a fault scheduled at or before the next engine event is
     /// applied first, so a crash at `t` affects an execution at `t`.
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.run_until_inner(deadline, None);
-    }
-
-    /// Advances the clock to `deadline` under a shared **tripwire**: the
-    /// cluster's parallel window runner executes shard clones concurrently
-    /// and must stop every clone at the earliest cross-shard interaction so
-    /// the window can be re-run sequentially from there.
-    ///
-    /// The engine stops (returning `false`) as soon as:
-    ///
-    /// - it escalates a request (the gateway would act at that instant) —
-    ///   it also lowers the tripwire to that instant via `fetch_min`;
-    /// - a process crash halts it — likewise lowering the tripwire;
-    /// - its next pending work lies **at or past** the current tripwire
-    ///   value (another clone interacted there; events at the violation
-    ///   instant itself are left unprocessed, because at equal instants the
-    ///   sequential order between this shard and the violating one is not
-    ///   known from inside a clone).
-    ///
-    /// An untripped run (`true`) is byte-identical to [`Aorta::run_until`].
-    /// Times on the wire are microseconds ([`SimTime::as_micros`]);
-    /// `u64::MAX` means "no violation observed yet".
-    pub fn run_until_bounded(
-        &mut self,
-        deadline: SimTime,
-        tripwire: &std::sync::atomic::AtomicU64,
-    ) -> bool {
-        self.run_until_inner(deadline, Some(tripwire))
-    }
-
-    /// Shared body of [`Aorta::run_until`] (no tripwire) and
-    /// [`Aorta::run_until_bounded`] (tripwire for parallel windows).
-    /// Returns `true` when the engine ran all the way to `deadline`.
-    fn run_until_inner(
-        &mut self,
-        deadline: SimTime,
-        tripwire: Option<&std::sync::atomic::AtomicU64>,
-    ) -> bool {
-        use std::sync::atomic::Ordering;
         // A crashed engine does nothing (and logs nothing): its in-memory
         // state died with the process, and recovery rebuilds a fresh one.
         if self.halted {
-            return false;
+            return;
         }
         self.wal_emit(|| WalRecord::RunUntil { deadline });
         loop {
-            if let Some(tw) = tripwire {
-                if !self.escalated.is_empty() {
-                    // `now` is still the instant of the escalating batch:
-                    // this check runs before the next pop.
-                    tw.fetch_min(self.now.as_micros(), Ordering::AcqRel);
-                    return false;
-                }
-            }
             let next_fault = self.faults.peek_next_time().filter(|&f| f <= deadline);
             let next_event = self.queue.peek_time().filter(|&e| e <= deadline);
-            if let Some(tw) = tripwire {
-                let next = match (next_fault, next_event) {
-                    (Some(f), Some(e)) => Some(f.min(e)),
-                    (f, e) => f.or(e),
-                };
-                if let Some(t) = next {
-                    if t.as_micros() >= tw.load(Ordering::Acquire) {
-                        return false;
-                    }
-                }
-            }
             let fault_first = match (next_fault, next_event) {
                 (Some(f), Some(e)) => f <= e,
                 (Some(_), None) => true,
@@ -491,10 +433,7 @@ impl Aorta {
                 for (time, fault) in self.faults.pop_due(t) {
                     self.apply_fault(time, fault);
                     if self.halted {
-                        if let Some(tw) = tripwire {
-                            tw.fetch_min(self.now.as_micros(), Ordering::AcqRel);
-                        }
-                        return false;
+                        return;
                     }
                 }
                 continue;
@@ -529,14 +468,10 @@ impl Aorta {
             self.now = time;
             self.apply_fault(time, fault);
             if self.halted {
-                if let Some(tw) = tripwire {
-                    tw.fetch_min(self.now.as_micros(), Ordering::AcqRel);
-                }
-                return false;
+                return;
             }
         }
         self.now = deadline;
-        true
     }
 
     /// Advances the virtual clock by `duration`.
@@ -735,7 +670,7 @@ impl Aorta {
             Fate::NoCandidate(request) | Fate::Orphaned(request, _)
                 if self.config.escalate_exhausted =>
             {
-                self.escalated.push(request);
+                self.escalated.push((self.now, request));
                 let text = format!("query {q}: local candidates exhausted, escalating to gateway");
                 (
                     &mut raw.escalated_out,
@@ -799,23 +734,24 @@ impl Aorta {
 
     // --- cluster hooks -------------------------------------------------------
 
-    /// Takes every request escalated since the last drain. The caller (the
-    /// cluster gateway) owns them from here: each must be re-injected into
-    /// some shard via [`Aorta::inject_request`] or counted dropped, so the
-    /// cluster-wide conservation invariant keeps holding. The drain is a
-    /// logged command, so the gateway only calls it when
-    /// [`Aorta::escalated_backlog`] is non-zero — an empty hand-off leaves
-    /// no record and quiet clock advances keep coalescing.
-    pub fn drain_escalated(&mut self) -> Vec<ActionRequest> {
+    /// Takes every request escalated since the last drain, each with the
+    /// instant it escalated at. The caller (the cluster gateway) owns them
+    /// from here: each must be re-injected into some shard via
+    /// [`Aorta::inject_request`] or counted dropped, so the cluster-wide
+    /// conservation invariant keeps holding. The drain is a logged command,
+    /// so the gateway only calls it when [`Aorta::escalated_backlog`] is
+    /// non-zero — an empty hand-off leaves no record and quiet clock
+    /// advances keep coalescing.
+    pub fn drain_escalated(&mut self) -> Vec<(SimTime, ActionRequest)> {
         self.wal_emit(|| WalRecord::DrainEscalated);
         std::mem::take(&mut self.escalated)
     }
 
     /// Requests escalated but not yet drained by the gateway. The gateway
-    /// reads this after every step and drains when it is non-zero, so
-    /// between steps it stays non-zero only on a halted engine whose final
-    /// drain never happened — the cluster counts that backlog as in-flight
-    /// while the shard is rebuilt elsewhere.
+    /// drains each shard at every window barrier, so between calls it
+    /// stays non-zero only on a halted engine whose final drain never
+    /// happened — the cluster counts that backlog as in-flight while the
+    /// shard is rebuilt elsewhere.
     pub fn escalated_backlog(&self) -> u64 {
         self.escalated.len() as u64
     }
@@ -918,9 +854,8 @@ impl Aorta {
 
     /// The instant of this engine's next pending work — the earlier of the
     /// next queued engine event and the next undrained fault. The cluster
-    /// steps its shards by repeatedly advancing the one with the smallest
-    /// `(next_event_time, shard_id)`, which serializes the shards' event
-    /// queues into one deterministic global order.
+    /// cuts its lookahead windows from the earliest of these over its
+    /// shards.
     pub fn next_event_time(&self) -> Option<SimTime> {
         match (self.queue.peek_time(), self.faults.peek_next_time()) {
             (Some(q), Some(f)) => Some(q.min(f)),

@@ -115,7 +115,7 @@ fn held_requests(engine: &Aorta) -> Vec<&ActionRequest> {
             EngineEvent::Sample => None,
         })
         .chain(engine.operators.values().flat_map(|op| op.pending().iter()))
-        .chain(engine.escalated.iter())
+        .chain(engine.escalated.iter().map(|(_, r)| r))
         .collect();
     held.sort_by_key(|r| (r.created_at, r.query_id, r.attempts, r.hops));
     held

@@ -54,7 +54,7 @@ pub use config::{AdmissionConfig, DispatchPolicy, EngineConfig};
 pub use cost::{estimate_action_cost, CostContext};
 pub use engine::{Aorta, ExecOutput};
 pub use error::EngineError;
-pub use exec::{EngineStats, PushdownStats};
+pub use exec::{EngineStats, PushdownStats, SAMPLE_PERIOD};
 pub use expr::{eval_expr, Env, EvalContext};
 pub use lock::LockManager;
 pub use pindex::PredicateIndex;

@@ -79,7 +79,7 @@ impl RetryPolicy {
     /// # Panics
     ///
     /// Panics when `max_attempts` is zero.
-    pub fn new(max_attempts: u32, backoff_base: SimDuration, jitter: SimDuration) -> Self {
+    pub const fn new(max_attempts: u32, backoff_base: SimDuration, jitter: SimDuration) -> Self {
         assert!(max_attempts >= 1, "a probe needs at least one attempt");
         RetryPolicy {
             max_attempts,
@@ -89,17 +89,17 @@ impl RetryPolicy {
     }
 
     /// Total attempts allowed (first try included).
-    pub fn max_attempts(&self) -> u32 {
+    pub const fn max_attempts(&self) -> u32 {
         self.max_attempts
     }
 
     /// The backoff base duration.
-    pub fn backoff_base(&self) -> SimDuration {
+    pub const fn backoff_base(&self) -> SimDuration {
         self.backoff_base
     }
 
     /// The maximum uniform jitter added to each backoff wait.
-    pub fn jitter(&self) -> SimDuration {
+    pub const fn jitter(&self) -> SimDuration {
         self.jitter
     }
 

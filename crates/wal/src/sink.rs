@@ -52,9 +52,10 @@ enum SinkState {
 /// A cheaply clonable handle to one shard's log stream.
 ///
 /// The engine, the cluster gateway, and the snapshot manager each hold a
-/// clone; all record traffic funnels through the same state. The mutex is
-/// uncontended (the simulation is single-threaded) and exists to keep the
-/// handle `Send + Sync`.
+/// clone; all record traffic funnels through the same state. One thread
+/// writes a shard's log at a time — a pool worker while the shard runs a
+/// window, the gateway at the barrier — so the mutex is uncontended; it
+/// keeps the handle `Send + Sync`.
 #[derive(Clone)]
 pub struct WalHandle(Arc<Mutex<SinkState>>);
 

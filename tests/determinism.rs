@@ -321,9 +321,7 @@ fn kill_and_recover_runs_are_byte_identical_per_seed() {
 /// a shipped snapshot image. The witness is the full trace plus the stats
 /// snapshot; `obs` toggles span/metric recording, which must be write-only,
 /// and `threads` sets the worker-pool size, which must also be write-only:
-/// WAL + failover configs are sequential-gated (their replay cadence and
-/// gateway timers are part of the byte-contract), so any thread count must
-/// reproduce the 1-thread bytes exactly.
+/// any thread count must reproduce the 1-thread bytes exactly.
 fn run_partitioned_failover_cluster(seed: u64, obs: bool, threads: usize) -> (String, String) {
     use aorta::cluster::{ClusterConfig, FailoverConfig, ShardManager};
     use aorta_device::DeviceId;
@@ -405,28 +403,78 @@ fn partitioned_failover_runs_are_byte_identical_per_seed() {
     );
 }
 
-/// Mid-wave cross-host failover under every pool size: a durable config
-/// never takes the parallel path, so `with_threads(n)` must be a pure
-/// no-op on its bytes — trace and stats match the 1-thread oracle exactly.
+/// Mid-wave cross-host failover under every pool size: `with_threads(n)`
+/// must be a pure no-op on its bytes — trace and stats match the 1-thread
+/// run exactly. This fleet is small enough that every window runs inline;
+/// the arms below bring fleets large enough for windows to fan out over
+/// the pool.
 #[test]
 fn failover_runs_are_invariant_across_thread_counts() {
-    let oracle = run_partitioned_failover_cluster(515, false, 1);
-    assert!(!oracle.0.is_empty());
+    let one = run_partitioned_failover_cluster(515, false, 1);
+    assert!(!one.0.is_empty());
     for threads in [2usize, 4, 8] {
         let arm = run_partitioned_failover_cluster(515, false, threads);
         assert_eq!(
-            oracle, arm,
-            "threads={threads}: a sequential-gated failover run drifted \
-             from the 1-thread oracle"
+            one, arm,
+            "threads={threads}: a failover run drifted from the 1-thread run"
         );
     }
 }
 
-/// A parallel-eligible cluster (no WAL, no failover, rebalancer off) under
-/// a combined device-crash + loss storm with an asymmetric mid-wave
-/// partition window — the arm that actually exercises the multicore window
-/// scheduler. Returns the full trace plus the stats snapshot so a single
-/// flipped byte anywhere in the run fails the comparison.
+/// A durable cluster with the rebalancer on at a threshold low enough to
+/// migrate, over a fleet large enough (above the cluster's fan-out floor of
+/// 512 devices) that its sample windows run on the worker pool.
+fn run_durable_rebalanced_cluster(threads: usize) -> (String, String) {
+    use aorta::cluster::{ClusterConfig, ShardManager};
+
+    let lab = PervasiveLab::with_sizes(24, 600, 0)
+        .with_periodic_events(SimDuration::from_secs(20), SimDuration::ZERO);
+    let config = ClusterConfig::seeded(808, 4)
+        .with_imbalance_threshold(1)
+        .with_wal(256)
+        .with_threads(threads);
+    let mut cluster = ShardManager::new(config, lab);
+    for i in 0..10 {
+        cluster
+            .execute_sql(&format!(
+                r#"CREATE AQ q{i} AS
+                   SELECT photo(c.ip, s.loc, "p")
+                   FROM sensor s, camera c
+                   WHERE s.accel_x > 500 AND s.id = {i} AND coverage(c.id, s.loc)"#
+            ))
+            .unwrap();
+    }
+    cluster.run_for(SimDuration::from_mins(3));
+    let stats = cluster.stats();
+    stats.check_conservation().expect("rebalanced ledger");
+    assert!(stats.migrations > 0, "the rebalancer never migrated");
+    let logs: Vec<String> = (0..cluster.shard_count())
+        .map(|s| {
+            let wal = cluster.shard(s).wal().expect("wal on");
+            format!("{:?}", wal.records().expect("readable log"))
+        })
+        .collect();
+    (cluster.render_trace(), format!("{stats:?} {logs:?}"))
+}
+
+/// WAL and rebalancer on, every window that holds a sample epoch on the
+/// pool: trace, stats and every shard's log match the 1-thread run.
+#[test]
+fn durable_rebalanced_runs_are_invariant_across_thread_counts() {
+    let one = run_durable_rebalanced_cluster(1);
+    for threads in [2usize, 4] {
+        assert!(
+            run_durable_rebalanced_cluster(threads) == one,
+            "threads={threads}: a durable rebalanced run drifted from the 1-thread run"
+        );
+    }
+}
+
+/// A cluster under a combined device-crash + loss storm with an asymmetric
+/// mid-wave partition window, over a fleet large enough (above the fan-out
+/// floor of 512 devices) that sample windows run on the worker pool.
+/// Returns the full trace plus the stats snapshot so a single flipped byte
+/// anywhere in the run fails the comparison.
 fn run_threaded_storm_cluster(
     seed: u64,
     shards: usize,
@@ -439,7 +487,7 @@ fn run_threaded_storm_cluster(
     use aorta_device::DeviceId;
     use aorta_sim::{FaultConfig, FaultEvent, FaultPlan, SimTime};
 
-    let lab = PervasiveLab::with_sizes(12, 16, 0)
+    let lab = PervasiveLab::with_sizes(12, 520, 0)
         .with_periodic_events(SimDuration::from_mins(1), SimDuration::ZERO);
     let config = ClusterConfig::seeded(seed, shards)
         .with_imbalance_threshold(u64::MAX)
@@ -492,9 +540,9 @@ fn run_threaded_storm_cluster(
 proptest::proptest! {
     #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
 
-    /// The tentpole contract as a property: under any seed, shard count
-    /// and random crash + partition + loss mix, stepping shards on 2, 4,
-    /// or 8 worker threads reproduces the 1-thread oracle's trace and
+    /// The window runner's contract as a property: under any seed, shard
+    /// count and random crash + partition + loss mix, stepping shards on
+    /// 2, 4, or 8 worker threads reproduces the 1-thread run's trace and
     /// stats byte for byte.
     #[test]
     fn threaded_stepping_matches_the_sequential_oracle_under_random_storms(
@@ -504,18 +552,18 @@ proptest::proptest! {
         loss_burst_rate in 0.0f64..0.4,
         extra_loss in 0.0f64..0.6,
     ) {
-        let oracle = run_threaded_storm_cluster(
+        let one = run_threaded_storm_cluster(
             seed, shards, 1, crash_rate, loss_burst_rate, extra_loss,
         );
-        proptest::prop_assert!(!oracle.0.is_empty(), "oracle produced no trace");
+        proptest::prop_assert!(!one.0.is_empty(), "the 1-thread run produced no trace");
         for threads in [2usize, 4, 8] {
             let arm = run_threaded_storm_cluster(
                 seed, shards, threads, crash_rate, loss_burst_rate, extra_loss,
             );
-            if arm != oracle {
+            if arm != one {
                 return Err(proptest::test_runner::TestCaseError::fail(format!(
                     "seed={seed} shards={shards} threads={threads}: \
-                     parallel stepping diverged from the 1-thread oracle"
+                     threaded stepping diverged from the 1-thread run"
                 )));
             }
         }

@@ -149,7 +149,6 @@ fn failover_cluster(
                 reorder_rate,
                 ..ShipConfig::default()
             },
-            ..FailoverConfig::default()
         });
     let mut cluster = ShardManager::new(config, lab);
     for i in 0..10 {
