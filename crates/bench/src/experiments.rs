@@ -26,13 +26,9 @@ pub struct MakespanPoint {
     pub service_secs: f64,
 }
 
-fn algorithms() -> Vec<Algorithm> {
-    Algorithm::paper_lineup()
-}
-
 /// A smaller SA budget for quick (smoke/bench) runs; scales the figure-5
 /// shape down proportionally.
-pub fn quick_lineup() -> Vec<Algorithm> {
+fn quick_lineup() -> Vec<Algorithm> {
     vec![
         Algorithm::LerfaSrfe,
         Algorithm::Srfae,
@@ -77,7 +73,7 @@ fn average_runs(
 pub fn fig4(runs: u64, base_seed: u64) -> Vec<MakespanPoint> {
     let mut out = Vec::new();
     for &n in &[10usize, 20, 30] {
-        for alg in algorithms() {
+        for alg in Algorithm::paper_lineup() {
             out.push(average_runs(&alg, n as u64, runs, base_seed, |seed| {
                 workload::uniform_targets(n, 10, &mut SimRng::seed(seed))
             }));
@@ -89,7 +85,7 @@ pub fn fig4(runs: u64, base_seed: u64) -> Vec<MakespanPoint> {
 /// **Figure 5** — scheduling-time / service-time breakdown at 20 requests,
 /// 10 cameras (the n=20 column of Figure 4 decomposed).
 pub fn fig5(runs: u64, base_seed: u64) -> Vec<MakespanPoint> {
-    algorithms()
+    Algorithm::paper_lineup()
         .iter()
         .map(|alg| {
             average_runs(alg, 20, runs, base_seed, |seed| {
@@ -104,7 +100,7 @@ pub fn fig5(runs: u64, base_seed: u64) -> Vec<MakespanPoint> {
 pub fn fig6(runs: u64, base_seed: u64) -> Vec<MakespanPoint> {
     let mut out = Vec::new();
     for &skew in &[0.2f64, 0.3, 0.4] {
-        for alg in algorithms() {
+        for alg in Algorithm::paper_lineup() {
             out.push(average_runs(
                 &alg,
                 (skew * 100.0).round() as u64,
@@ -163,7 +159,7 @@ pub fn e5(runs: u64, base_seed: u64) -> Vec<RatioPoint> {
 }
 
 /// Looks up a point by algorithm and x value.
-pub fn find<'a>(points: &'a [MakespanPoint], algorithm: &str, x: u64) -> &'a MakespanPoint {
+fn find<'a>(points: &'a [MakespanPoint], algorithm: &str, x: u64) -> &'a MakespanPoint {
     points
         .iter()
         .find(|p| p.algorithm == algorithm && p.x == x)
@@ -525,15 +521,8 @@ pub fn ablation_dispatch_policy(minutes: u64, seed: u64) -> Vec<AblationRow> {
             .with_periodic_events(SimDuration::from_mins(1), SimDuration::ZERO);
         let config = EngineConfig::seeded(seed).with_dispatch(policy);
         let mut aorta = Aorta::with_lab(config, lab);
-        for i in 0..10 {
-            aorta
-                .execute_sql(&format!(
-                    r#"CREATE AQ q{i} AS
-                       SELECT photo(c.ip, s.loc, "p")
-                       FROM sensor s, camera c
-                       WHERE s.accel_x > 500 AND s.id = {i} AND coverage(c.id, s.loc)"#
-                ))
-                .expect("valid query");
+        for sql in photo_aqs(10, true) {
+            aorta.execute_sql(&sql).expect("valid query");
         }
         aorta.run_for(SimDuration::from_mins(minutes));
         aorta.run_for(SimDuration::from_secs(30));
@@ -652,16 +641,42 @@ fn e8_batch(seed: u64, shards: usize, crashed: usize) -> aorta_cluster::BatchOut
     })
 }
 
-/// Uniform-arm makespan ratio of 1 shard over 8 shards — the headline
-/// cluster claim (≥ 1.5× at the E8 scale).
-pub fn e8_speedup(seed: u64) -> f64 {
-    let one = e8_batch(seed, 1, 0);
-    let eight = e8_batch(seed, 8, 0);
-    one.makespan.as_secs_f64() / eight.makespan.as_secs_f64()
+/// The photo wave the engine experiments register: `count` AQs `q0…`,
+/// each photographing the location of a mote whose `accel_x` spikes past
+/// 500; `per_mote` pins query `i` to mote `i`. The text is part of the
+/// byte contract: a WAL logs it.
+fn photo_aqs(count: usize, per_mote: bool) -> impl Iterator<Item = String> {
+    (0..count).map(move |i| {
+        let mote = per_mote.then(|| format!(" AND s.id = {i}"));
+        let mote = mote.unwrap_or_default();
+        format!(
+            r#"CREATE AQ q{i} AS
+                   SELECT photo(c.ip, s.loc, "p")
+                   FROM sensor s, camera c
+                   WHERE s.accel_x > 500{mote} AND coverage(c.id, s.loc)"#
+        )
+    })
+}
+
+/// One victim camera on each of `crashes` distinct shards, lowest camera
+/// id first (E11, E12).
+fn distinct_shard_victims(
+    cluster: &aorta_cluster::ShardManager,
+    crashes: usize,
+) -> Vec<(usize, aorta_device::DeviceId)> {
+    let mut victims: Vec<(usize, aorta_device::DeviceId)> = Vec::new();
+    for id in (0..E11_CAMERAS as u32).map(aorta_device::DeviceId::camera) {
+        let owner = cluster.shard_owning(id).expect("camera owned");
+        if victims.len() < crashes && victims.iter().all(|(s, _)| *s != owner) {
+            victims.push((owner, id));
+        }
+    }
+    assert_eq!(victims.len(), crashes, "need {crashes} distinct shards");
+    victims
 }
 
 /// 64-bit FNV-1a over a string, for compact trace fingerprints.
-pub fn fnv1a64(s: &str) -> u64 {
+fn fnv1a64(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.bytes() {
         h ^= b as u64;
@@ -707,15 +722,8 @@ pub fn e8_cluster(seed: u64) -> E8Report {
         let lab = PervasiveLab::with_sizes(12, 16, 0)
             .with_periodic_events(SimDuration::from_mins(1), SimDuration::ZERO);
         let mut cluster = ShardManager::new(ClusterConfig::seeded(seed, 2), lab);
-        for i in 0..10 {
-            cluster
-                .execute_sql(&format!(
-                    r#"CREATE AQ q{i} AS
-                       SELECT photo(c.ip, s.loc, "p")
-                       FROM sensor s, camera c
-                       WHERE s.accel_x > 500 AND s.id = {i} AND coverage(c.id, s.loc)"#
-                ))
-                .expect("valid query");
+        for sql in photo_aqs(10, true) {
+            cluster.execute_sql(&sql).expect("valid query");
         }
         cluster.run_for(SimDuration::from_mins(10));
         cluster.run_for(SimDuration::from_secs(30));
@@ -823,15 +831,8 @@ fn e9_cluster_run(seed: u64, period_secs: u64, crash_rate: f64) -> aorta_cluster
         })
         .with_breakers(BreakerConfig::default());
     let mut cluster = ShardManager::new(config, lab);
-    for i in 0..10 {
-        cluster
-            .execute_sql(&format!(
-                r#"CREATE AQ q{i} AS
-                   SELECT photo(c.ip, s.loc, "p")
-                   FROM sensor s, camera c
-                   WHERE s.accel_x > 500 AND s.id = {i} AND coverage(c.id, s.loc)"#
-            ))
-            .expect("valid query");
+    for sql in photo_aqs(10, true) {
+        cluster.execute_sql(&sql).expect("valid query");
     }
     if crash_rate > 0.0 {
         let devices: Vec<DeviceId> = (0..12)
@@ -1010,19 +1011,26 @@ fn e10_palette() -> Vec<String> {
 /// happens once per *distinct* predicate, mirroring a real deployment where
 /// many users register the same alert shapes.
 fn e10_templates(preds: &[String]) -> Vec<aorta_core::AqPlan> {
-    use aorta_sql::ast::Statement;
-    let catalog = aorta_core::Catalog::with_builtins();
     preds
         .iter()
         .map(|pred| {
-            let sql = format!("SELECT beep(t.id) FROM sensor t, sensor s WHERE {pred}");
-            let stmts = aorta_sql::parse(&sql).expect("palette SQL parses");
-            let Statement::Select(select) = stmts.into_iter().next().expect("one statement") else {
-                panic!("palette statements are SELECTs");
-            };
-            aorta_core::AqPlan::plan("template", &select, &catalog).expect("palette plans")
+            plan_template(&format!(
+                "SELECT beep(t.id) FROM sensor t, sensor s WHERE {pred}"
+            ))
         })
         .collect()
+}
+
+/// Parses and plans one `SELECT` as an AQ named `template`; callers clone
+/// and rename the plan per registered query.
+fn plan_template(sql: &str) -> aorta_core::AqPlan {
+    use aorta_sql::ast::Statement;
+    let stmts = aorta_sql::parse(sql).expect("template SQL parses");
+    let Statement::Select(select) = stmts.into_iter().next().expect("one statement") else {
+        panic!("template statements are SELECTs");
+    };
+    let catalog = aorta_core::Catalog::with_builtins();
+    aorta_core::AqPlan::plan("template", &select, &catalog).expect("template plans")
 }
 
 /// Runs one E10 arm and measures registration and detection wall cost.
@@ -1160,7 +1168,7 @@ fn e11_cluster(
     immune: bool,
 ) -> aorta_cluster::ShardManager {
     use aorta_cluster::{ClusterConfig, ShardManager};
-    use aorta_device::{DeviceId, PervasiveLab};
+    use aorta_device::PervasiveLab;
     use aorta_sim::{FaultEvent, FaultPlan, SimDuration, SimTime};
 
     let lab = PervasiveLab::with_sizes(E11_CAMERAS, E11_MOTES, 0)
@@ -1173,31 +1181,11 @@ fn e11_cluster(
         };
     }
     let mut cluster = ShardManager::new(config, lab);
-    for i in 0..10 {
-        cluster
-            .execute_sql(&format!(
-                r#"CREATE AQ q{i} AS
-                   SELECT photo(c.ip, s.loc, "p")
-                   FROM sensor s, camera c
-                   WHERE s.accel_x > 500 AND s.id = {i} AND coverage(c.id, s.loc)"#
-            ))
-            .expect("valid query");
+    for sql in photo_aqs(10, true) {
+        cluster.execute_sql(&sql).expect("valid query");
     }
-    // Victim cameras on `crashes` distinct shards, chosen deterministically.
-    let mut victims: Vec<(usize, DeviceId)> = Vec::new();
-    for c in 0..E11_CAMERAS as u32 {
-        let id = DeviceId::camera(c);
-        let owner = cluster.shard_owning(id).expect("camera owned");
-        if !victims.iter().any(|(s, _)| *s == owner) {
-            victims.push((owner, id));
-        }
-        if victims.len() == crashes {
-            break;
-        }
-    }
-    assert_eq!(victims.len(), crashes, "need {crashes} distinct shards");
     let mut plan = FaultPlan::new();
-    for (i, (owner, id)) in victims.iter().enumerate() {
+    for (i, (owner, id)) in distinct_shard_victims(&cluster, crashes).iter().enumerate() {
         if immune {
             cluster.shard_mut(*owner).grant_crash_immunity(1);
         }
@@ -1359,7 +1347,7 @@ pub struct E12Report {
 /// shard blacked out around the crash instant).
 fn e12_cluster(seed: u64, shards: usize, crashes: usize, loss: f64) -> aorta_cluster::ShardManager {
     use aorta_cluster::{ClusterConfig, FailoverConfig, ShardManager};
-    use aorta_device::{DeviceId, PervasiveLab};
+    use aorta_device::PervasiveLab;
     use aorta_net::ShipConfig;
     use aorta_sim::{FaultEvent, FaultPlan, SimDuration, SimTime};
 
@@ -1375,30 +1363,11 @@ fn e12_cluster(seed: u64, shards: usize, crashes: usize, loss: f64) -> aorta_clu
             },
         });
     let mut cluster = ShardManager::new(config, lab);
-    for i in 0..10 {
-        cluster
-            .execute_sql(&format!(
-                r#"CREATE AQ q{i} AS
-                   SELECT photo(c.ip, s.loc, "p")
-                   FROM sensor s, camera c
-                   WHERE s.accel_x > 500 AND s.id = {i} AND coverage(c.id, s.loc)"#
-            ))
-            .expect("valid query");
+    for sql in photo_aqs(10, true) {
+        cluster.execute_sql(&sql).expect("valid query");
     }
-    let mut victims: Vec<(usize, DeviceId)> = Vec::new();
-    for c in 0..E11_CAMERAS as u32 {
-        let id = DeviceId::camera(c);
-        let owner = cluster.shard_owning(id).expect("camera owned");
-        if !victims.iter().any(|(s, _)| *s == owner) {
-            victims.push((owner, id));
-        }
-        if victims.len() == crashes {
-            break;
-        }
-    }
-    assert_eq!(victims.len(), crashes, "need {crashes} distinct shards");
     let mut plan = FaultPlan::new();
-    for (i, (owner, id)) in victims.iter().enumerate() {
+    for (i, (owner, id)) in distinct_shard_victims(&cluster, crashes).iter().enumerate() {
         let crash_at = SimTime::ZERO + SimDuration::from_secs(100 + 37 * i as u64);
         let sibling = ((*owner + 1) % shards) as u32;
         let window = SimDuration::from_secs(20);
@@ -1621,15 +1590,8 @@ fn e13_arm(seed: u64, shards: usize, threads: usize, virtual_secs: u64) -> (f64,
         .with_imbalance_threshold(u64::MAX)
         .with_threads(threads);
     let mut cluster = ShardManager::new(config, lab);
-    for i in 0..E13_QUERIES {
-        cluster
-            .execute_sql(&format!(
-                r#"CREATE AQ q{i} AS
-                   SELECT photo(c.ip, s.loc, "p")
-                   FROM sensor s, camera c
-                   WHERE s.accel_x > 500 AND coverage(c.id, s.loc)"#
-            ))
-            .expect("valid query");
+    for sql in photo_aqs(E13_QUERIES, false) {
+        cluster.execute_sql(&sql).expect("valid query");
     }
     let start = Instant::now();
     cluster.run_for(SimDuration::from_secs(virtual_secs));
@@ -1752,21 +1714,14 @@ pub struct E14Report {
 /// devices), the device part the camera fleet (never suppressed: camera
 /// tuples feed the candidate join).
 fn e14_templates(preds: &[&str]) -> Vec<aorta_core::AqPlan> {
-    use aorta_sql::ast::Statement;
-    let catalog = aorta_core::Catalog::with_builtins();
     preds
         .iter()
         .map(|pred| {
-            let sql = format!(
+            plan_template(&format!(
                 r#"SELECT photo(c.ip, s.loc, "p")
                    FROM sensor s, camera c
                    WHERE {pred} AND coverage(c.id, s.loc)"#
-            );
-            let stmts = aorta_sql::parse(&sql).expect("e14 SQL parses");
-            let Statement::Select(select) = stmts.into_iter().next().expect("one statement") else {
-                panic!("e14 statements are SELECTs");
-            };
-            aorta_core::AqPlan::plan("template", &select, &catalog).expect("e14 plans")
+            ))
         })
         .collect()
 }
@@ -2013,7 +1968,10 @@ mod cluster_experiment_tests {
 
     #[test]
     fn e8_uniform_speedup_meets_the_cluster_claim() {
-        let speedup = e8_speedup(0xE8);
+        // The headline cluster claim: the uniform arm's makespan on 1 shard
+        // over 8 shards is at least 1.5.
+        let makespan = |shards| e8_batch(0xE8, shards, 0).makespan.as_secs_f64();
+        let speedup = makespan(1) / makespan(8);
         assert!(
             speedup >= 1.5,
             "1→8 shard speedup {speedup:.3}x fell below the 1.5x claim"

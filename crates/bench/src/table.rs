@@ -2,6 +2,10 @@
 
 use std::fmt::Write as _;
 
+/// One column of [`Table::of`]: its header and the cell it shows for an
+/// item.
+pub type Column<'a, R> = (&'a str, &'a dyn Fn(&R) -> String);
+
 /// A printable results table.
 ///
 /// # Example
@@ -9,7 +13,7 @@ use std::fmt::Write as _;
 /// ```
 /// use aorta_bench::table::Table;
 ///
-/// let mut t = Table::new(vec!["algorithm".into(), "makespan".into()]);
+/// let mut t = Table::new(&["algorithm", "makespan"]);
 /// t.row(vec!["LS".into(), "8.21".into()]);
 /// let s = t.render();
 /// assert!(s.contains("LS"));
@@ -23,11 +27,22 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new(header: Vec<String>) -> Self {
+    pub fn new(header: &[&str]) -> Self {
         Table {
-            header,
+            header: header.iter().map(|h| h.to_string()).collect(),
             rows: Vec::new(),
         }
+    }
+
+    /// A table with one row per item, each column a header and the cell
+    /// it shows for an item.
+    pub fn of<R>(items: &[R], columns: &[Column<'_, R>]) -> Self {
+        let header: Vec<&str> = columns.iter().map(|(h, _)| *h).collect();
+        let mut t = Table::new(&header);
+        for item in items {
+            t.row(columns.iter().map(|(_, cell)| cell(item)).collect());
+        }
+        t
     }
 
     /// Appends a row.
@@ -44,16 +59,6 @@ impl Table {
             self.header.len()
         );
         self.rows.push(cells);
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when no data rows were added.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders with aligned columns.
@@ -94,7 +99,7 @@ mod tests {
 
     #[test]
     fn renders_aligned_columns() {
-        let mut t = Table::new(vec!["a".into(), "bb".into()]);
+        let mut t = Table::new(&["a", "bb"]);
         t.row(vec!["xxxx".into(), "1".into()]);
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
@@ -102,14 +107,12 @@ mod tests {
         assert!(lines[0].starts_with("a     bb"));
         assert!(lines[1].starts_with("----  --"));
         assert!(lines[2].starts_with("xxxx  1"));
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "row width")]
     fn rejects_ragged_rows() {
-        let mut t = Table::new(vec!["a".into()]);
+        let mut t = Table::new(&["a"]);
         t.row(vec!["1".into(), "2".into()]);
     }
 }
