@@ -7,7 +7,7 @@
 //! device's *probed physical status* — which is why probing precedes costing
 //! in device-selection optimization.
 
-use aorta_device::{OpCostTable, PhysicalStatus, PtzPosition};
+use aorta_device::{AtomicCost, OpCostTable, PhysicalStatus, PtzPosition};
 use aorta_sim::SimDuration;
 
 use crate::actions::{ActionProfile, ProfileNode, UnitsSpec};
@@ -97,32 +97,126 @@ pub fn estimate_action_cost(
     table: &OpCostTable,
     ctx: &CostContext,
 ) -> Result<SimDuration, String> {
-    estimate_node(&profile.root, table, ctx)
+    ResolvedProfile::resolve(profile, table).evaluate(ctx)
 }
 
-fn estimate_node(
-    node: &ProfileNode,
-    table: &OpCostTable,
-    ctx: &CostContext,
-) -> Result<SimDuration, String> {
-    match node {
-        ProfileNode::Op { name, units } => {
-            let cost = table.require(name)?;
-            Ok(cost.evaluate(ctx.units(*units)?))
-        }
-        ProfileNode::Seq(children) => {
-            let mut total = SimDuration::ZERO;
-            for c in children {
-                total += estimate_node(c, table, ctx)?;
+/// An action profile resolved against its device kind's cost table: each
+/// atomic operation holds its [`AtomicCost`], or — when the table lacks it —
+/// the table's error naming it, so evaluating the profile looks nothing up
+/// by name. Dispatch resolves a batch's profiles once and evaluates them per
+/// (request, candidate); [`estimate_action_cost`] is resolve-then-evaluate.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ResolvedProfile {
+    root: Resolved,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Resolved {
+    Op {
+        cost: Result<AtomicCost, String>,
+        units: UnitsSpec,
+    },
+    Seq(Vec<Resolved>),
+    Par(Vec<Resolved>),
+}
+
+impl ResolvedProfile {
+    /// Looks every operation of `profile` up in `table`, once.
+    pub(crate) fn resolve(profile: &ActionProfile, table: &OpCostTable) -> Self {
+        fn node(n: &ProfileNode, table: &OpCostTable) -> Resolved {
+            match n {
+                ProfileNode::Op { name, units } => Resolved::Op {
+                    cost: table.require(name),
+                    units: *units,
+                },
+                ProfileNode::Seq(children) => {
+                    Resolved::Seq(children.iter().map(|c| node(c, table)).collect())
+                }
+                ProfileNode::Par(children) => {
+                    Resolved::Par(children.iter().map(|c| node(c, table)).collect())
+                }
             }
-            Ok(total)
         }
-        ProfileNode::Par(children) => {
-            let mut max = SimDuration::ZERO;
-            for c in children {
-                max = max.max(estimate_node(c, table, ctx)?);
+        ResolvedProfile {
+            root: node(&profile.root, table),
+        }
+    }
+
+    /// The action's cost in `ctx`: sequential composition adds, parallel
+    /// takes the maximum. The first failing operation in profile order —
+    /// missing from the table, or lacking the context its units need —
+    /// names the error.
+    pub(crate) fn evaluate(&self, ctx: &CostContext) -> Result<SimDuration, String> {
+        self.root.evaluate(ctx)
+    }
+}
+
+impl Resolved {
+    fn evaluate(&self, ctx: &CostContext) -> Result<SimDuration, String> {
+        match self {
+            Resolved::Op { cost, units } => {
+                let cost = cost.as_ref().map_err(Clone::clone)?;
+                Ok(cost.evaluate(ctx.units(*units)?))
             }
-            Ok(max)
+            Resolved::Seq(children) => {
+                let mut total = SimDuration::ZERO;
+                for c in children {
+                    total += c.evaluate(ctx)?;
+                }
+                Ok(total)
+            }
+            Resolved::Par(children) => {
+                let mut max = SimDuration::ZERO;
+                for c in children {
+                    max = max.max(c.evaluate(ctx)?);
+                }
+                Ok(max)
+            }
+        }
+    }
+}
+
+/// The by-name profile walker [`ResolvedProfile`] replaced, kept as the
+/// reference the resolved evaluator and the dispatch reference path are
+/// compared against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// [`super::estimate_action_cost`] as a walk that looks each operation
+    /// up by name on every evaluation.
+    pub(crate) fn estimate_action_cost(
+        profile: &ActionProfile,
+        table: &OpCostTable,
+        ctx: &CostContext,
+    ) -> Result<SimDuration, String> {
+        estimate_node(&profile.root, table, ctx)
+    }
+
+    fn estimate_node(
+        node: &ProfileNode,
+        table: &OpCostTable,
+        ctx: &CostContext,
+    ) -> Result<SimDuration, String> {
+        match node {
+            ProfileNode::Op { name, units } => {
+                let cost = table.require(name)?;
+                Ok(cost.evaluate(ctx.units(*units)?))
+            }
+            ProfileNode::Seq(children) => {
+                let mut total = SimDuration::ZERO;
+                for c in children {
+                    total += estimate_node(c, table, ctx)?;
+                }
+                Ok(total)
+            }
+            ProfileNode::Par(children) => {
+                let mut max = SimDuration::ZERO;
+                for c in children {
+                    max = max.max(estimate_node(c, table, ctx)?);
+                }
+                Ok(max)
+            }
         }
     }
 }
@@ -263,6 +357,85 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("no atomic operation"), "{err}");
+    }
+
+    /// A random profile tree: `Seq` and `Par` nest up to `depth` levels
+    /// (empty ones included), and some ops name nothing in any table.
+    fn random_node(rng: &mut aorta_sim::SimRng, depth: u32) -> ProfileNode {
+        const NAMES: [&str; 9] = [
+            "connect",
+            "move_head_pan",
+            "zoom",
+            "capture_small",
+            "connect_hop",
+            "read_attr",
+            "receive_mms",
+            "scan_inventory",
+            "warp_drive",
+        ];
+        const UNITS: [UnitsSpec; 5] = [
+            UnitsSpec::One,
+            UnitsSpec::PanDelta,
+            UnitsSpec::TiltDelta,
+            UnitsSpec::ZoomDelta,
+            UnitsSpec::DepthHops,
+        ];
+        if depth == 0 || rng.chance(0.3) {
+            return ProfileNode::Op {
+                name: rng.pick(&NAMES).unwrap().to_string(),
+                units: *rng.pick(&UNITS).unwrap(),
+            };
+        }
+        let children = (0..rng.range(0..4usize))
+            .map(|_| random_node(rng, depth - 1))
+            .collect();
+        if rng.chance(0.5) {
+            ProfileNode::Seq(children)
+        } else {
+            ProfileNode::Par(children)
+        }
+    }
+
+    fn position() -> impl proptest::strategy::Strategy<Value = Option<PtzPosition>> {
+        use proptest::strategy::Strategy;
+        proptest::option::of((-180.0..180.0f64, -90.0..90.0f64, 0.0..1.0f64))
+            .prop_map(|p| p.map(|(pan, tilt, zoom)| PtzPosition::new(pan, tilt, zoom)))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The resolved evaluator is the by-name walker: on any profile tree
+        /// against any kind's table, in any context, the same cost or the
+        /// same error text.
+        #[test]
+        fn resolved_profiles_cost_like_the_by_name_walker(
+            seed in 0u64..1_000_000,
+            kind in 0usize..4,
+            from in position(),
+            to in position(),
+            depth in proptest::option::of(0u8..8),
+        ) {
+            let mut rng = aorta_sim::SimRng::seed(seed);
+            let kind = [
+                DeviceKind::Camera,
+                DeviceKind::Sensor,
+                DeviceKind::Phone,
+                DeviceKind::Rfid,
+            ][kind];
+            let profile = ActionProfile {
+                kind,
+                root: random_node(&mut rng, 4),
+            };
+            let table = OpCostTable::defaults_for(kind);
+            let ctx = CostContext { from, to, depth };
+            proptest::prop_assert_eq!(
+                estimate_action_cost(&profile, &table, &ctx),
+                reference::estimate_action_cost(&profile, &table, &ctx),
+                "{:?}",
+                profile
+            );
+        }
     }
 
     #[test]

@@ -23,10 +23,10 @@ use aorta_sim::{FaultEvent, LinkModel, SimDuration, SimTime};
 use aorta_wal::{LifecycleStage, WalRecord};
 
 use crate::actions::{ActionDef, ActionHandler, ActionProfile};
-use crate::cost::{estimate_action_cost, CostContext};
+use crate::cost::{CostContext, ResolvedProfile};
 use crate::expr::{eval_expr, eval_predicate, Env, EvalContext};
 use crate::pindex::{GroupEpoch, Source, TupleOutcome};
-use crate::shared::{ActionRequest, Aim, CandidateBlock, EpochScans};
+use crate::shared::{ActionRequest, Aim, AimKey, CandidateBlock, EpochScans};
 use crate::{Aorta, DispatchPolicy};
 
 /// How often the engine samples the sensor tables for events: the paper's
@@ -805,6 +805,7 @@ impl Aorta {
         let def = self.catalog.action(&request.action).cloned()?;
         let candidates = self.recompute_candidates(request);
         let aim = request.aim(&def, &self.registry);
+        let pricing = Pricing::new(&def, &self.registry);
         let mut best: Option<(SimDuration, DeviceId)> = None;
         for (d, tuple) in candidates.iter() {
             // Breaker-open devices are not routable: quoting a cost for a
@@ -819,7 +820,8 @@ impl Aorta {
             let Some(st) = self.unprobed_status(*d) else {
                 continue;
             };
-            let Some((cost, _)) = self.estimate_request_cost(&def, &aim, request, *d, tuple, &st)
+            let Some((cost, _)) =
+                self.estimate_request_cost(&pricing, &aim, request, *d, tuple, &st)
             else {
                 continue;
             };
@@ -1418,8 +1420,8 @@ impl Aorta {
             })
             .collect();
 
-        // Probe every distinct candidate once per batch (§4). `status`,
-        // `predicted` and `free_at` are indexed by position in `devices`.
+        // Probe every distinct candidate once per batch (§4). `status` and
+        // `predicted` are indexed by position in `devices`.
         let mut devices: Vec<DeviceId> = blocks
             .iter()
             .flat_map(|b| b.iter().map(|(d, _)| *d))
@@ -1485,42 +1487,72 @@ impl Aorta {
             batch.sort_by_key(|(_, b)| eligible[*b]);
         }
 
-        // Per-device predicted state over the batch.
-        let mut predicted = status.clone();
-        let mut free_at: Vec<SimTime> = devices
-            .iter()
-            .map(|&d| match self.config.sync_enabled {
-                true => self.locks.locked_until(d, self.now).unwrap_or(self.now),
-                false => self.now,
+        // Pricing classes: requests of one block that aim alike at one
+        // quality cost every candidate alike, so each class prices its
+        // block into one row of quotes (`lerfa_choice`). The key map is
+        // only ever looked up, never iterated.
+        let pricing = Pricing::new(&def, &self.registry);
+        let mut keys: HashMap<(usize, AimKey, bool), usize> = HashMap::new();
+        let mut classes: Vec<PricingClass> = Vec::new();
+        let batch: Vec<(ActionRequest, usize)> = batch
+            .into_iter()
+            .enumerate()
+            .map(|(n, (request, block))| {
+                let aim = request.aim(&def, &self.registry);
+                let key = (block, aim.key(n), request.degraded);
+                let c = *keys.entry(key).or_insert_with(|| {
+                    classes.push(PricingClass {
+                        block,
+                        aim,
+                        requests: 0,
+                        row: Vec::new(),
+                    });
+                    classes.len() - 1
+                });
+                classes[c].requests += 1;
+                (request, c)
             })
             .collect();
+
+        // Per-device predicted state over the batch.
+        let mut predicted = Predicted {
+            status: status.clone(),
+            version: vec![0; devices.len()],
+            free_at: devices
+                .iter()
+                .map(|&d| match self.config.sync_enabled {
+                    true => self.locks.locked_until(d, self.now).unwrap_or(self.now),
+                    false => self.now,
+                })
+                .collect(),
+        };
 
         // Phase 1: assignment (LERFA's min workload-plus-cost rule). Lanes
         // are keyed by device position, which orders them like device ids.
         let batch_size = batch.len();
         let mut lanes: BTreeMap<usize, Vec<(ActionRequest, SimDuration, Option<PtzPosition>)>> =
             BTreeMap::new();
-        for (request, b) in batch {
-            let aim = request.aim(&def, &self.registry);
-            let mut best: Option<(SimTime, SimDuration, usize, Option<PtzPosition>)> = None;
-            for ((d, tuple), &i) in blocks[b].iter().zip(&positions[b]) {
-                let Some(st) = &predicted[i] else { continue };
-                let Some((cost, head)) =
-                    self.estimate_request_cost(&def, &aim, &request, *d, tuple, st)
-                else {
-                    continue;
-                };
-                let finish = free_at[i] + cost;
-                if best.is_none_or(|(bf, ..)| finish < bf) {
-                    best = Some((finish, cost, i, head));
-                }
+        for (request, c) in batch {
+            let class = &mut classes[c];
+            let b = class.block;
+            let best = self.lerfa_choice(
+                &pricing,
+                &request,
+                class,
+                &blocks[b],
+                &positions[b],
+                &predicted,
+            );
+            class.requests -= 1;
+            if class.requests == 0 {
+                class.row = Vec::new();
             }
             let Some((finish, cost, i, head)) = best else {
                 self.settle(request.query_id, Fate::NoCandidate(request));
                 continue;
             };
             let d = devices[i];
-            let start = free_at[i];
+            let start = predicted.free_at[i];
             if start > request.created_at + REQUEST_TIMEOUT {
                 self.settle(request.query_id, Fate::TimedOut(d));
                 continue;
@@ -1545,10 +1577,10 @@ impl Aorta {
             // workload, so it never queues — every request fires at once
             // and interference ensues (§6.2).
             if self.config.sync_enabled {
-                free_at[i] = finish;
+                predicted.free_at[i] = finish;
             }
             if let Some(head) = head {
-                predicted[i] = Some(PhysicalStatus::CameraHead(head));
+                predicted.aim(i, head);
             }
             lanes.entry(i).or_default().push((request, cost, head));
         }
@@ -1599,7 +1631,7 @@ impl Aorta {
                         let mut best = (0usize, SimDuration::MAX);
                         for (n, (req, est, head)) in lane.iter().enumerate() {
                             let c = self
-                                .action_cost(&def, req.degraded, &st, *head)
+                                .action_cost(&pricing, req.degraded, &st, *head)
                                 .unwrap_or(*est);
                             if c < best.1 {
                                 best = (n, c);
@@ -1666,32 +1698,107 @@ impl Aorta {
         })
     }
 
+    /// LERFA's choice for one request: the candidate with the least
+    /// predicted finish (workload plus cost), the first listed on a tie, as
+    /// (finish, cost, device position, head). Quotes come from the row of
+    /// the request's pricing class: a slot is priced when the class first
+    /// reaches it, and repriced only once its device's predicted status has
+    /// moved on (`Predicted::version`).
+    fn lerfa_choice(
+        &self,
+        pricing: &Pricing,
+        request: &ActionRequest,
+        class: &mut PricingClass,
+        block: &[(DeviceId, Tuple)],
+        positions: &[usize],
+        predicted: &Predicted,
+    ) -> Option<(SimTime, SimDuration, usize, Option<PtzPosition>)> {
+        #[cfg(test)]
+        if crate::shared::PER_PLAN_REFERENCE.get() {
+            return fire_tests::lerfa_choice_reference(
+                self, pricing, request, &class.aim, block, positions, predicted,
+            );
+        }
+        if class.row.is_empty() {
+            class.row = vec![Quote::default(); block.len()];
+        } else {
+            #[cfg(test)]
+            fire_tests::ROWS_REUSED.set(fire_tests::ROWS_REUSED.get() + 1);
+        }
+        let mut best: Option<(SimTime, SimDuration, usize)> = None;
+        for (((slot, (d, tuple)), &i), quote) in
+            block.iter().enumerate().zip(positions).zip(&mut class.row)
+        {
+            let Some(st) = &predicted.status[i] else {
+                continue;
+            };
+            if quote.version != Some(predicted.version[i]) {
+                #[cfg(test)]
+                if quote.version.is_some() {
+                    fire_tests::SLOTS_REPRICED.set(fire_tests::SLOTS_REPRICED.get() + 1);
+                }
+                quote.version = Some(predicted.version[i]);
+                quote.cost = self
+                    .estimate_request_cost(pricing, &class.aim, request, *d, tuple, st)
+                    .map(|(cost, _)| cost);
+            }
+            let Some(cost) = quote.cost else {
+                continue;
+            };
+            let finish = predicted.free_at[i] + cost;
+            if best.is_none_or(|(bf, ..)| finish < bf) {
+                best = Some((finish, cost, slot));
+            }
+        }
+        // No head depends on the predicted status, so the row keeps costs
+        // only and the winner's head is worked out once more.
+        let (finish, cost, slot) = best?;
+        let (d, tuple) = &block[slot];
+        let head = self
+            .head_target(&class.aim, request, *d, tuple)
+            .expect("a costed candidate has a target");
+        Some((finish, cost, positions[slot], head))
+    }
+
     /// Cost estimate for one request on one candidate (profile-driven,
     /// §2.3), with the head position the action would leave the device at
     /// (`None` for actions that move no camera head).
     fn estimate_request_cost(
         &self,
-        def: &ActionDef,
+        pricing: &Pricing,
         aim: &Aim,
         request: &ActionRequest,
         device: DeviceId,
         tuple: &Tuple,
         status: &PhysicalStatus,
     ) -> Option<(SimDuration, Option<PtzPosition>)> {
-        let head = match aim {
+        let head = self.head_target(aim, request, device, tuple)?;
+        let cost = self.action_cost(pricing, request.degraded, status, head)?;
+        Some((cost, head))
+    }
+
+    /// Where the action would leave `device`'s camera head: `Some(None)`
+    /// for an action that moves no head, `None` when no target can be
+    /// worked out for this candidate.
+    fn head_target(
+        &self,
+        aim: &Aim,
+        request: &ActionRequest,
+        device: DeviceId,
+        tuple: &Tuple,
+    ) -> Option<Option<PtzPosition>> {
+        Some(match aim {
             Aim::NoHead => None,
             Aim::At(loc) => Some(self.aim_camera(device, loc.as_ref()?)?),
             Aim::PerCandidate => Some(self.photo_target(request, device, Some(tuple))?),
-        };
-        let cost = self.action_cost(def, request.degraded, status, head)?;
-        Some((cost, head))
+        })
     }
 
     /// The cost of the action from `status`, aiming at `head` when it is a
     /// camera action.
     fn action_cost(
         &self,
-        def: &ActionDef,
+        pricing: &Pricing,
         degraded: bool,
         status: &PhysicalStatus,
         head: Option<PtzPosition>,
@@ -1704,17 +1811,11 @@ impl Aorta {
                 ctx.from = Some(PtzPosition::HOME);
             }
         }
-        let table = self.registry.cost_table(def.kind());
-        // Brownout: a degraded photo request is costed (and later executed)
-        // at lo-res, whose capture op is cheaper than the full-quality one.
-        let lo_res;
-        let profile = if degraded && def.kind() == DeviceKind::Camera {
-            lo_res = ActionProfile::photo_lo_res();
-            &lo_res
-        } else {
-            &def.profile
-        };
-        estimate_action_cost(profile, table, &ctx).ok()
+        #[cfg(test)]
+        if crate::shared::PER_PLAN_REFERENCE.get() {
+            return fire_tests::action_cost_reference(self, &pricing.def, degraded, &ctx);
+        }
+        pricing.profile(degraded).evaluate(&ctx).ok()
     }
 
     /// The head position a photo request aims `device` at: the first
@@ -2058,6 +2159,82 @@ impl Aorta {
                 }))
             }
         }
+    }
+}
+
+/// An action's profiles resolved against its kind's cost table once, for
+/// every estimate of one dispatch batch or one gateway quote: the action's
+/// own and, for a camera action, the brownout lo-res photo.
+struct Pricing {
+    full: ResolvedProfile,
+    lo_res: Option<ResolvedProfile>,
+    /// The action the reference path costs by name.
+    #[cfg(test)]
+    def: ActionDef,
+}
+
+impl Pricing {
+    fn new(def: &ActionDef, registry: &aorta_net::DeviceRegistry) -> Self {
+        let table = registry.cost_table(def.kind());
+        Pricing {
+            full: ResolvedProfile::resolve(&def.profile, table),
+            lo_res: (def.kind() == DeviceKind::Camera)
+                .then(|| ResolvedProfile::resolve(&ActionProfile::photo_lo_res(), table)),
+            #[cfg(test)]
+            def: def.clone(),
+        }
+    }
+
+    /// Brownout: a degraded photo request is costed (and later executed)
+    /// at lo-res, whose capture op is cheaper than the full-quality one.
+    fn profile(&self, degraded: bool) -> &ResolvedProfile {
+        match &self.lo_res {
+            Some(lo_res) if degraded => lo_res,
+            _ => &self.full,
+        }
+    }
+}
+
+/// The requests of one dispatch batch that cost every candidate alike: one
+/// candidate block, one aim ([`Aim::key`]), one brownout flag.
+struct PricingClass {
+    /// Index of the class's block in the batch.
+    block: usize,
+    aim: Aim,
+    /// Requests of the class not yet assigned.
+    requests: usize,
+    /// One quote per slot of the block: empty until the class's first
+    /// request is priced, and again once its last one is assigned.
+    row: Vec<Quote>,
+}
+
+/// One slot of a pricing-class row.
+#[derive(Debug, Clone, Copy, Default)]
+struct Quote {
+    /// The version of the device's predicted status the slot was priced
+    /// at; `None` until it is priced.
+    version: Option<u32>,
+    /// The candidate's cost; `None` when it cannot be costed.
+    cost: Option<SimDuration>,
+}
+
+/// A dispatch batch's per-device predicted state, indexed by position in
+/// the batch's device list.
+struct Predicted {
+    status: Vec<Option<PhysicalStatus>>,
+    /// Bumped on every write to `status`: a quote priced at an older
+    /// version is stale.
+    version: Vec<u32>,
+    /// When each device is predicted to be free of the work already
+    /// assigned to it.
+    free_at: Vec<SimTime>,
+}
+
+impl Predicted {
+    /// The device at `i` will rest at `head` once its assigned work is done.
+    fn aim(&mut self, i: usize, head: PtzPosition) {
+        self.status[i] = Some(PhysicalStatus::CameraHead(head));
+        self.version[i] += 1;
     }
 }
 

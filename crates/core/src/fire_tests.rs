@@ -1,15 +1,75 @@
 //! Differential tests of the factorised fire path against the per-plan,
 //! per-candidate reference it replaced. The reference switch covers the
-//! candidate join and the aim; the dense LERFA/SRFE bookkeeping in
-//! `dispatch_batch` has no reference here and is pinned by the perf
-//! harness's committed trace digests instead.
+//! candidate join, the aim, LERFA's assignment and every cost estimate:
+//! on the reference path each (request, candidate) pair is priced afresh,
+//! through the by-name profile walker, with no pricing-class rows.
+
+use std::cell::Cell;
 
 use aorta_data::{Tuple, Value};
-use aorta_device::{DeviceId, DeviceKind};
+use aorta_device::{DeviceId, DeviceKind, PtzPosition};
 
+use super::{Predicted, Pricing};
+use crate::actions::{ActionDef, ActionProfile};
+use crate::cost::CostContext;
 use crate::expr::{eval_predicate, Env, EvalContext};
 use crate::shared::PER_PLAN_REFERENCE;
 use crate::Aorta;
+
+thread_local! {
+    /// Requests this thread's engines priced from a row an earlier request
+    /// of their pricing class had already filled.
+    pub(super) static ROWS_REUSED: Cell<u64> = const { Cell::new(0) };
+    /// Row slots repriced because their device's predicted status moved.
+    pub(super) static SLOTS_REPRICED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// LERFA's choice as it was before pricing classes: every candidate of the
+/// request priced afresh against the current predicted state.
+pub(super) fn lerfa_choice_reference(
+    engine: &Aorta,
+    pricing: &Pricing,
+    request: &ActionRequest,
+    aim: &Aim,
+    block: &[(DeviceId, Tuple)],
+    positions: &[usize],
+    predicted: &Predicted,
+) -> Option<(SimTime, SimDuration, usize, Option<PtzPosition>)> {
+    let mut best: Option<(SimTime, SimDuration, usize, Option<PtzPosition>)> = None;
+    for ((d, tuple), &i) in block.iter().zip(positions) {
+        let Some(st) = &predicted.status[i] else {
+            continue;
+        };
+        let Some((cost, head)) = engine.estimate_request_cost(pricing, aim, request, *d, tuple, st)
+        else {
+            continue;
+        };
+        let finish = predicted.free_at[i] + cost;
+        if best.is_none_or(|(bf, ..)| finish < bf) {
+            best = Some((finish, cost, i, head));
+        }
+    }
+    best
+}
+
+/// An action's cost as it was before profiles were resolved: the lo-res
+/// profile rebuilt per degraded estimate, every op looked up by name.
+pub(super) fn action_cost_reference(
+    engine: &Aorta,
+    def: &ActionDef,
+    degraded: bool,
+    ctx: &CostContext,
+) -> Option<SimDuration> {
+    let table = engine.registry.cost_table(def.kind());
+    let lo_res;
+    let profile = if degraded && def.kind() == DeviceKind::Camera {
+        lo_res = ActionProfile::photo_lo_res();
+        &lo_res
+    } else {
+        &def.profile
+    };
+    crate::cost::reference::estimate_action_cost(profile, table, ctx).ok()
+}
 
 /// The candidate join as it was before blocks were shared: one nested loop
 /// per (plan, event), side effects applied in place.
@@ -416,14 +476,38 @@ fn retries_copy_on_write_and_leave_sibling_blocks_whole() {
 
 // --- hoisting soundness ----------------------------------------------------------
 
-/// The "dispatch" trace lines (assignments with their estimates, and
-/// no-candidate verdicts) and the stats of a two-wave run.
-fn dispatch_lines(config: EngineConfig, aq: &str) -> (Vec<String>, EngineStats) {
+/// A brownout admission config that degrades most of a wave to lo-res.
+fn brownout() -> AdmissionConfig {
+    AdmissionConfig {
+        rate_per_sec: 1000.0,
+        burst: 1000.0,
+        slo: SimDuration::from_millis(200),
+        brownout_multiple: 0.5,
+        shed_multiple: 1000.0,
+        protected_queries: 0,
+    }
+}
+
+/// What a two-wave run over `aqs` assigned: the "dispatch" trace lines
+/// (assignments with their estimates, and no-candidate verdicts), the
+/// stats, the requests still held at the end, and the whole trace (which
+/// also shows SRFE's execution order).
+#[derive(Debug, PartialEq)]
+struct Assigned {
+    lines: Vec<String>,
+    stats: EngineStats,
+    held: Vec<(u32, u32, Vec<DeviceId>)>,
+    trace: String,
+}
+
+fn assign(config: EngineConfig, aqs: &[String]) -> Assigned {
     let lab = PervasiveLab::with_sizes(3, 6, 0)
         .with_reliable_cameras()
         .with_periodic_events(SimDuration::from_secs(20), SimDuration::from_millis(100));
     let mut engine = Aorta::with_lab(config, lab);
-    engine.execute_sql(aq).unwrap();
+    for aq in aqs {
+        engine.execute_sql(aq).unwrap();
+    }
     engine.run_for(SimDuration::from_secs(45));
     let lines = engine
         .trace()
@@ -431,11 +515,17 @@ fn dispatch_lines(config: EngineConfig, aq: &str) -> (Vec<String>, EngineStats) 
         .filter(|e| e.subsystem == "dispatch")
         .map(|e| format!("{} {}", e.time, e.message))
         .collect();
-    (lines, engine.stats())
+    Assigned {
+        lines,
+        stats: engine.stats(),
+        held: held_candidates(&engine),
+        trace: engine.trace().render(),
+    }
 }
 
-/// How the engine would cost a request of `aq` fired by mote 0.
-fn aim_of(aq: &str) -> Aim {
+/// An engine on the standard lab running `aq`, and a request of it fired
+/// by mote 0 (its candidates left for the engine to work out).
+fn fired_request(aq: &str) -> (Aorta, ActionRequest) {
     let mut engine = Aorta::with_lab(EngineConfig::seeded(9), PervasiveLab::standard());
     engine.execute_sql(aq).unwrap();
     let plan = engine.catalog.queries().next().unwrap().clone();
@@ -459,6 +549,12 @@ fn aim_of(aq: &str) -> Aim {
         attempts: 0,
         hops: 0,
     };
+    (engine, request)
+}
+
+/// How the engine would cost a request of `aq` fired by mote 0.
+fn aim_of(aq: &str) -> Aim {
+    let (engine, request) = fired_request(aq);
     let def = engine.catalog.action(&request.action).unwrap().clone();
     request.aim(&def, &engine.registry)
 }
@@ -468,14 +564,6 @@ fn aim_of(aq: &str) -> Aim {
 /// shapes where hoisting must *not* apply, or has nothing to hoist.
 #[test]
 fn hoisted_targets_assign_like_the_per_candidate_path() {
-    let brownout = AdmissionConfig {
-        rate_per_sec: 1000.0,
-        burst: 1000.0,
-        slo: SimDuration::from_millis(200),
-        brownout_multiple: 0.5,
-        shed_multiple: 1000.0,
-        protected_queries: 0,
-    };
     let fails = photo_aq("fails", r#"c.ip, s.loc, s.id / 0"#, FROM, COVERED);
     let cases = [
         (
@@ -497,7 +585,7 @@ fn hoisted_targets_assign_like_the_per_candidate_path() {
         (
             "degraded to lo-res",
             photo_aq("q", ARGS, FROM, COVERED),
-            Some(brownout),
+            Some(brownout()),
         ),
         (
             "not a camera action",
@@ -511,16 +599,17 @@ fn hoisted_targets_assign_like_the_per_candidate_path() {
             Some(a) => EngineConfig::seeded(8).with_admission(a.clone()),
             None => EngineConfig::seeded(8),
         };
-        let (hoisted, stats) = dispatch_lines(config(), aq);
-        let (reference, reference_stats) = on_reference_path(|| dispatch_lines(config(), aq));
+        let aqs = std::slice::from_ref(aq);
+        let hoisted = assign(config(), aqs);
+        let reference = on_reference_path(|| assign(config(), aqs));
         assert_eq!(hoisted, reference, "{what}");
-        assert_eq!(stats, reference_stats, "{what}");
+        let Assigned { lines, stats, .. } = hoisted;
         assert!(stats.requests >= 12, "{what}: two waves of six, {stats:?}");
         if *aq == fails {
             assert_eq!(stats.no_candidate, stats.requests, "{what}");
         } else {
-            let assigned = hoisted.iter().filter(|l| l.contains("assigned to")).count();
-            assert!(assigned as u64 >= stats.requests, "{what}: {hoisted:?}");
+            let assigned = lines.iter().filter(|l| l.contains("assigned to")).count();
+            assert!(assigned as u64 >= stats.requests, "{what}: {lines:?}");
         }
         if admission.is_some() {
             assert!(stats.degraded > 0, "{what}: {stats:?}");
@@ -535,4 +624,74 @@ fn hoisted_targets_assign_like_the_per_candidate_path() {
     assert!(matches!(aim_of(&fails), Aim::At(None)));
     assert!(matches!(aim_of(&cases[5].1), Aim::NoHead));
     on_reference_path(|| assert!(matches!(aim_of(&cases[0].1), Aim::PerCandidate)));
+}
+
+// --- pricing classes -------------------------------------------------------------
+
+/// Pricing-class rows assign like pricing every (request, candidate) pair
+/// afresh by name. Four identical coverage AQs fire four requests per event
+/// that share a block and a target; under brownout, full-quality and lo-res
+/// requests share them too; and with three cameras for six motes, one camera
+/// takes several requests of one batch, so its row slots go stale.
+#[test]
+fn pricing_class_rows_assign_like_the_reference() {
+    let aqs: Vec<String> = (0..4)
+        .map(|i| photo_aq(&format!("same{i}"), ARGS, FROM, COVERED))
+        .collect();
+    for admission in [None, Some(brownout())] {
+        let config = || match &admission {
+            Some(a) => EngineConfig::seeded(8).with_admission(a.clone()),
+            None => EngineConfig::seeded(8),
+        };
+        let counters = || (ROWS_REUSED.get(), SLOTS_REPRICED.get());
+        ROWS_REUSED.set(0);
+        SLOTS_REPRICED.set(0);
+        let rows = assign(config(), &aqs);
+        let (reused, repriced) = counters();
+        let reference = on_reference_path(|| assign(config(), &aqs));
+        let what = if admission.is_some() {
+            "brownout"
+        } else {
+            "full quality"
+        };
+        assert_eq!(rows, reference, "{what}");
+        assert_eq!(
+            counters(),
+            (reused, repriced),
+            "{what}: the reference used rows"
+        );
+        // Without these the comparison could pass with rows never used.
+        assert!(reused > 0, "{what}: no row was reused");
+        assert!(repriced > 0, "{what}: no stale slot was repriced");
+        let stats = rows.stats;
+        assert!(stats.requests >= 48, "{what}: two waves of 24, {stats:?}");
+        if admission.is_some() {
+            assert!(
+                stats.degraded > 0 && stats.executed > 0,
+                "{what}: {stats:?}"
+            );
+        }
+    }
+}
+
+/// The gateway's routing quote prices through the batch's resolved
+/// profiles, lo-res included: the same (device, cost) as the by-name
+/// reference at either quality, and the degraded quote the cheaper one.
+#[test]
+fn gateway_quotes_match_the_reference_at_both_qualities() {
+    let aq = photo_aq("q", ARGS, FROM, COVERED);
+    let quote = |degraded| {
+        let (mut engine, request) = fired_request(&aq);
+        engine.cheapest_local_candidate(&ActionRequest {
+            degraded,
+            ..request
+        })
+    };
+    let full = quote(false);
+    let lo_res = quote(true);
+    assert_eq!(full, on_reference_path(|| quote(false)));
+    assert_eq!(lo_res, on_reference_path(|| quote(true)));
+    let (full, lo_res) = (full.expect("a full quote"), lo_res.expect("a lo-res quote"));
+    assert_eq!(lo_res.0, full.0, "the same head movement wins");
+    assert!(lo_res.1 < full.1, "lo-res {lo_res:?} vs full {full:?}");
 }

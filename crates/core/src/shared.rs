@@ -174,6 +174,31 @@ pub(crate) enum Aim {
     PerCandidate,
 }
 
+impl Aim {
+    /// What the aim contributes to a request's pricing class in a dispatch
+    /// batch: requests of one block with equal keys and brownout flags cost
+    /// every candidate alike. A target compares by its exact bit pattern;
+    /// a per-candidate aim depends on the request's own arguments, so it
+    /// keys on the request's position in the batch.
+    pub(crate) fn key(&self, request: usize) -> AimKey {
+        match self {
+            Aim::NoHead => AimKey::NoHead,
+            Aim::At(None) => AimKey::Nowhere,
+            Aim::At(Some(loc)) => AimKey::At([loc.x, loc.y, loc.z].map(f64::to_bits)),
+            Aim::PerCandidate => AimKey::Request(request),
+        }
+    }
+}
+
+/// See [`Aim::key`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum AimKey {
+    NoHead,
+    Nowhere,
+    At([u64; 3]),
+    Request(usize),
+}
+
 /// What one run of a device part's candidate join over one event tuple
 /// produced: the block, plus the findings each joining query accounts for
 /// itself (its own error counters, dedup keys and trace lines).
