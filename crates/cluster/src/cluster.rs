@@ -224,6 +224,9 @@ struct Durability {
     /// Host wall-clock milliseconds per recovery (benchmark reporting
     /// only — never feeds back into the simulation).
     recovery_wall_ms: Vec<u64>,
+    /// Engine images forked into a vault (cadence and barrier).
+    #[cfg(test)]
+    images_forked: u64,
 }
 
 /// A durability report for benchmarks and introspection.
@@ -231,7 +234,8 @@ struct Durability {
 pub struct WalReport {
     /// Per-shard log stream counters.
     pub per_shard: Vec<WalStats>,
-    /// Per-shard snapshots taken (cadence + migration barriers).
+    /// Per-shard snapshots taken (cadence + migration barriers), with or
+    /// without an engine image.
     pub snapshots: Vec<u64>,
     /// Crash recoveries performed.
     pub recoveries: u64,
@@ -429,6 +433,8 @@ impl ShardManager {
                 recoveries: 0,
                 records_replayed: 0,
                 recovery_wall_ms: Vec::new(),
+                #[cfg(test)]
+                images_forked: 0,
             }
         });
         for (s, registry) in registries.into_iter().enumerate() {
@@ -453,11 +459,19 @@ impl ShardManager {
                 let fingerprint = genesis_fingerprint(engine_config.seed, s as u64);
                 // Stream counters are published when the registry is read
                 // (see `wal_metrics_snapshot`), not on every append.
-                let handle = WalHandle::record(store, None, format!("s{s}"));
+                let handle = WalHandle::new(store);
                 handle.append(WalRecord::Genesis { fingerprint });
                 engine.attach_wal(handle.clone());
-                dur.managers
-                    .push(WalManager::new(handle, wal.snapshot_every));
+                // Under failover a crashed shard is rebuilt from genesis
+                // on another host unless its log holds a `MigrateIn`, and
+                // such a log passed a barrier, which turns cadence images
+                // on. Until then nothing can read a cadence image, so the
+                // cadence marks positions only.
+                dur.managers.push(WalManager::new(
+                    handle,
+                    wal.snapshot_every,
+                    config.failover.is_none(),
+                ));
                 dur.specs.push(GenesisSpec {
                     config: engine_config,
                     registry: genesis_registry.expect("cloned when durability is on"),
@@ -808,10 +822,21 @@ impl ShardManager {
         let manager = &mut dur.managers[s];
         let mut suffix = manager.records().expect("wal read at recovery");
         let mut base_image = None;
-        if let Some((at, image)) = manager.latest_snapshot() {
-            // Frames below the vault key are already in the image.
-            suffix = suffix.split_off(at as usize);
-            base_image = Some(image.fork_snapshot());
+        match manager.latest_snapshot() {
+            Some((at, Some(image))) => {
+                // Frames below the snapshot's position are in the image.
+                suffix = suffix.split_off(at as usize);
+                base_image = Some(image.fork_snapshot());
+            }
+            // A mark without an image: the whole log replays from genesis.
+            Some((_, None)) => debug_assert!(
+                !suffix
+                    .iter()
+                    .any(|r| matches!(r, WalRecord::MigrateIn { .. })),
+                "shard {s}: an image-less mark is only taken before the first barrier, \
+                 so its log holds no MigrateIn"
+            ),
+            None => {}
         }
         let replayed = suffix.len();
         let recovered = recover_engine(base_image, &dur.specs[s], suffix, dur.fingerprints[s])
@@ -1142,7 +1167,13 @@ impl ShardManager {
             if failover.as_ref().is_some_and(|fo| fo.rebuilds[s].is_some()) {
                 continue;
             }
-            manager.maybe_snapshot(|| shards[s].fork_snapshot());
+            manager.maybe_snapshot(|| {
+                #[cfg(test)]
+                {
+                    dur.images_forked += 1;
+                }
+                shards[s].fork_snapshot()
+            });
         }
     }
 
@@ -1288,8 +1319,15 @@ impl ShardManager {
                 durability, shards, ..
             } = self;
             if let Some(dur) = durability {
-                dur.managers[max_s].force_snapshot(|| shards[max_s].fork_snapshot());
-                dur.managers[min_s].force_snapshot(|| shards[min_s].fork_snapshot());
+                for s in [max_s, min_s] {
+                    dur.managers[s].force_snapshot(|| {
+                        #[cfg(test)]
+                        {
+                            dur.images_forked += 1;
+                        }
+                        shards[s].fork_snapshot()
+                    });
+                }
             }
         }
         if let Some(m) = &self.obs {
@@ -2357,6 +2395,95 @@ mod tests {
         assert_eq!(stats.late_successes(), 0);
         assert!(cluster.gateway_trace().any("gateway", "rebuild in flight"));
         assert!(cluster.gateway_trace().any("gateway", "failover complete"));
+    }
+
+    /// Under failover, a log without a `MigrateIn` is rebuilt from genesis
+    /// on another host, so no cadence snapshot forks an engine image: it
+    /// marks a position, which the shipped image's prefix/suffix split
+    /// still reads.
+    #[test]
+    fn recovery_under_failover_forks_no_cadence_image_before_a_migration() {
+        let victim = DeviceId::camera(0);
+        let mut cluster = ShardManager::new(failover_config(23), lab());
+        admit_queries(&mut cluster, true);
+        let mut plan = FaultPlan::new();
+        plan.schedule(
+            SimTime::ZERO + SimDuration::from_secs(150),
+            FaultEvent::ProcessCrash(victim),
+        );
+        cluster.inject_faults(plan);
+        cluster.run_for(RUN);
+
+        assert_eq!(cluster.migrations(), 0);
+        assert_eq!(cluster.failover_report().len(), 1);
+        let report = cluster.wal_report().expect("wal is on");
+        assert!(report.snapshots.iter().sum::<u64>() > 0, "{report:?}");
+        let dur = cluster.durability.as_ref().expect("wal is on");
+        assert_eq!(dur.images_forked, 0, "nothing reads a cadence image here");
+        cluster.stats().check_conservation().unwrap();
+    }
+
+    /// Under failover, the first migration barrier turns a shard's cadence
+    /// images on: a crash of the adopting shard (its log holds a
+    /// `MigrateIn`, so it is not shippable) recovers in place from a
+    /// cadence image taken after the barrier, not from genesis.
+    #[test]
+    fn recovery_under_failover_reads_a_cadence_image_after_a_migration() {
+        let mut config = ClusterConfig::seeded(5, 2)
+            .with_wal(128)
+            .with_failover(FailoverConfig::default());
+        config.imbalance_threshold = 1;
+        let mut cluster = ShardManager::new(config, lab());
+        admit_queries(&mut cluster, true);
+        cluster.run_for(SimDuration::from_mins(6));
+        assert!(cluster.migrations() > 0, "scenario must migrate");
+        let adopter = (0..2)
+            .find(|&s| {
+                shard_log(&cluster, s)
+                    .iter()
+                    .any(|r| matches!(r, WalRecord::MigrateIn { .. }))
+            })
+            .expect("a shard adopted a device");
+
+        // No further barriers: every snapshot from here on is cadence.
+        cluster.config.imbalance_threshold = u64::MAX;
+        let frozen_at =
+            cluster.durability.as_ref().expect("wal is on").managers[adopter].position();
+        cluster.run_for(SimDuration::from_mins(5));
+        let dur = cluster.durability.as_ref().expect("wal is on");
+        let (at, image) = dur.managers[adopter]
+            .latest_snapshot()
+            .expect("snapshots taken");
+        assert!(
+            at > frozen_at && image.is_some(),
+            "no cadence image after the barrier: latest at {at}, frozen at {frozen_at}"
+        );
+        assert!(dur.images_forked > 2 * cluster.migrations());
+
+        let cam = cluster
+            .shard(adopter)
+            .registry()
+            .ids_of_kind(DeviceKind::Camera)[0];
+        let mut plan = FaultPlan::new();
+        plan.schedule(
+            cluster.now() + SimDuration::from_secs(5),
+            FaultEvent::ProcessCrash(cam),
+        );
+        cluster.inject_faults(plan);
+        cluster.run_for(SimDuration::from_mins(2));
+
+        assert!(cluster.gateway_trace().any("gateway", "not shippable"));
+        assert_eq!(cluster.recoveries(), 1, "recovered in place");
+        assert!(cluster.failover_report().is_empty());
+        assert!(!cluster.shard(adopter).is_crashed());
+        let report = cluster.wal_report().expect("wal is on");
+        let held = shard_log(&cluster, adopter).len() as u64;
+        assert!(
+            report.records_replayed < held,
+            "replayed {} of {held} records: recovery started from genesis",
+            report.records_replayed
+        );
+        cluster.stats().check_conservation().unwrap();
     }
 
     /// Pushdown rides the engine-config template through WAL snapshots and

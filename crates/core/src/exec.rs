@@ -1005,8 +1005,7 @@ impl Aorta {
             self.push_stats.marker_bytes += marker_bytes;
             self.push_stats.baseline_bytes += baseline_bytes;
             if let Some(m) = &self.obs {
-                let kind_label = kind.to_string();
-                let labels = &[("kind", kind_label.as_str())];
+                let labels = &[("kind", kind.table_name())];
                 m.incr(push_metrics::SHIPPED, labels, shipped);
                 m.incr(push_metrics::SUPPRESSED, labels, suppressed);
                 m.incr(push_metrics::WIRE_BYTES, labels, reply_bytes + marker_bytes);
@@ -1191,10 +1190,9 @@ impl Aorta {
             m.incr(detect_metrics::FALLBACK_EVALS, &[], outcomes.tally.fallback);
             m.incr(detect_metrics::CONJUNCT_EVALS, &[], outcomes.tally.total);
             for (kind, tuples) in &cache.scans {
-                let kind = kind.to_string();
                 m.incr(
                     detect_metrics::BATCH_TUPLES,
-                    &[("kind", kind.as_str())],
+                    &[("kind", kind.table_name())],
                     tuples.len() as u64,
                 );
             }

@@ -49,7 +49,7 @@ fn logged_run(
     run: SimDuration,
 ) -> Logged {
     let mut aorta = Aorta::with_lab(config, lab);
-    let wal = WalHandle::record(Box::new(MemStore::new()), None, "s0");
+    let wal = WalHandle::new(Box::new(MemStore::new()));
     aorta.attach_wal(wal.clone());
     for statement in sql {
         aorta.execute_sql(statement).unwrap();

@@ -241,7 +241,7 @@ fn crash_mid_execution_relocks_deterministically_on_replay() {
 
     // Live run halts holding the lock; recovery replays through the crash.
     let mut live = spec.build();
-    let handle = WalHandle::record(Box::new(MemStore::new()), None, "s0");
+    let handle = WalHandle::new(Box::new(MemStore::new()));
     handle.append(WalRecord::Genesis { fingerprint: fp });
     live.attach_wal(handle.clone());
     live.execute_sql(SNAPSHOT_AQ).unwrap();

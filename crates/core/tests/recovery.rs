@@ -77,7 +77,7 @@ fn wal_attach_never_perturbs_the_run() {
     drive_slices(&mut silent, 1, 10);
 
     let mut logged = spec.build();
-    let handle = WalHandle::record(Box::new(MemStore::new()), None, "s0");
+    let handle = WalHandle::new(Box::new(MemStore::new()));
     handle.append(WalRecord::Genesis { fingerprint: fp });
     logged.attach_wal(handle.clone());
     logged.execute_sql(SNAPSHOT_AQ).unwrap();
@@ -113,7 +113,7 @@ fn genesis_replay_recovery_matches_uninterrupted_run() {
 
     // Live run: same inputs, logged; the crash halts it mid-slice 6.
     let mut live = spec.build();
-    let handle = WalHandle::record(Box::new(MemStore::new()), None, "s0");
+    let handle = WalHandle::new(Box::new(MemStore::new()));
     handle.append(WalRecord::Genesis { fingerprint: fp });
     live.attach_wal(handle.clone());
     live.execute_sql(SNAPSHOT_AQ).unwrap();
@@ -153,9 +153,9 @@ fn snapshot_replay_equals_genesis_replay() {
     let (spec, fp) = genesis(11);
 
     let mut live = spec.build();
-    let handle = WalHandle::record(Box::new(MemStore::new()), None, "s0");
+    let handle = WalHandle::new(Box::new(MemStore::new()));
     handle.append(WalRecord::Genesis { fingerprint: fp });
-    let mut manager: WalManager<Box<Aorta>> = WalManager::new(handle.clone(), 1_000_000);
+    let mut manager: WalManager<Box<Aorta>> = WalManager::new(handle.clone(), 1_000_000, true);
     live.attach_wal(handle.clone());
     live.execute_sql(SNAPSHOT_AQ).unwrap();
     live.execute_sql(WINDOWED_AQ).unwrap();
@@ -179,6 +179,7 @@ fn snapshot_replay_equals_genesis_replay() {
 
     // Snapshot + suffix replay.
     let (at, image) = manager.latest_snapshot().expect("snapshot taken");
+    let image = image.expect("a forced snapshot keeps its image");
     let suffix = records[at as usize..].to_vec();
     let from_snapshot =
         recover_engine(Some(image.fork_snapshot()), &spec, suffix, fp).expect("suffix replay");
@@ -233,7 +234,7 @@ fn digest_distinguishes_engines_differing_only_in_a_group_edge() {
 fn recovery_refuses_foreign_or_truncated_logs() {
     let (spec, fp) = genesis(7);
     let mut live = spec.build();
-    let handle = WalHandle::record(Box::new(MemStore::new()), None, "s0");
+    let handle = WalHandle::new(Box::new(MemStore::new()));
     handle.append(WalRecord::Genesis { fingerprint: fp });
     live.attach_wal(handle.clone());
     live.execute_sql(SNAPSHOT_AQ).unwrap();

@@ -10,8 +10,9 @@
 //! The crate provides:
 //!
 //! * [`MetricsRegistry`] — counters, gauges and fixed-bucket latency
-//!   histograms keyed by `(name, sorted labels)`, stored in `BTreeMap`s so
-//!   iteration (and therefore export) order is stable,
+//!   histograms keyed by `(name, sorted labels)`, stored in sorted tables
+//!   so iteration (and therefore export) order is stable, and recording
+//!   into an existing series allocates nothing,
 //! * [`SpanEvent`] / [`SpanKind`] — structured span events for the engine's
 //!   load-bearing stages (`probe`, `lock_wait`, `schedule`, `execute`,
 //!   `gateway_route`), kept in a bounded ring with an explicit drop counter,
@@ -50,9 +51,10 @@
 
 #![warn(missing_docs)]
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use aorta_sim::{SimDuration, SimTime};
 
@@ -236,29 +238,116 @@ impl Histogram {
     }
 }
 
-/// Series key: metric name plus its sorted label set.
-type SeriesKey = (String, Vec<(String, String)>);
+/// A series' label set, sorted by key, then value.
+type Labels = Vec<(String, String)>;
 
-fn series_key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
-    let mut l: Vec<(String, String)> = labels
+/// One series as the exporters read it: name, sorted labels, value.
+type Row<'a, V> = (&'a str, &'a [(String, String)], &'a V);
+
+/// Label sets up to this long are sorted on the stack when recording; a
+/// longer one is sorted in a `Vec`.
+const INLINE_LABELS: usize = 4;
+
+/// Runs `f` over `labels` sorted the way a series stores them.
+fn with_sorted<R>(labels: &[(&str, &str)], f: impl FnOnce(&[(&str, &str)]) -> R) -> R {
+    if labels.len() <= INLINE_LABELS {
+        let mut buf = [("", ""); INLINE_LABELS];
+        let sorted = &mut buf[..labels.len()];
+        sorted.copy_from_slice(labels);
+        sorted.sort_unstable();
+        f(sorted)
+    } else {
+        let mut sorted = labels.to_vec();
+        sorted.sort_unstable();
+        f(&sorted)
+    }
+}
+
+/// Orders a stored label set against a sorted borrowed one exactly as two
+/// [`Labels`] compare.
+fn cmp_labels(stored: &[(String, String)], sorted: &[(&str, &str)]) -> Ordering {
+    stored
         .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
-    l.sort();
-    (name.to_string(), l)
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .cmp(sorted.iter().copied())
+}
+
+/// The series of one kind (counters, gauges or histograms): metric name →
+/// rows sorted by label set. Both levels are sorted vectors, so iteration
+/// is `(name, sorted labels)` order, and an existing series is found by
+/// two binary searches over borrowed strings.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Series<V>(Vec<(String, Vec<(Labels, V)>)>);
+
+impl<V> Default for Series<V> {
+    fn default() -> Self {
+        Series(Vec::new())
+    }
+}
+
+impl<V> Series<V> {
+    fn family(&self, name: &str) -> Result<usize, usize> {
+        self.0.binary_search_by(|(n, _)| n.as_str().cmp(name))
+    }
+
+    /// Every series named `name`, in label order.
+    fn rows(&self, name: &str) -> &[(Labels, V)] {
+        self.family(name).map_or(&[], |f| &self.0[f].1)
+    }
+
+    /// The value of series `(name, sorted)`, if it was ever recorded.
+    fn get(&self, name: &str, sorted: &[(&str, &str)]) -> Option<&V> {
+        let rows = self.rows(name);
+        let r = rows.binary_search_by(|(l, _)| cmp_labels(l, sorted)).ok()?;
+        Some(&rows[r].1)
+    }
+
+    /// The value of series `(name, sorted)`, created from `init` if absent:
+    /// the only path that allocates.
+    fn entry(&mut self, name: &str, sorted: &[(&str, &str)], init: impl FnOnce() -> V) -> &mut V {
+        let owned = || {
+            sorted
+                .iter()
+                .map(|&(k, v)| (k.to_owned(), v.to_owned()))
+                .collect()
+        };
+        let f = match self.family(name) {
+            Ok(f) => f,
+            Err(f) => {
+                self.0.insert(f, (name.to_owned(), vec![(owned(), init())]));
+                return &mut self.0[f].1[0].1;
+            }
+        };
+        let rows = &mut self.0[f].1;
+        let r = match rows.binary_search_by(|(l, _)| cmp_labels(l, sorted)) {
+            Ok(r) => r,
+            Err(r) => {
+                rows.insert(r, (owned(), init()));
+                r
+            }
+        };
+        &mut rows[r].1
+    }
+
+    fn iter(&self) -> impl Iterator<Item = Row<'_, V>> {
+        self.0.iter().flat_map(|(name, rows)| {
+            rows.iter()
+                .map(move |(labels, v)| (name.as_str(), labels.as_slice(), v))
+        })
+    }
 }
 
 /// The deterministic metrics store: counters, gauges, histograms, and a
 /// bounded ring of span events.
 ///
-/// All maps are `BTreeMap`s keyed by `(name, sorted labels)`, so iteration
-/// order — and therefore the byte layout of both exporters — is a pure
-/// function of the recorded data.
+/// Series are kept in `(name, sorted labels)` order, so iteration order —
+/// and therefore the byte layout of both exporters — is a pure function of
+/// the recorded data.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<SeriesKey, u64>,
-    gauges: BTreeMap<SeriesKey, i64>,
-    histograms: BTreeMap<SeriesKey, Histogram>,
+    counters: Series<u64>,
+    gauges: Series<i64>,
+    histograms: Series<Histogram>,
     spans: VecDeque<SpanEvent>,
     span_counts: BTreeMap<&'static str, u64>,
     spans_dropped: u64,
@@ -272,45 +361,39 @@ impl MetricsRegistry {
 
     /// Increment a counter series by `by`.
     pub fn incr(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
-        *self.counters.entry(series_key(name, labels)).or_insert(0) += by;
+        with_sorted(labels, |l| *self.counters.entry(name, l, || 0) += by);
     }
 
     /// Overwrite a counter series with an externally maintained total
     /// (used to sync engine-side counters into the registry at snapshot
     /// time without double-counting).
     pub fn counter_set(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.counters.insert(series_key(name, labels), value);
+        with_sorted(labels, |l| *self.counters.entry(name, l, || 0) = value);
     }
 
     /// Set a gauge series to `value`.
     pub fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], value: i64) {
-        self.gauges.insert(series_key(name, labels), value);
+        with_sorted(labels, |l| *self.gauges.entry(name, l, || 0) = value);
     }
 
     /// Record one duration into a histogram series.
     pub fn observe(&mut self, name: &str, labels: &[(&str, &str)], d: SimDuration) {
-        self.histograms
-            .entry(series_key(name, labels))
-            .or_default()
-            .observe(d);
+        with_sorted(labels, |l| {
+            self.histograms
+                .entry(name, l, Histogram::default)
+                .observe(d);
+        });
     }
 
     /// Read a counter series back (test/assertion helper — the engine
     /// itself never reads metrics).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.counters
-            .get(&series_key(name, labels))
-            .copied()
-            .unwrap_or(0)
+        with_sorted(labels, |l| self.counters.get(name, l).copied().unwrap_or(0))
     }
 
     /// Sum a counter across all label sets sharing `name`.
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|((n, _), _)| n == name)
-            .map(|(_, v)| v)
-            .sum()
+        self.counters.rows(name).iter().map(|(_, v)| v).sum()
     }
 
     /// Record a structured span event. The ring holds at most
@@ -349,20 +432,20 @@ impl MetricsRegistry {
     /// to every series from `other` (used to merge per-shard registries
     /// into a cluster-wide snapshot under a `shard` label).
     pub fn merge_labeled(&mut self, other: &MetricsRegistry, key: &str, value: &str) {
-        let relabel = |(name, labels): &SeriesKey| -> SeriesKey {
-            let mut l = labels.clone();
-            l.push((key.to_string(), value.to_string()));
-            l.sort();
-            (name.clone(), l)
-        };
-        for (k, v) in &other.counters {
-            *self.counters.entry(relabel(k)).or_insert(0) += v;
+        for (name, labels, v) in other.counters.iter() {
+            with_relabeled(labels, key, value, |l| {
+                *self.counters.entry(name, l, || 0) += v;
+            });
         }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(relabel(k), *v);
+        for (name, labels, v) in other.gauges.iter() {
+            with_relabeled(labels, key, value, |l| {
+                *self.gauges.entry(name, l, || 0) = *v;
+            });
         }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(relabel(k)).or_default().merge(h);
+        for (name, labels, h) in other.histograms.iter() {
+            with_relabeled(labels, key, value, |l| {
+                self.histograms.entry(name, l, Histogram::default).merge(h);
+            });
         }
         for (&kind, n) in &other.span_counts {
             *self.span_counts.entry(kind).or_insert(0) += n;
@@ -384,42 +467,24 @@ impl MetricsRegistry {
 
     /// Export the full snapshot as deterministic, pretty-stable JSON.
     ///
-    /// Series appear in `BTreeMap` order; span events appear oldest-first.
-    /// No floating point is emitted — all values are integers in virtual
-    /// microseconds — so formatting is platform-independent.
+    /// Series appear in `(name, sorted labels)` order; span events appear
+    /// oldest-first. No floating point is emitted — all values are
+    /// integers in virtual microseconds — so formatting is
+    /// platform-independent.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n  \"counters\": [");
-        let mut first = true;
-        for ((name, labels), v) in &self.counters {
-            json_series_open(&mut out, &mut first, name, labels);
-            let _ = write!(out, "\"value\": {v}}}");
-        }
-        out.push_str("\n  ],\n  \"gauges\": [");
-        let mut first = true;
-        for ((name, labels), v) in &self.gauges {
-            json_series_open(&mut out, &mut first, name, labels);
-            let _ = write!(out, "\"value\": {v}}}");
-        }
-        out.push_str("\n  ],\n  \"histograms\": [");
-        let mut first = true;
-        for ((name, labels), h) in &self.histograms {
-            json_series_open(&mut out, &mut first, name, labels);
-            out.push_str("\"buckets\": [");
-            let cum = h.cumulative();
-            for (i, c) in cum.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let le = LATENCY_BUCKETS_US
-                    .get(i)
-                    .map(|b| b.to_string())
-                    .unwrap_or_else(|| "+Inf".to_string());
-                let _ = write!(out, "{{\"le\": \"{le}\", \"count\": {c}}}");
-            }
-            let _ = write!(out, "], \"sum_us\": {}, \"count\": {}}}", h.sum_us, h.count);
-        }
-        out.push_str("\n  ],\n  \"spans\": {\n");
+        json_series(
+            &mut out,
+            self.counters.iter(),
+            self.gauges.iter(),
+            self.histograms.iter(),
+        );
+        self.json_spans(&mut out);
+        out
+    }
+
+    fn json_spans(&self, out: &mut String) {
+        out.push_str("  \"spans\": {\n");
         let _ = writeln!(out, "    \"dropped\": {},", self.spans_dropped);
         out.push_str("    \"counts\": {");
         let mut first = true;
@@ -448,7 +513,6 @@ impl MetricsRegistry {
             );
         }
         out.push_str("\n    ]\n  }\n}\n");
-        out
     }
 
     /// Export counters, gauges and histograms in the Prometheus text
@@ -457,39 +521,17 @@ impl MetricsRegistry {
     /// the JSON export).
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        let mut last_name = "";
-        for ((name, labels), v) in &self.counters {
-            if name != last_name {
-                let _ = writeln!(out, "# TYPE {name} counter");
-                last_name = name;
-            }
-            let _ = writeln!(out, "{name}{} {v}", prom_labels(labels, None));
-        }
-        let mut last_name = "";
-        for ((name, labels), v) in &self.gauges {
-            if name != last_name {
-                let _ = writeln!(out, "# TYPE {name} gauge");
-                last_name = name;
-            }
-            let _ = writeln!(out, "{name}{} {v}", prom_labels(labels, None));
-        }
-        let mut last_name = "";
-        for ((name, labels), h) in &self.histograms {
-            if name != last_name {
-                let _ = writeln!(out, "# TYPE {name} histogram");
-                last_name = name;
-            }
-            let cum = h.cumulative();
-            for (i, c) in cum.iter().enumerate() {
-                let le = LATENCY_BUCKETS_US
-                    .get(i)
-                    .map(|b| b.to_string())
-                    .unwrap_or_else(|| "+Inf".to_string());
-                let _ = writeln!(out, "{name}_bucket{} {c}", prom_labels(labels, Some(&le)));
-            }
-            let _ = writeln!(out, "{name}_sum{} {}", prom_labels(labels, None), h.sum_us);
-            let _ = writeln!(out, "{name}_count{} {}", prom_labels(labels, None), h.count);
-        }
+        prom_series(
+            &mut out,
+            self.counters.iter(),
+            self.gauges.iter(),
+            self.histograms.iter(),
+        );
+        self.prom_spans(&mut out);
+        out
+    }
+
+    fn prom_spans(&self, out: &mut String) {
         if !self.span_counts.is_empty() {
             let _ = writeln!(out, "# TYPE aorta_span_events_total counter");
             for (kind, n) in &self.span_counts {
@@ -504,7 +546,105 @@ impl MetricsRegistry {
                 self.spans_dropped
             );
         }
-        out
+    }
+}
+
+/// Relabels one series for [`MetricsRegistry::merge_labeled`]: runs `f`
+/// over `labels` plus `(key, value)`, sorted.
+fn with_relabeled(
+    labels: &[(String, String)],
+    key: &str,
+    value: &str,
+    f: impl FnOnce(&[(&str, &str)]),
+) {
+    let mut l: Vec<(&str, &str)> = labels
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .collect();
+    l.push((key, value));
+    l.sort_unstable();
+    f(&l);
+}
+
+/// The series half of [`MetricsRegistry::to_json`].
+fn json_series<'a>(
+    out: &mut String,
+    counters: impl Iterator<Item = Row<'a, u64>>,
+    gauges: impl Iterator<Item = Row<'a, i64>>,
+    histograms: impl Iterator<Item = Row<'a, Histogram>>,
+) {
+    out.push_str("{\n  \"counters\": [");
+    let mut first = true;
+    for (name, labels, v) in counters {
+        json_series_open(out, &mut first, name, labels);
+        let _ = write!(out, "\"value\": {v}}}");
+    }
+    out.push_str("\n  ],\n  \"gauges\": [");
+    let mut first = true;
+    for (name, labels, v) in gauges {
+        json_series_open(out, &mut first, name, labels);
+        let _ = write!(out, "\"value\": {v}}}");
+    }
+    out.push_str("\n  ],\n  \"histograms\": [");
+    let mut first = true;
+    for (name, labels, h) in histograms {
+        json_series_open(out, &mut first, name, labels);
+        out.push_str("\"buckets\": [");
+        let cum = h.cumulative();
+        for (i, c) in cum.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let le = LATENCY_BUCKETS_US
+                .get(i)
+                .map(|b| b.to_string())
+                .unwrap_or_else(|| "+Inf".to_string());
+            let _ = write!(out, "{{\"le\": \"{le}\", \"count\": {c}}}");
+        }
+        let _ = write!(out, "], \"sum_us\": {}, \"count\": {}}}", h.sum_us, h.count);
+    }
+    out.push_str("\n  ],\n");
+}
+
+/// The series half of [`MetricsRegistry::to_prometheus`].
+fn prom_series<'a>(
+    out: &mut String,
+    counters: impl Iterator<Item = Row<'a, u64>>,
+    gauges: impl Iterator<Item = Row<'a, i64>>,
+    histograms: impl Iterator<Item = Row<'a, Histogram>>,
+) {
+    let mut last_name = "";
+    for (name, labels, v) in counters {
+        if name != last_name {
+            let _ = writeln!(out, "# TYPE {name} counter");
+            last_name = name;
+        }
+        let _ = writeln!(out, "{name}{} {v}", prom_labels(labels, None));
+    }
+    let mut last_name = "";
+    for (name, labels, v) in gauges {
+        if name != last_name {
+            let _ = writeln!(out, "# TYPE {name} gauge");
+            last_name = name;
+        }
+        let _ = writeln!(out, "{name}{} {v}", prom_labels(labels, None));
+    }
+    let mut last_name = "";
+    for (name, labels, h) in histograms {
+        if name != last_name {
+            let _ = writeln!(out, "# TYPE {name} histogram");
+            last_name = name;
+        }
+        let cum = h.cumulative();
+        for (i, c) in cum.iter().enumerate() {
+            let le = LATENCY_BUCKETS_US
+                .get(i)
+                .map(|b| b.to_string())
+                .unwrap_or_else(|| "+Inf".to_string());
+            let _ = writeln!(out, "{name}_bucket{} {c}", prom_labels(labels, Some(&le)));
+        }
+        let _ = writeln!(out, "{name}_sum{} {}", prom_labels(labels, None), h.sum_us);
+        let _ = writeln!(out, "{name}_count{} {}", prom_labels(labels, None), h.count);
     }
 }
 
@@ -586,51 +726,48 @@ impl SharedMetrics {
         Self::default()
     }
 
+    /// The registry, also after a panic while another holder had it: a
+    /// registry is valid between any two of its own calls — a series
+    /// appears whole or not at all — and nothing reads it to decide
+    /// anything, so a half-finished recording or merge loses at most that
+    /// recording, and the registry stays exportable.
+    fn registry(&self) -> MutexGuard<'_, MetricsRegistry> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Increment a counter series by `by`.
     pub fn incr(&self, name: &str, labels: &[(&str, &str)], by: u64) {
-        self.0.lock().expect("metrics lock").incr(name, labels, by);
+        self.registry().incr(name, labels, by);
     }
 
     /// Overwrite a counter series with an externally maintained total.
     pub fn counter_set(&self, name: &str, labels: &[(&str, &str)], value: u64) {
-        self.0
-            .lock()
-            .expect("metrics lock")
-            .counter_set(name, labels, value);
+        self.registry().counter_set(name, labels, value);
     }
 
     /// Set a gauge series.
     pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: i64) {
-        self.0
-            .lock()
-            .expect("metrics lock")
-            .gauge_set(name, labels, value);
+        self.registry().gauge_set(name, labels, value);
     }
 
     /// Record one duration into a histogram series.
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], d: SimDuration) {
-        self.0
-            .lock()
-            .expect("metrics lock")
-            .observe(name, labels, d);
+        self.registry().observe(name, labels, d);
     }
 
     /// Record a structured span event.
     pub fn span(&self, kind: SpanKind, at: SimTime, duration: SimDuration, label: &str) {
-        self.0
-            .lock()
-            .expect("metrics lock")
-            .span(kind, at, duration, label);
+        self.registry().span(kind, at, duration, label);
     }
 
     /// Run `f` with exclusive access to the underlying registry.
     pub fn with<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
-        f(&mut self.0.lock().expect("metrics lock"))
+        f(&mut self.registry())
     }
 
     /// Clone the current registry contents out as an owned snapshot.
     pub fn snapshot(&self) -> MetricsRegistry {
-        self.0.lock().expect("metrics lock").clone()
+        self.registry().clone()
     }
 
     /// Clone the *registry*, not the handle: the result is an independent
@@ -644,7 +781,9 @@ impl SharedMetrics {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::FlatRegistry;
     use super::*;
+    use proptest::prelude::*;
 
     fn sample_registry() -> MetricsRegistry {
         let mut r = MetricsRegistry::new();
@@ -771,5 +910,235 @@ mod tests {
         m.incr("c", &[], 1);
         m2.incr("c", &[], 2);
         assert_eq!(m.snapshot().counter("c", &[]), 3);
+    }
+
+    #[test]
+    fn a_panic_while_recording_leaves_the_registry_usable() {
+        let m = SharedMetrics::new();
+        m.incr("before", &[("k", "v")], 1);
+        let holder = m.clone();
+        let joined = std::thread::spawn(move || {
+            holder.with(|r| {
+                r.incr("during", &[], 1);
+                panic!("a recording site panicked with the lock held");
+            })
+        })
+        .join();
+        assert!(joined.is_err(), "the recording thread panicked");
+        m.incr("before", &[("k", "v")], 2);
+        m.incr("after", &[], 1);
+        let json = m.with(|r| r.to_json());
+        assert!(json.contains("\"after\""), "{json}");
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("before", &[("k", "v")]), 3);
+        assert_eq!(snap.counter("during", &[]), 1);
+    }
+
+    /// One recording call, applied to both the registry and the reference.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Incr(&'static str, Vec<(&'static str, &'static str)>, u64),
+        CounterSet(&'static str, Vec<(&'static str, &'static str)>, u64),
+        GaugeSet(&'static str, Vec<(&'static str, &'static str)>, i64),
+        Observe(&'static str, Vec<(&'static str, &'static str)>, u64),
+        /// Merge the side registry under `(key, value)`.
+        Merge(&'static str, &'static str),
+    }
+
+    // Few names, keys and values, so series collide and label sets repeat
+    // keys; up to six labels, so sets past `INLINE_LABELS` occur.
+    const NAMES: [&str; 4] = ["a", "b", "aorta_x", "a_b"];
+    const KEYS: [&str; 4] = ["k", "device", "shard", "a"];
+    const VALUES: [&str; 4] = ["0", "1", "x", ""];
+
+    fn arb_labels() -> impl Strategy<Value = Vec<(&'static str, &'static str)>> {
+        proptest::collection::vec((0..KEYS.len(), 0..VALUES.len()), 0..7)
+            .prop_map(|l| l.into_iter().map(|(k, v)| (KEYS[k], VALUES[v])).collect())
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let name = || (0..NAMES.len()).prop_map(|n| NAMES[n]);
+        prop_oneof![
+            (name(), arb_labels(), 0u64..1_000).prop_map(|(n, l, v)| Op::Incr(n, l, v)),
+            (name(), arb_labels(), 0u64..1_000).prop_map(|(n, l, v)| Op::CounterSet(n, l, v)),
+            (name(), arb_labels(), -500i64..500).prop_map(|(n, l, v)| Op::GaugeSet(n, l, v)),
+            (name(), arb_labels(), 0u64..40_000_000).prop_map(|(n, l, v)| Op::Observe(n, l, v)),
+            (0..KEYS.len(), 0..VALUES.len()).prop_map(|(k, v)| Op::Merge(KEYS[k], VALUES[v])),
+        ]
+    }
+
+    fn record(
+        ops: &[Op],
+        side: &(MetricsRegistry, FlatRegistry),
+    ) -> (MetricsRegistry, FlatRegistry) {
+        let mut real = MetricsRegistry::new();
+        let mut flat = FlatRegistry::default();
+        for op in ops {
+            match op {
+                Op::Incr(n, l, v) => {
+                    real.incr(n, l, *v);
+                    flat.incr(n, l, *v);
+                }
+                Op::CounterSet(n, l, v) => {
+                    real.counter_set(n, l, *v);
+                    flat.counter_set(n, l, *v);
+                }
+                Op::GaugeSet(n, l, v) => {
+                    real.gauge_set(n, l, *v);
+                    flat.gauge_set(n, l, *v);
+                }
+                Op::Observe(n, l, us) => {
+                    real.observe(n, l, SimDuration::from_micros(*us));
+                    flat.observe(n, l, SimDuration::from_micros(*us));
+                }
+                Op::Merge(k, v) => {
+                    real.merge_labeled(&side.0, k, v);
+                    flat.merge_labeled(&side.1, k, v);
+                }
+            }
+        }
+        (real, flat)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The sorted series tables export, read back and merge exactly
+        /// as the flat map keyed by owned `(name, sorted labels)` did.
+        #[test]
+        fn series_tables_match_the_flat_reference(
+            side_ops in proptest::collection::vec(arb_op(), 0..12),
+            ops in proptest::collection::vec(arb_op(), 0..60),
+            probes in proptest::collection::vec(((0..NAMES.len()), arb_labels()), 0..8),
+        ) {
+            let empty = (MetricsRegistry::new(), FlatRegistry::default());
+            let side = record(&side_ops, &empty);
+            let (real, flat) = record(&ops, &side);
+            prop_assert_eq!(real.to_json(), flat.to_json());
+            prop_assert_eq!(real.to_prometheus(), flat.to_prometheus());
+            for name in NAMES {
+                prop_assert_eq!(real.counter_total(name), flat.counter_total(name));
+            }
+            for (n, l) in &probes {
+                prop_assert_eq!(real.counter(NAMES[*n], l), flat.counter(NAMES[*n], l));
+            }
+            for op in &ops {
+                if let Op::Incr(n, l, _) | Op::CounterSet(n, l, _) = op {
+                    prop_assert_eq!(real.counter(n, l), flat.counter(n, l));
+                }
+            }
+        }
+    }
+}
+
+/// The flat registry the series tables replaced: one `BTreeMap` per kind,
+/// keyed by an owned `(name, sorted labels)` built on every call. It is
+/// the reference the differential test above compares against; it shares
+/// only the exporters' formatting with [`MetricsRegistry`].
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// Series key: metric name plus its sorted label set.
+    type SeriesKey = (String, Vec<(String, String)>);
+
+    fn series_key(name: &str, labels: &[(&str, &str)]) -> SeriesKey {
+        let mut l: Vec<(String, String)> = labels
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        l.sort();
+        (name.to_string(), l)
+    }
+
+    fn rows<V>(map: &BTreeMap<SeriesKey, V>) -> impl Iterator<Item = Row<'_, V>> {
+        map.iter()
+            .map(|((name, labels), v)| (name.as_str(), labels.as_slice(), v))
+    }
+
+    #[derive(Default)]
+    pub(super) struct FlatRegistry {
+        counters: BTreeMap<SeriesKey, u64>,
+        gauges: BTreeMap<SeriesKey, i64>,
+        histograms: BTreeMap<SeriesKey, Histogram>,
+    }
+
+    impl FlatRegistry {
+        pub(super) fn incr(&mut self, name: &str, labels: &[(&str, &str)], by: u64) {
+            *self.counters.entry(series_key(name, labels)).or_insert(0) += by;
+        }
+
+        pub(super) fn counter_set(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
+            self.counters.insert(series_key(name, labels), value);
+        }
+
+        pub(super) fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], value: i64) {
+            self.gauges.insert(series_key(name, labels), value);
+        }
+
+        pub(super) fn observe(&mut self, name: &str, labels: &[(&str, &str)], d: SimDuration) {
+            self.histograms
+                .entry(series_key(name, labels))
+                .or_default()
+                .observe(d);
+        }
+
+        pub(super) fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
+            self.counters
+                .get(&series_key(name, labels))
+                .copied()
+                .unwrap_or(0)
+        }
+
+        pub(super) fn counter_total(&self, name: &str) -> u64 {
+            self.counters
+                .iter()
+                .filter(|((n, _), _)| n == name)
+                .map(|(_, v)| v)
+                .sum()
+        }
+
+        pub(super) fn merge_labeled(&mut self, other: &FlatRegistry, key: &str, value: &str) {
+            let relabel = |(name, labels): &SeriesKey| -> SeriesKey {
+                let mut l = labels.clone();
+                l.push((key.to_string(), value.to_string()));
+                l.sort();
+                (name.clone(), l)
+            };
+            for (k, v) in &other.counters {
+                *self.counters.entry(relabel(k)).or_insert(0) += v;
+            }
+            for (k, v) in &other.gauges {
+                self.gauges.insert(relabel(k), *v);
+            }
+            for (k, h) in &other.histograms {
+                self.histograms.entry(relabel(k)).or_default().merge(h);
+            }
+        }
+
+        /// The series as [`MetricsRegistry::to_json`] renders them, with
+        /// an empty span section.
+        pub(super) fn to_json(&self) -> String {
+            let mut out = String::new();
+            json_series(
+                &mut out,
+                rows(&self.counters),
+                rows(&self.gauges),
+                rows(&self.histograms),
+            );
+            MetricsRegistry::new().json_spans(&mut out);
+            out
+        }
+
+        pub(super) fn to_prometheus(&self) -> String {
+            let mut out = String::new();
+            prom_series(
+                &mut out,
+                rows(&self.counters),
+                rows(&self.gauges),
+                rows(&self.histograms),
+            );
+            out
+        }
     }
 }

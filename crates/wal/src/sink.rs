@@ -1,7 +1,7 @@
 //! The sink the engine writes records through. One handle, two modes:
 //!
 //! - **Record**: encode + append every record to a [`LogStore`], with
-//!   `RunUntil` tail-coalescing and observability counters.
+//!   `RunUntil` tail-coalescing.
 //! - **Verify**: recovery mode. The replaying engine's records are checked
 //!   one-by-one against the logged suffix; the first disagreement is
 //!   remembered as a divergence and surfaces as a loud
@@ -38,8 +38,6 @@ enum SinkState {
         /// thereby preserves record order).
         tail_is_run_until: bool,
         appends: u64,
-        obs: Option<SharedMetrics>,
-        obs_label: String,
     },
     Verify {
         expected: Vec<WalRecord>,
@@ -73,23 +71,27 @@ impl std::fmt::Debug for WalHandle {
 }
 
 impl WalHandle {
-    /// A recording handle over `store`. `obs_label` labels this stream's
-    /// series (e.g. `s0`) in the optional metrics registry.
-    pub fn record(
-        store: Box<dyn LogStore>,
-        obs: Option<SharedMetrics>,
-        obs_label: impl Into<String>,
-    ) -> Self {
+    /// A recording handle over `store`. A reader of the stream counters
+    /// takes them from [`Self::stats`]; nothing is published per append.
+    pub fn new(store: Box<dyn LogStore>) -> Self {
         let next_lsn = store.frame_count() as u64;
-        let tail_is_run_until = false;
         WalHandle(Arc::new(Mutex::new(SinkState::Record {
             store,
             next_lsn,
-            tail_is_run_until,
+            tail_is_run_until: false,
             appends: 0,
-            obs,
-            obs_label: obs_label.into(),
         })))
+    }
+
+    /// [`Self::new`] under its old signature: the registry and label are
+    /// ignored. The benchmark package under `perf/` still calls it this
+    /// way; it goes when that package moves to [`Self::new`].
+    pub fn record(
+        store: Box<dyn LogStore>,
+        _obs: Option<SharedMetrics>,
+        _obs_label: impl Into<String>,
+    ) -> Self {
+        Self::new(store)
     }
 
     /// A verify-mode handle over the replay suffix.
@@ -111,8 +113,6 @@ impl WalHandle {
                 next_lsn,
                 tail_is_run_until,
                 appends,
-                obs,
-                obs_label,
             } => {
                 let is_run_until = matches!(record, WalRecord::RunUntil { .. });
                 let result = if is_run_until && *tail_is_run_until {
@@ -134,11 +134,6 @@ impl WalHandle {
                 // the engine run ahead of its durability point.
                 result.unwrap_or_else(|e| panic!("wal append failed: {e}"));
                 *tail_is_run_until = is_run_until;
-                if let Some(m) = obs {
-                    let labels = &[("shard", obs_label.as_str())][..];
-                    m.counter_set("aorta_wal_appends", labels, *appends);
-                    m.counter_set("aorta_wal_bytes", labels, store.byte_len());
-                }
             }
             SinkState::Verify {
                 expected,
@@ -167,10 +162,10 @@ impl WalHandle {
 
     /// Breaks `RunUntil` tail-coalescing (record mode): the next `RunUntil`
     /// appends a fresh frame instead of rewriting the tail in place. The
-    /// snapshot manager calls this when it vaults an image, because the
-    /// vault key (the frame count at snapshot time) promises every earlier
-    /// frame is immutable — a coalescing rewrite of the tail would change a
-    /// frame the snapshot's replay suffix excludes.
+    /// snapshot manager calls this at every snapshot, image or not,
+    /// because the snapshot's position (the frame count at snapshot time)
+    /// promises every earlier frame is immutable — a coalescing rewrite of
+    /// the tail would change a frame the snapshot's replay suffix excludes.
     pub fn seal_tail(&self) {
         if let SinkState::Record {
             tail_is_run_until, ..
@@ -264,7 +259,7 @@ mod tests {
 
     #[test]
     fn run_until_coalesces_only_at_the_tail() {
-        let h = WalHandle::record(Box::new(MemStore::new()), None, "t");
+        let h = WalHandle::new(Box::new(MemStore::new()));
         h.append(WalRecord::RunUntil { deadline: t(1) });
         h.append(WalRecord::RunUntil { deadline: t(2) });
         h.append(WalRecord::DrainEscalated);
