@@ -3,6 +3,8 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
+use aorta_data::Schema;
+use aorta_device::DeviceKind;
 use aorta_sql::validate::ValidationContext;
 
 use crate::actions::ActionDef;
@@ -12,6 +14,25 @@ use crate::EngineError;
 /// Scalar (non-action) builtin functions and their arities, available in
 /// predicates: `coverage(camera_id, location)` and `distance(loc, loc)`.
 pub(crate) const BUILTIN_FUNCTIONS: &[(&str, usize)] = &[("coverage", 2), ("distance", 2)];
+
+/// The schema of a built-in device kind. The built-in XML catalogs are
+/// constants of the program, so they are parsed once per process into one
+/// table that the planner and the validation context both read.
+pub(crate) fn builtin_schema(kind: DeviceKind) -> &'static Schema {
+    static SCHEMAS: OnceLock<BTreeMap<DeviceKind, Schema>> = OnceLock::new();
+    let schemas = SCHEMAS.get_or_init(|| {
+        DeviceKind::ALL
+            .into_iter()
+            .map(|kind| {
+                let xml = aorta_device::catalog_for(kind);
+                let schema =
+                    aorta_device::parse_catalog(&xml).expect("built-in catalogs always parse");
+                (kind, schema)
+            })
+            .collect()
+    });
+    &schemas[&kind]
+}
 
 /// The catalog of actions and registered continuous queries.
 ///
@@ -115,18 +136,16 @@ impl Catalog {
     /// registered actions and scalar builtins as functions.
     ///
     /// The tables and scalar builtins are constants of the program — the
-    /// built-in XML catalogs — so they are parsed once per process; only the
-    /// action list, the one part `CREATE ACTION` changes, is derived per
-    /// call.
+    /// built-in schemas the planner reads too — so they are assembled once
+    /// per process; only the action list, the one part `CREATE ACTION`
+    /// changes, is derived per call.
     pub fn validation_context(&self) -> ValidationContext {
         static TABLES_AND_BUILTINS: OnceLock<ValidationContext> = OnceLock::new();
         let mut ctx = TABLES_AND_BUILTINS
             .get_or_init(|| {
                 let mut ctx = ValidationContext::new();
-                for kind in aorta_device::DeviceKind::ALL {
-                    let schema = aorta_device::parse_catalog(&aorta_device::catalog_for(kind))
-                        .expect("built-in catalogs always parse");
-                    ctx = ctx.with_table(schema);
+                for kind in DeviceKind::ALL {
+                    ctx = ctx.with_table(builtin_schema(kind).clone());
                 }
                 for (name, arity) in BUILTIN_FUNCTIONS {
                     ctx = ctx.with_function(*name, *arity);

@@ -25,7 +25,7 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 use aorta_data::{Location, Schema, Tuple, Value};
-use aorta_device::pushdown::numeric_sample;
+use aorta_device::pushdown::{numeric_sample, PushAgg, SampleRing, WindowBank, WindowState};
 use aorta_device::{DeviceKind, PervasiveLab};
 use aorta_obs::detect_metrics;
 use aorta_sim::{SimDuration, SimRng};
@@ -40,31 +40,34 @@ use crate::{Aorta, AqPlan, Catalog, EngineConfig, PushdownStats};
 type EdgeMap = BTreeMap<(u32, i64), bool>;
 
 thread_local! {
-    /// The edge map of the engine this thread is driving as the reference;
+    /// The state of the engine this thread is driving as the reference;
     /// `None` means detection runs through the index as in production.
-    static REFERENCE_EDGE: RefCell<Option<EdgeMap>> = const { RefCell::new(None) };
+    static REFERENCE: RefCell<Option<Reference>> = const { RefCell::new(None) };
 }
 
-/// The reference's rising-edge state, one per reference engine (the harness
-/// steps several engines in lock-step on one thread). Entries of dropped
-/// queries are never collected: ids are not reused, so they are inert.
+/// The reference's detection state, one per reference engine (the harness
+/// steps several engines in lock-step on one thread): its rising-edge map
+/// and a window of its own per (query, conjunct, source), never the
+/// engine's shared rings. Entries of dropped queries are never collected:
+/// ids are not reused, so they are inert.
 #[derive(Default)]
 struct Reference {
     edge: EdgeMap,
+    windows: WindowBank,
 }
 
 impl Reference {
     /// Runs `f` with this thread's detection routed through the scalar
     /// walk over this state.
     fn run<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        struct Restore<'a>(&'a mut EdgeMap);
+        struct Restore<'a>(&'a mut Reference);
         impl Drop for Restore<'_> {
             fn drop(&mut self) {
-                *self.0 = REFERENCE_EDGE.take().unwrap_or_default();
+                *self.0 = REFERENCE.take().unwrap_or_default();
             }
         }
-        REFERENCE_EDGE.set(Some(std::mem::take(&mut self.edge)));
-        let _restore = Restore(&mut self.edge);
+        REFERENCE.set(Some(std::mem::take(self)));
+        let _restore = Restore(self);
         f()
     }
 }
@@ -76,7 +79,7 @@ impl Reference {
 /// query targets as a device when every plan watching the kind rejected it
 /// inside its pushed prefix.
 pub(super) fn reference_detect(engine: &mut Aorta, cache: &EpochScans) -> bool {
-    let Some(mut edge) = REFERENCE_EDGE.take() else {
+    let Some(mut state) = REFERENCE.take() else {
         return false;
     };
     let plans: Vec<AqPlan> = engine
@@ -93,7 +96,7 @@ pub(super) fn reference_detect(engine: &mut Aorta, cache: &EpochScans) -> bool {
     let mut suppress: BTreeMap<DeviceKind, Vec<bool>> = BTreeMap::new();
     let mut tally = Tally::default();
     for plan in &plans {
-        let rejected = detect_events(engine, plan, cache, &mut edge, &mut tally);
+        let rejected = detect_events(engine, plan, cache, &mut state, &mut tally);
         if !device_kinds.contains(&plan.event_kind) {
             suppress
                 .entry(plan.event_kind)
@@ -115,7 +118,7 @@ pub(super) fn reference_detect(engine: &mut Aorta, cache: &EpochScans) -> bool {
             tally.indexed + tally.other,
         );
     }
-    REFERENCE_EDGE.set(Some(edge));
+    REFERENCE.set(Some(state));
     true
 }
 
@@ -139,7 +142,7 @@ fn detect_events(
     engine: &mut Aorta,
     plan: &AqPlan,
     cache: &EpochScans,
-    edge: &mut EdgeMap,
+    state: &mut Reference,
     tally: &mut Tally,
 ) -> Vec<bool> {
     let event_schema = engine.registry.schema(plan.event_kind).clone();
@@ -174,7 +177,7 @@ fn detect_events(
             let attr = event_schema
                 .index_of(&w.attr)
                 .expect("windowed attrs are validated at plan time");
-            engine.windows.advance(
+            state.windows.advance(
                 plan.query_id,
                 w.idx,
                 source,
@@ -196,10 +199,7 @@ fn detect_events(
                 }
                 let outcome = match plan.windowed.iter().find(|w| w.idx == idx) {
                     Some(w) => {
-                        match engine
-                            .windows
-                            .aggregate(plan.query_id, w.idx, source, w.agg)
-                        {
+                        match state.windows.aggregate(plan.query_id, w.idx, source, w.agg) {
                             // No numeric sample in the window: false, not
                             // an error.
                             None => Ok(false),
@@ -237,7 +237,8 @@ fn detect_events(
             all
         };
         // A source never observed is low by definition.
-        let was = edge
+        let was = state
+            .edge
             .insert((plan.query_id, source), matched)
             .unwrap_or(false);
         if !matched || was {
@@ -255,6 +256,8 @@ enum Op {
     Add(String),
     /// Drop the i-th (mod live count) currently registered AQ.
     Drop(usize),
+    /// Drop the most recently registered live AQ.
+    DropNewest,
     /// Feed one synthetic scan batch to detection.
     Batch(Vec<Tuple>),
     /// Advance virtual time (real scans, dispatch, device events).
@@ -321,27 +324,42 @@ fn random_comparison(rng: &mut SimRng) -> String {
 /// comparisons (the sharing the index exploits) the common case, while
 /// variants 0–2 cover what the comparison lanes *cannot* serve: call and OR
 /// conjuncts (fallback slots) and a type-mismatched comparison that errors
-/// on every tuple. Variants 3–4 produce windowed aggregates, so random AQ
+/// on every tuple. Variants 3–5 produce windowed aggregates, so random AQ
 /// sets mix singleton windowed groups with shared ones, and windowed
-/// comparisons land at random depths of the pushdown prefix.
+/// comparisons land at random depths of the pushdown prefix; variant 5
+/// compares against a string or NULL, an error on every defined window
+/// whose text carries the aggregate's value.
 fn random_conjunct(rng: &mut SimRng) -> String {
-    let aggs = ["AVG", "MAX", "MIN", "COUNT"];
-    match rng.range(0..=11u64) {
+    match rng.range(0..=12u64) {
         0 | 1 => random_fallback(rng),
         2 => "s.loc > 500".to_string(),
-        // Windowed comparisons take a plain literal on the right (a negative
-        // number parses as unary minus, which the planner rejects), so draw
-        // from the non-negative half of the constant pool.
-        3 | 4 => format!(
+        3 | 4 => random_windowed(rng),
+        5 => format!(
             "{}(s.{}) OVER LAST {} {} {}",
-            rng.pick(&aggs).unwrap(),
+            rng.pick(&AGGS).unwrap(),
             rng.pick(&ALL_ATTRS).unwrap(),
-            rng.range(2..=4u64),
+            rng.range(1..=4u64),
             rng.pick(&OPS).unwrap(),
-            rng.pick(&CONSTS[3..]).unwrap(),
+            rng.pick(&["\"hot\"", "NULL"]).unwrap(),
         ),
         _ => random_comparison(rng),
     }
+}
+
+const AGGS: [&str; 4] = ["AVG", "MAX", "MIN", "COUNT"];
+
+/// A random windowed comparison. Windowed comparisons take a plain literal
+/// on the right (a negative number parses as unary minus, which the planner
+/// rejects), so the constant comes from the non-negative half of the pool.
+fn random_windowed(rng: &mut SimRng) -> String {
+    format!(
+        "{}(s.{}) OVER LAST {} {} {}",
+        rng.pick(&AGGS).unwrap(),
+        rng.pick(&ALL_ATTRS).unwrap(),
+        rng.range(1..=4u64),
+        rng.pick(&OPS).unwrap(),
+        rng.pick(&CONSTS[3..]).unwrap(),
+    )
 }
 
 fn random_pred(rng: &mut SimRng) -> String {
@@ -392,14 +410,20 @@ fn random_tuple(rng: &mut SimRng, schema: &Schema, online: &[i64]) -> Tuple {
 /// one, second behind an indexed partner in the other — so the fallback
 /// memo serves walks that reach it at different depths. Batch sources go
 /// offline and come back between batches, and half the id pool starts
-/// offline, so sources are first seen mid-run in no particular id order.
+/// offline, so sources are first seen mid-run in no particular id order —
+/// some only after a windowed query registered. One windowed predicate, the
+/// echo, is registered again and again some batches apart, so identical
+/// windowed AQs overlap cold and warm on the same rings, and the newest AQ
+/// is dropped now and then, often mid-warm-up.
 fn random_script(seed: u64, steps: usize) -> Vec<Op> {
     let mut rng = SimRng::seed(seed);
     let registry = aorta_net::DeviceRegistry::from_lab(PervasiveLab::standard());
     let schema = registry.schema(DeviceKind::Sensor).clone();
-    let mut script = Vec::with_capacity(steps + 3);
+    let mut script = Vec::with_capacity(steps + 4);
     // Always start with at least one query so batches have something to hit.
     script.push(Op::Add(random_pred(&mut rng)));
+    let echo = random_windowed(&mut rng);
+    script.push(Op::Add(echo.clone()));
     let shared = random_fallback(&mut rng);
     script.push(Op::Add(format!(
         "{shared} AND {}",
@@ -411,10 +435,12 @@ fn random_script(seed: u64, steps: usize) -> Vec<Op> {
     )));
     let mut offline: BTreeSet<i64> = (6..=11).collect();
     for _ in 0..steps {
-        script.push(match rng.range(0..=9u64) {
+        script.push(match rng.range(0..=11u64) {
             0 | 1 => Op::Add(random_pred(&mut rng)),
             2 => Op::Drop(rng.range(0..=31u64) as usize),
             3 => Op::Run(rng.range(1..=5u64)),
+            4 => Op::Add(echo.clone()),
+            5 => Op::DropNewest,
             _ => {
                 let source = rng.range(0..=11i64);
                 if !offline.remove(&source) && offline.len() < 11 {
@@ -484,6 +510,11 @@ impl Replay {
                 }
                 let name = self.live.remove(i % self.live.len());
                 self.aorta.deregister_query(&name).expect("was live");
+            }
+            Op::DropNewest => {
+                if let Some(name) = self.live.pop() {
+                    self.aorta.deregister_query(&name).expect("was live");
+                }
             }
             Op::Batch(tuples) => {
                 self.drive(|a| a.detect_on_batch(DeviceKind::Sensor, tuples.clone()));
@@ -593,6 +624,52 @@ proptest::proptest! {
     }
 }
 
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+    /// A shared ring folded from a mark gives, bit for bit, what a window of
+    /// the query's own opened at that mark gives: over random sample streams
+    /// (NULLs included) with gaps in the stamps, window lengths 1..8, all
+    /// four aggregates, and marks before, inside and after the stream.
+    #[test]
+    fn ring_folds_from_a_mark_equal_a_private_window(
+        stream in proptest::collection::vec(
+            (1u64..4, proptest::option::of(-1.0e3f64..1.0e3)),
+            0..40,
+        ),
+        window in 1u32..8,
+        mark in 0u64..130,
+    ) {
+        let bits = |v: Option<Value>| match v {
+            Some(Value::Float(f)) => Some(f.to_bits()),
+            Some(Value::Int(i)) => Some(i as u64),
+            None => None,
+            Some(other) => panic!("aggregates are numbers: {other:?}"),
+        };
+        let mut ring = SampleRing::new(window);
+        let mut own = WindowState::new(window);
+        let mut stamp = 0;
+        for (gap, sample) in stream {
+            stamp += gap;
+            ring.push(stamp, sample);
+            if stamp > mark {
+                own.push(sample);
+            }
+            let fold = ring.fold_since(mark);
+            for agg in [PushAgg::Avg, PushAgg::Max, PushAgg::Min, PushAgg::Count] {
+                proptest::prop_assert_eq!(
+                    bits(fold.aggregate(agg)),
+                    bits(own.aggregate(agg)),
+                    "{} at stamp {} from mark {}",
+                    agg,
+                    stamp,
+                    mark
+                );
+            }
+        }
+    }
+}
+
 /// A deterministic end-to-end twin of the property: a fixed mixed workload
 /// (firing, never-firing, erroring, fallback, duplicated, windowed
 /// predicates) over several minutes of simulated periodic events, compared
@@ -667,12 +744,41 @@ fn fixed_mixed_workload_is_byte_identical_to_the_reference() {
     assert_eq!(eval_counters(index_push), eval_counters(reference_push));
 }
 
-/// A fixed twin of the property's multi-word batches: 130 tuples — two full
-/// words and a partial third — with source 5 at tuples 63 and 64, so one
-/// source's two samples straddle the first word boundary. Its values flip
-/// from batch to batch, so the straddling pair rises, holds and falls in
-/// turn, under firing, erroring, fallback and windowed predicates, with
-/// id-less and NULL-valued tuples mid-word.
+/// A 130-tuple batch — two full words and a partial third — over sources
+/// 0–4, 6 and 7, with source 5 at tuples 63 and 64, so one source's two
+/// samples straddle the first word boundary. Source 5's values flip from
+/// round to round (high-then-low, both high, low-then-high, both low), and
+/// id-less and NULL-valued tuples sit mid-word.
+fn straddling_batch(schema: &Schema, round: i64) -> Vec<Tuple> {
+    let mut rng = SimRng::seed(round as u64);
+    let mut tuples: Vec<Tuple> = (0..130)
+        .map(|_| random_tuple(&mut rng, schema, &[0, 1, 2, 3, 4, 6, 7]))
+        .collect();
+    let mut set = |t: usize, name: &str, v: Value| {
+        let mut values = tuples[t].values().to_vec();
+        values[schema.index_of(name).expect("sensor attribute")] = v;
+        tuples[t] = Tuple::new(values);
+    };
+    let (before, after) = [(600, 0), (600, 600), (0, 600), (0, 0)][round as usize % 4];
+    set(63, "id", Value::Int(5));
+    set(63, "accel_x", Value::Int(before));
+    set(64, "id", Value::Int(5));
+    set(64, "accel_x", Value::Int(after));
+    set(40, "id", Value::Null);
+    set(100, "accel_x", Value::Null);
+    set(128, "id", Value::Null);
+    tuples
+}
+
+fn sensor_schema(lab: &PervasiveLab) -> Schema {
+    aorta_net::DeviceRegistry::from_lab(lab.clone())
+        .schema(DeviceKind::Sensor)
+        .clone()
+}
+
+/// A fixed twin of the property's multi-word batches ([`straddling_batch`]):
+/// the straddling pair rises, holds and falls in turn, under firing,
+/// erroring, fallback and windowed predicates.
 #[test]
 fn a_source_straddling_a_word_boundary_matches_the_reference() {
     let preds = [
@@ -685,37 +791,13 @@ fn a_source_straddling_a_word_boundary_matches_the_reference() {
         "CAM AVG(s.accel_x) OVER LAST 3 > 200 AND (s.light > 600 OR s.depth = 2)",
     ];
     let lab = PervasiveLab::standard();
-    let schema = aorta_net::DeviceRegistry::from_lab(lab.clone())
-        .schema(DeviceKind::Sensor)
-        .clone();
-    let batch = |round: i64| -> Vec<Tuple> {
-        let mut rng = SimRng::seed(round as u64);
-        let mut tuples: Vec<Tuple> = (0..130)
-            .map(|_| random_tuple(&mut rng, &schema, &[0, 1, 2, 3, 4, 6, 7]))
-            .collect();
-        let mut set = |t: usize, name: &str, v: Value| {
-            let mut values = tuples[t].values().to_vec();
-            values[schema.index_of(name).expect("sensor attribute")] = v;
-            tuples[t] = Tuple::new(values);
-        };
-        // Source 5 on both sides of the boundary: high-then-low, both high,
-        // low-then-high, both low.
-        let (before, after) = [(600, 0), (600, 600), (0, 600), (0, 0)][round as usize % 4];
-        set(63, "id", Value::Int(5));
-        set(63, "accel_x", Value::Int(before));
-        set(64, "id", Value::Int(5));
-        set(64, "accel_x", Value::Int(after));
-        set(40, "id", Value::Null);
-        set(100, "accel_x", Value::Null);
-        set(128, "id", Value::Null);
-        tuples
-    };
+    let schema = sensor_schema(&lab);
     let arms = four_arms(0xB0D, &lab).map(|mut replay| {
         for p in preds {
             replay.apply(&Op::Add(p.to_string()));
         }
         for round in 0..8 {
-            replay.apply(&Op::Batch(batch(round)));
+            replay.apply(&Op::Batch(straddling_batch(&schema, round)));
         }
         replay.aorta
     });
@@ -728,6 +810,63 @@ fn a_source_straddling_a_word_boundary_matches_the_reference() {
     }
     assert_eq!(index_push.pushdown_stats(), reference_push.pushdown_stats());
     assert_eq!(eval_counters(index_push), eval_counters(reference_push));
+}
+
+/// Identical windowed AQs registered rounds apart share one ring per
+/// source while their own windows differ: source 5 takes two samples a
+/// round, straddling a word boundary, so a late twin is cold on one of the
+/// pair and warm on the other for a round, and the twin dropped next round
+/// goes mid-warm-up. Twins compared against a string error on every tuple,
+/// and a cold one's first error text carries its own aggregate, not the
+/// ring's. Source 9 is first sampled only after every twin registered.
+#[test]
+fn identical_windowed_aqs_registered_apart_match_the_reference() {
+    const SMOOTH: &str = "AVG(s.accel_x) OVER LAST 4 > 200";
+    const BROKEN: &str = r#"CAM MAX(s.accel_x) OVER LAST 3 >= "hot""#;
+    let lab = PervasiveLab::standard();
+    let schema = sensor_schema(&lab);
+    let id = schema.index_of("id").expect("sensor attribute");
+    let arms = four_arms(0x7A1, &lab).map(|mut replay| {
+        for round in 0..10 {
+            match round {
+                0 => {
+                    replay.apply(&Op::Add(SMOOTH.to_string()));
+                    replay.apply(&Op::Add(BROKEN.to_string()));
+                }
+                2 | 3 => {
+                    replay.apply(&Op::Add(SMOOTH.to_string()));
+                    replay.apply(&Op::Add(BROKEN.to_string()));
+                }
+                4 => replay.apply(&Op::DropNewest),
+                _ => {}
+            }
+            let mut batch = straddling_batch(&schema, round);
+            if round >= 6 {
+                let mut values = batch[10].values().to_vec();
+                values[id] = Value::Int(9);
+                batch[10] = Tuple::new(values);
+            }
+            replay.apply(&Op::Batch(batch));
+        }
+        replay.aorta
+    });
+    let [index, reference, index_push, reference_push] = &arms;
+    assert!(index.stats().events_detected > 0, "workload must fire");
+    let errors: Vec<&str> = index
+        .trace()
+        .iter()
+        .filter(|e| e.subsystem == "eval_error")
+        .map(|e| &*e.message)
+        .collect();
+    assert_eq!(errors.len(), 3, "one line per erroring twin: {errors:?}");
+    for other in [reference, index_push, reference_push] {
+        assert_eq!(other.stats(), index.stats());
+        assert_eq!(other.trace().render(), index.trace().render());
+    }
+    assert_eq!(index_push.pushdown_stats(), reference_push.pushdown_stats());
+    assert_eq!(eval_counters(index_push), eval_counters(reference_push));
+    // Twins still live, one ring per (family, source) sampled.
+    assert_eq!(index.window_entries(), 2 * 9);
 }
 
 /// The index must handle `eval_predicate` type mismatches exactly like the

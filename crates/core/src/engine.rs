@@ -4,7 +4,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use aorta_data::Tuple;
-use aorta_device::pushdown::WindowBank;
 use aorta_device::{DeviceId, DeviceKind, PervasiveLab};
 use aorta_net::{BreakerBank, BreakerState, DeviceRegistry, Prober};
 use aorta_obs::{MetricsRegistry, SharedMetrics};
@@ -63,15 +62,16 @@ pub struct Aorta {
     /// rising-edge state (true while a group's predicate holds for a
     /// source, so one physical event fires one request per member). Kept in
     /// lockstep with the catalog on `CREATE AQ` / `DROP AQ`.
+    ///
+    /// It also holds the sliding-window rings backing `AGG(attr) OVER LAST
+    /// n` conjuncts, one per (kind, column, n, source) shared by every AQ
+    /// that reads it. Conceptually device-resident — the mote sees every
+    /// sample it takes, shipped or suppressed, so rings advance on every
+    /// scanned tuple. Cloned into snapshots and covered by
+    /// [`state_digest`](Aorta::state_digest): replay re-samples the same
+    /// sensors from the same RNG, so a recovered engine holds the same
+    /// rings as its uninterrupted reference.
     pub(crate) pindex: PredicateIndex,
-    /// Per-(query, conjunct, source) sliding-window buffers backing
-    /// `AGG(attr) OVER LAST n` conjuncts. Conceptually device-resident —
-    /// the mote sees every sample it takes, shipped or suppressed, so
-    /// windows advance on every scanned tuple. Cloned into snapshots and
-    /// covered by [`state_digest`](Aorta::state_digest): replay re-samples
-    /// the same sensors from the same RNG, so a recovered engine holds the
-    /// same windows as its uninterrupted reference.
-    pub(crate) windows: WindowBank,
     /// Pushdown byte accounting ([`crate::PushdownStats`]). Write-only
     /// bookkeeping, separate from `raw_stats` so the committed seed
     /// artifacts (which digest `EngineStats`' Debug rendering) stay
@@ -190,7 +190,6 @@ impl Aorta {
             operators: BTreeMap::new(),
             eval_error_reported: BTreeSet::new(),
             pindex: PredicateIndex::new(),
-            windows: WindowBank::new(),
             push_stats: PushdownStats::default(),
             bad_id_reported: BTreeSet::new(),
             scan_kinds: None,
@@ -305,7 +304,6 @@ impl Aorta {
             operators: self.operators.clone(),
             eval_error_reported: self.eval_error_reported.clone(),
             pindex: self.pindex.clone(),
-            windows: self.windows.clone(),
             push_stats: self.push_stats,
             bad_id_reported: self.bad_id_reported.clone(),
             scan_kinds: self.scan_kinds.clone(),
@@ -349,7 +347,7 @@ impl Aorta {
         fnv(&mut h, self.trace.render().as_bytes());
         fnv(&mut h, format!("{:?}", self.locks).as_bytes());
         self.pindex.digest_edge_state(|bytes| fnv(&mut h, bytes));
-        self.windows.digest(|bytes| fnv(&mut h, bytes));
+        self.pindex.digest_window_state(|bytes| fnv(&mut h, bytes));
         fnv(&mut h, format!("{:?}", self.escalated).as_bytes());
         fnv(&mut h, format!("{:?}", self.latency_samples).as_bytes());
         fnv(&mut h, format!("{:?}", self.loss_stack).as_bytes());
@@ -467,10 +465,11 @@ impl Aorta {
         self.pindex.edge_entries()
     }
 
-    /// Number of live sliding-window buffers, one per (query, windowed
-    /// conjunct, event source) that has sampled at least once.
+    /// Number of live sliding-window rings, one per (kind, column, window
+    /// length, event source) some windowed AQ reads and that has sampled at
+    /// least once — however many AQs share it.
     pub fn window_entries(&self) -> usize {
-        self.windows.len()
+        self.pindex.window_entries()
     }
 
     /// The shared predicate index (introspection: distinct comparison and
@@ -693,7 +692,6 @@ impl Aorta {
         // never match again and would otherwise grow by one generation
         // per register/drop cycle, forever.
         self.pindex.unregister(&dropped);
-        self.windows.drop_query(dropped.query_id);
         self.scan_kinds = None;
         self.wal_emit(|| WalRecord::AqDropped {
             query_id: dropped.query_id,

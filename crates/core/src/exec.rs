@@ -1180,7 +1180,7 @@ impl Aorta {
             let kinds =
                 ScanKinds::cached(&mut self.scan_kinds, &self.catalog, self.config.pushdown);
             self.pindex
-                .plan_epoch(&cache.scans, &ctx, &mut self.windows, &kinds.suppressible)
+                .plan_epoch(&cache.scans, &ctx, &kinds.suppressible)
         };
         if self.config.pushdown {
             self.account_pushdown(cache, &outcomes.suppress);

@@ -39,7 +39,7 @@ pub struct DevicePart {
 ///
 /// The planner only admits window aggregates in this shape (and only over
 /// the event table), so detection can evaluate them from the device-resident
-/// [`aorta_device::pushdown::WindowBank`] and pushdown can count them as
+/// [`aorta_device::pushdown::SampleRing`]s and pushdown can count them as
 /// decided on the device.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowedCmp {
@@ -195,8 +195,7 @@ impl AqPlan {
                  involves the action-target table"
             )));
         }
-        let event_schema = aorta_device::parse_catalog(&aorta_device::catalog_for(event_kind))
-            .expect("built-in catalogs always parse");
+        let event_schema = crate::catalog::builtin_schema(event_kind);
         let mut windowed = Vec::new();
         for (idx, conjunct) in event_conjuncts.iter().enumerate() {
             if !contains_window(conjunct) {
@@ -206,7 +205,7 @@ impl AqPlan {
                 conjunct,
                 idx,
                 &event_binding,
-                &event_schema,
+                event_schema,
             )?);
         }
 
