@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 mod error;
 mod location;
 mod schema;

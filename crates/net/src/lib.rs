@@ -42,7 +42,7 @@ mod ship;
 
 pub use breaker::{BreakerBank, BreakerConfig, BreakerDecision, BreakerState};
 pub use channel::Channel;
-pub use message::{Message, WireError};
+pub use message::Message;
 pub use probe::{ProbeOutcome, Prober, RetryPolicy};
 pub use profiles_dir::{export_profiles, import_cost_tables};
 pub use registry::{DeviceEntry, DeviceRegistry, DeviceSim};

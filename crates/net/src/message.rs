@@ -2,11 +2,13 @@
 //!
 //! Every interaction with a device — probes, attribute reads, action
 //! commands — is a length-delimited binary [`Message`]. The encoding is a
-//! one-byte tag followed by fields; strings are length-prefixed UTF-8.
+//! one-byte tag followed by fields in the layout of [`aorta_data::codec`].
 //! Serialized size matters: the link models charge per byte.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
+use aorta_data::codec::{
+    put_bool, put_f64, put_str, put_u64, put_u8, put_value, put_vec, str_len, value_len,
+    DecodeError, Reader,
+};
 use aorta_data::Value;
 use aorta_device::{PhotoSize, PtzPosition};
 
@@ -64,22 +66,6 @@ pub enum Message {
     Suppressed,
 }
 
-/// Decoding failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireError(String);
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "wire error: {}", self.0)
-    }
-}
-
-impl std::error::Error for WireError {}
-
-fn err(msg: impl Into<String>) -> WireError {
-    WireError(msg.into())
-}
-
 const TAG_CONNECT: u8 = 1;
 const TAG_CONNECT_ACK: u8 = 2;
 const TAG_PROBE: u8 = 3;
@@ -93,239 +79,99 @@ const TAG_MESSAGE_ACK: u8 = 10;
 const TAG_CLOSE: u8 = 11;
 const TAG_SUPPRESSED: u8 = 12;
 
-const VAL_NULL: u8 = 0;
-const VAL_BOOL: u8 = 1;
-const VAL_INT: u8 = 2;
-const VAL_FLOAT: u8 = 3;
-const VAL_STR: u8 = 4;
-const VAL_LOC: u8 = 5;
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn get_str(buf: &mut Bytes) -> Result<String, WireError> {
-    if buf.remaining() < 4 {
-        return Err(err("truncated string length"));
-    }
-    let len = buf.get_u32() as usize;
-    if buf.remaining() < len {
-        return Err(err("truncated string body"));
-    }
-    let bytes = buf.copy_to_bytes(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| err("invalid UTF-8 in string"))
-}
-
-fn put_value(buf: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Null => buf.put_u8(VAL_NULL),
-        Value::Bool(b) => {
-            buf.put_u8(VAL_BOOL);
-            buf.put_u8(u8::from(*b));
-        }
-        Value::Int(i) => {
-            buf.put_u8(VAL_INT);
-            buf.put_i64(*i);
-        }
-        Value::Float(f) => {
-            buf.put_u8(VAL_FLOAT);
-            buf.put_f64(*f);
-        }
-        Value::Str(s) => {
-            buf.put_u8(VAL_STR);
-            put_str(buf, s);
-        }
-        Value::Location(l) => {
-            buf.put_u8(VAL_LOC);
-            buf.put_f64(l.x);
-            buf.put_f64(l.y);
-            buf.put_f64(l.z);
-        }
-    }
-}
-
-fn get_value(buf: &mut Bytes) -> Result<Value, WireError> {
-    if buf.remaining() < 1 {
-        return Err(err("truncated value tag"));
-    }
-    match buf.get_u8() {
-        VAL_NULL => Ok(Value::Null),
-        VAL_BOOL => {
-            if buf.remaining() < 1 {
-                return Err(err("truncated bool"));
-            }
-            Ok(Value::Bool(buf.get_u8() != 0))
-        }
-        VAL_INT => {
-            if buf.remaining() < 8 {
-                return Err(err("truncated int"));
-            }
-            Ok(Value::Int(buf.get_i64()))
-        }
-        VAL_FLOAT => {
-            if buf.remaining() < 8 {
-                return Err(err("truncated float"));
-            }
-            Ok(Value::Float(buf.get_f64()))
-        }
-        VAL_STR => Ok(Value::Str(get_str(buf)?)),
-        VAL_LOC => {
-            if buf.remaining() < 24 {
-                return Err(err("truncated location"));
-            }
-            Ok(Value::Location(aorta_data::Location::new(
-                buf.get_f64(),
-                buf.get_f64(),
-                buf.get_f64(),
-            )))
-        }
-        t => Err(err(format!("unknown value tag {t}"))),
-    }
-}
-
 impl Message {
     /// Serializes to bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(16);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.wire_len());
         match self {
-            Message::Connect => buf.put_u8(TAG_CONNECT),
-            Message::ConnectAck => buf.put_u8(TAG_CONNECT_ACK),
-            Message::Probe => buf.put_u8(TAG_PROBE),
+            Message::Connect => put_u8(&mut out, TAG_CONNECT),
+            Message::ConnectAck => put_u8(&mut out, TAG_CONNECT_ACK),
+            Message::Probe => put_u8(&mut out, TAG_PROBE),
             Message::ProbeReply { fields } => {
-                buf.put_u8(TAG_PROBE_REPLY);
-                buf.put_u32(fields.len() as u32);
-                for f in fields {
-                    buf.put_f64(*f);
-                }
+                put_u8(&mut out, TAG_PROBE_REPLY);
+                put_vec(&mut out, fields, |out, f| put_f64(out, *f));
             }
             Message::ReadAttrs { names } => {
-                buf.put_u8(TAG_READ_ATTRS);
-                buf.put_u32(names.len() as u32);
-                for n in names {
-                    put_str(&mut buf, n);
-                }
+                put_u8(&mut out, TAG_READ_ATTRS);
+                put_vec(&mut out, names, |out, n| put_str(out, n));
             }
             Message::AttrReply { values } => {
-                buf.put_u8(TAG_ATTR_REPLY);
-                buf.put_u32(values.len() as u32);
-                for v in values {
-                    put_value(&mut buf, v);
-                }
+                put_u8(&mut out, TAG_ATTR_REPLY);
+                put_vec(&mut out, values, put_value);
             }
             Message::Photo { target, size } => {
-                buf.put_u8(TAG_PHOTO);
-                buf.put_f64(target.pan);
-                buf.put_f64(target.tilt);
-                buf.put_f64(target.zoom);
-                buf.put_u8(match size {
-                    PhotoSize::Small => 0,
-                    PhotoSize::Medium => 1,
-                    PhotoSize::Large => 2,
-                });
+                put_u8(&mut out, TAG_PHOTO);
+                put_f64(&mut out, target.pan);
+                put_f64(&mut out, target.tilt);
+                put_f64(&mut out, target.zoom);
+                put_u8(
+                    &mut out,
+                    match size {
+                        PhotoSize::Small => 0,
+                        PhotoSize::Medium => 1,
+                        PhotoSize::Large => 2,
+                    },
+                );
             }
             Message::PhotoAck { duration_us } => {
-                buf.put_u8(TAG_PHOTO_ACK);
-                buf.put_u64(*duration_us);
+                put_u8(&mut out, TAG_PHOTO_ACK);
+                put_u64(&mut out, *duration_us);
             }
             Message::SendMessage { mms, body } => {
-                buf.put_u8(TAG_SEND_MESSAGE);
-                buf.put_u8(u8::from(*mms));
-                put_str(&mut buf, body);
+                put_u8(&mut out, TAG_SEND_MESSAGE);
+                put_bool(&mut out, *mms);
+                put_str(&mut out, body);
             }
-            Message::MessageAck => buf.put_u8(TAG_MESSAGE_ACK),
-            Message::Close => buf.put_u8(TAG_CLOSE),
-            Message::Suppressed => buf.put_u8(TAG_SUPPRESSED),
+            Message::MessageAck => put_u8(&mut out, TAG_MESSAGE_ACK),
+            Message::Close => put_u8(&mut out, TAG_CLOSE),
+            Message::Suppressed => put_u8(&mut out, TAG_SUPPRESSED),
         }
-        buf.freeze()
+        out
     }
 
     /// Deserializes from bytes.
     ///
     /// # Errors
     ///
-    /// [`WireError`] on truncation, unknown tags, invalid UTF-8, or
+    /// [`DecodeError`] on truncation, unknown tags, invalid UTF-8, or
     /// trailing bytes.
-    pub fn decode(mut buf: Bytes) -> Result<Message, WireError> {
-        if buf.remaining() < 1 {
-            return Err(err("empty message"));
-        }
-        let msg = match buf.get_u8() {
+    pub fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let msg = match r.u8()? {
             TAG_CONNECT => Message::Connect,
             TAG_CONNECT_ACK => Message::ConnectAck,
             TAG_PROBE => Message::Probe,
-            TAG_PROBE_REPLY => {
-                if buf.remaining() < 4 {
-                    return Err(err("truncated field count"));
-                }
-                let n = buf.get_u32() as usize;
-                if buf.remaining() < n * 8 {
-                    return Err(err("truncated probe fields"));
-                }
-                let fields = (0..n).map(|_| buf.get_f64()).collect();
-                Message::ProbeReply { fields }
-            }
-            TAG_READ_ATTRS => {
-                if buf.remaining() < 4 {
-                    return Err(err("truncated name count"));
-                }
-                let n = buf.get_u32() as usize;
-                let mut names = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    names.push(get_str(&mut buf)?);
-                }
-                Message::ReadAttrs { names }
-            }
-            TAG_ATTR_REPLY => {
-                if buf.remaining() < 4 {
-                    return Err(err("truncated value count"));
-                }
-                let n = buf.get_u32() as usize;
-                let mut values = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    values.push(get_value(&mut buf)?);
-                }
-                Message::AttrReply { values }
-            }
-            TAG_PHOTO => {
-                if buf.remaining() < 25 {
-                    return Err(err("truncated photo command"));
-                }
-                let target = PtzPosition::new(buf.get_f64(), buf.get_f64(), buf.get_f64());
-                let size = match buf.get_u8() {
+            TAG_PROBE_REPLY => Message::ProbeReply {
+                fields: r.vec(Reader::f64)?,
+            },
+            TAG_READ_ATTRS => Message::ReadAttrs {
+                names: r.vec(Reader::str)?,
+            },
+            TAG_ATTR_REPLY => Message::AttrReply {
+                values: r.vec(Reader::value)?,
+            },
+            TAG_PHOTO => Message::Photo {
+                target: PtzPosition::new(r.f64()?, r.f64()?, r.f64()?),
+                size: match r.u8()? {
                     0 => PhotoSize::Small,
                     1 => PhotoSize::Medium,
                     2 => PhotoSize::Large,
-                    s => return Err(err(format!("unknown photo size {s}"))),
-                };
-                Message::Photo { target, size }
-            }
-            TAG_PHOTO_ACK => {
-                if buf.remaining() < 8 {
-                    return Err(err("truncated photo ack"));
-                }
-                Message::PhotoAck {
-                    duration_us: buf.get_u64(),
-                }
-            }
-            TAG_SEND_MESSAGE => {
-                if buf.remaining() < 1 {
-                    return Err(err("truncated message kind"));
-                }
-                let mms = buf.get_u8() != 0;
-                Message::SendMessage {
-                    mms,
-                    body: get_str(&mut buf)?,
-                }
-            }
+                    s => return Err(r.bad_tag("photo size", s)),
+                },
+            },
+            TAG_PHOTO_ACK => Message::PhotoAck {
+                duration_us: r.u64()?,
+            },
+            TAG_SEND_MESSAGE => Message::SendMessage {
+                mms: r.bool()?,
+                body: r.str()?,
+            },
             TAG_MESSAGE_ACK => Message::MessageAck,
             TAG_CLOSE => Message::Close,
             TAG_SUPPRESSED => Message::Suppressed,
-            t => return Err(err(format!("unknown message tag {t}"))),
+            t => return Err(r.bad_tag("message", t)),
         };
-        if buf.has_remaining() {
-            return Err(err(format!("{} trailing bytes", buf.remaining())));
-        }
+        r.finish()?;
         Ok(msg)
     }
 
@@ -350,30 +196,15 @@ impl Message {
     }
 }
 
-/// Encoded size of a string written by `put_str`.
-fn str_len(s: &str) -> usize {
-    4 + s.len()
-}
-
-/// Encoded size of a value written by `put_value`.
-fn value_len(v: &Value) -> usize {
-    1 + match v {
-        Value::Null => 0,
-        Value::Bool(_) => 1,
-        Value::Int(_) | Value::Float(_) => 8,
-        Value::Str(s) => str_len(s),
-        Value::Location(_) => 3 * 8,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aorta_data::codec::put_u32;
     use aorta_data::Location;
 
     fn round_trip(msg: Message) {
         let bytes = msg.encode();
-        let back = Message::decode(bytes).unwrap();
+        let back = Message::decode(&bytes).unwrap();
         assert_eq!(back, msg);
     }
 
@@ -432,25 +263,25 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Message::decode(Bytes::new()).is_err());
-        assert!(Message::decode(Bytes::from_static(&[99])).is_err());
+        assert!(Message::decode(&[]).is_err());
+        assert!(Message::decode(&[99]).is_err());
         // Truncated photo.
-        assert!(Message::decode(Bytes::from_static(&[TAG_PHOTO, 0, 0])).is_err());
+        assert!(Message::decode(&[TAG_PHOTO, 0, 0]).is_err());
         // Bad photo size.
-        let mut good = BytesMut::new();
-        good.put_u8(TAG_PHOTO);
-        good.put_f64(0.0);
-        good.put_f64(0.0);
-        good.put_f64(0.0);
-        good.put_u8(7);
-        assert!(Message::decode(good.freeze()).is_err());
+        let mut good = Vec::new();
+        put_u8(&mut good, TAG_PHOTO);
+        put_f64(&mut good, 0.0);
+        put_f64(&mut good, 0.0);
+        put_f64(&mut good, 0.0);
+        put_u8(&mut good, 7);
+        assert!(Message::decode(&good).is_err());
     }
 
     #[test]
     fn decode_rejects_trailing_bytes() {
-        let mut bytes = BytesMut::from(&Message::Close.encode()[..]);
-        bytes.put_u8(0);
-        let e = Message::decode(bytes.freeze()).unwrap_err();
+        let mut bytes = Message::Close.encode();
+        put_u8(&mut bytes, 0);
+        let e = Message::decode(&bytes).unwrap_err();
         assert!(e.to_string().contains("trailing"), "{e}");
     }
 
@@ -519,11 +350,11 @@ mod tests {
 
     #[test]
     fn decode_rejects_invalid_utf8() {
-        let mut buf = BytesMut::new();
-        buf.put_u8(TAG_SEND_MESSAGE);
-        buf.put_u8(0);
-        buf.put_u32(2);
-        buf.put_slice(&[0xFF, 0xFE]);
-        assert!(Message::decode(buf.freeze()).is_err());
+        let mut buf = Vec::new();
+        put_u8(&mut buf, TAG_SEND_MESSAGE);
+        put_u8(&mut buf, 0);
+        put_u32(&mut buf, 2);
+        buf.extend_from_slice(&[0xFF, 0xFE]);
+        assert!(Message::decode(&buf).is_err());
     }
 }

@@ -3,7 +3,6 @@
 //! the single-attempt prober: a probe takes at most one TIMEOUT, and the
 //! four failure counters partition the failed probes.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 
 use aorta_data::{Location, Value};
@@ -63,13 +62,13 @@ proptest! {
     fn prop_encode_decode_identity(msg in arb_message()) {
         let bytes = msg.encode();
         prop_assert_eq!(msg.wire_len(), bytes.len());
-        let back = Message::decode(bytes).expect("own encoding decodes");
+        let back = Message::decode(&bytes).expect("own encoding decodes");
         prop_assert_eq!(back, msg);
     }
 
     #[test]
     fn prop_decode_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = Message::decode(Bytes::from(bytes));
+        let _ = Message::decode(&bytes);
     }
 
     /// Truncating a valid encoding yields an error (never panics, never a
@@ -80,7 +79,7 @@ proptest! {
         if bytes.len() > 1 {
             let cut = ((bytes.len() as f64) * cut_frac) as usize;
             let cut = cut.clamp(0, bytes.len() - 1);
-            let truncated = bytes.slice(0..cut);
+            let truncated = &bytes[..cut];
             match Message::decode(truncated) {
                 Err(_) => {} // expected
                 Ok(partial) => prop_assert_ne!(partial, msg, "truncated decode equal?!"),

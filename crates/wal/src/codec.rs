@@ -6,13 +6,18 @@
 //! magic "AWAL" (4) | payload_len u32 | lsn u64 | crc64 u64 | payload
 //! ```
 //!
-//! The CRC64 (ECMA-182 polynomial, hand-rolled — no dependencies) covers
-//! the LSN bytes followed by the payload, so a frame whose checksum passes
-//! vouches for both its position and its content. Readers are strict: a
-//! bad magic, a short frame, or a checksum mismatch is an explicit
-//! [`WalError`], never a silently shortened log.
+//! The payload is a one-byte record kind followed by the record's fields in
+//! the layout of [`aorta_data::codec`]. The CRC64 (ECMA-182 polynomial,
+//! hand-rolled — no dependencies) covers the LSN bytes followed by the
+//! payload, so a frame whose checksum passes vouches for both its position
+//! and its content. Readers are strict: a bad magic, a short frame, a
+//! checksum mismatch or a payload that does not decode exactly is an
+//! explicit [`WalError`], never a silently shortened log.
 
-use aorta_data::{Location, Tuple, Value};
+use aorta_data::codec::{
+    put_bool, put_f64, put_i64, put_str, put_tuple, put_u32, put_u64, put_u8, put_vec, DecodeError,
+    Reader,
+};
 use aorta_device::{DeviceId, DeviceKind};
 use aorta_sim::{FaultEvent, SimDuration, SimTime};
 
@@ -52,89 +57,32 @@ static CRC64_TABLE: [u64; 256] = build_crc64_table();
 
 /// CRC64-ECMA over `bytes`.
 pub fn crc64(bytes: &[u8]) -> u64 {
+    crc64_of(&[bytes])
+}
+
+/// CRC64-ECMA over the concatenation of `parts`, without building it.
+pub(crate) fn crc64_of(parts: &[&[u8]]) -> u64 {
     let mut crc = !0u64;
-    for &b in bytes {
-        crc = CRC64_TABLE[((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
+    for part in parts {
+        for &b in *part {
+            crc = CRC64_TABLE[((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
+        }
     }
     !crc
 }
 
-// --- primitive writers -------------------------------------------------------
+// --- WAL-only fields over the shared codec ----------------------------------
 
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(v as u8);
-}
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
 fn put_time(out: &mut Vec<u8>, t: SimTime) {
     put_u64(out, t.as_micros());
 }
+/// A device kind's tag is its position in [`DeviceKind::ALL`].
 fn put_kind(out: &mut Vec<u8>, k: DeviceKind) {
-    let tag = match k {
-        DeviceKind::Camera => 0u8,
-        DeviceKind::Sensor => 1,
-        DeviceKind::Phone => 2,
-        DeviceKind::Rfid => 3,
-    };
-    out.push(tag);
+    put_u8(out, k as u8);
 }
 fn put_device(out: &mut Vec<u8>, d: DeviceId) {
     put_kind(out, d.kind());
     put_u32(out, d.index());
-}
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => put_u8(out, 0),
-        Value::Bool(b) => {
-            put_u8(out, 1);
-            put_bool(out, *b);
-        }
-        Value::Int(i) => {
-            put_u8(out, 2);
-            put_i64(out, *i);
-        }
-        Value::Float(f) => {
-            put_u8(out, 3);
-            put_f64(out, *f);
-        }
-        Value::Str(s) => {
-            put_u8(out, 4);
-            put_str(out, s);
-        }
-        Value::Location(l) => {
-            put_u8(out, 5);
-            put_f64(out, l.x);
-            put_f64(out, l.y);
-            put_f64(out, l.z);
-        }
-    }
-}
-fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
-    put_u32(out, t.len() as u32);
-    for v in t.values() {
-        put_value(out, v);
-    }
-    put_u32(out, t.tags().len() as u32);
-    for &q in t.tags() {
-        put_u32(out, q);
-    }
 }
 fn put_fault(out: &mut Vec<u8>, f: &FaultEvent<DeviceId>) {
     match f {
@@ -182,15 +130,11 @@ fn put_request(out: &mut Vec<u8>, r: &WireRequest) {
             put_kind(out, *kind);
         }
     }
-    put_u32(out, r.args.len() as u32);
-    for a in &r.args {
-        put_str(out, a);
-    }
-    put_u32(out, r.candidates.len() as u32);
-    for (d, t) in &r.candidates {
+    put_vec(out, &r.args, |out, a| put_str(out, a));
+    put_vec(out, &r.candidates, |out, (d, t)| {
         put_device(out, *d);
         put_tuple(out, t);
-    }
+    });
     put_time(out, r.created_at);
     put_time(out, r.deadline);
     put_bool(out, r.degraded);
@@ -198,166 +142,58 @@ fn put_request(out: &mut Vec<u8>, r: &WireRequest) {
     put_u32(out, r.hops);
 }
 
-// --- primitive readers -------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+fn time(r: &mut Reader<'_>) -> Result<SimTime, DecodeError> {
+    r.u64().map(SimTime::from_micros)
 }
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.buf.len() {
-            return Err(format!(
-                "payload underrun: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.buf.len() - self.pos
-            ));
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn bool(&mut self) -> Result<bool, String> {
-        Ok(self.u8()? != 0)
-    }
-    fn str(&mut self) -> Result<String, String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| format!("invalid utf-8 in string: {e}"))
-    }
-    fn time(&mut self) -> Result<SimTime, String> {
-        Ok(SimTime::from_micros(self.u64()?))
-    }
-    fn kind(&mut self) -> Result<DeviceKind, String> {
-        match self.u8()? {
-            0 => Ok(DeviceKind::Camera),
-            1 => Ok(DeviceKind::Sensor),
-            2 => Ok(DeviceKind::Phone),
-            3 => Ok(DeviceKind::Rfid),
-            t => Err(format!("unknown device-kind tag {t}")),
-        }
-    }
-    fn device(&mut self) -> Result<DeviceId, String> {
-        let kind = self.kind()?;
-        let index = self.u32()?;
-        Ok(DeviceId::new(kind, index))
-    }
-    fn value(&mut self) -> Result<Value, String> {
-        match self.u8()? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Bool(self.bool()?)),
-            2 => Ok(Value::Int(self.i64()?)),
-            3 => Ok(Value::Float(self.f64()?)),
-            4 => Ok(Value::Str(self.str()?)),
-            5 => Ok(Value::Location(Location {
-                x: self.f64()?,
-                y: self.f64()?,
-                z: self.f64()?,
-            })),
-            t => Err(format!("unknown value tag {t}")),
-        }
-    }
-    fn tuple(&mut self) -> Result<Tuple, String> {
-        let n = self.u32()? as usize;
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(self.value()?);
-        }
-        let mut t = Tuple::new(values);
-        let tags = self.u32()? as usize;
-        for _ in 0..tags {
-            t.add_tag(self.u32()?);
-        }
-        Ok(t)
-    }
-    fn fault(&mut self) -> Result<FaultEvent<DeviceId>, String> {
-        match self.u8()? {
-            0 => Ok(FaultEvent::Crash(self.device()?)),
-            1 => Ok(FaultEvent::Recover(self.device()?)),
-            2 => Ok(FaultEvent::LossBurstStart {
-                extra_loss: self.f64()?,
-            }),
-            3 => Ok(FaultEvent::LossBurstEnd),
-            4 => Ok(FaultEvent::LatencySpikeStart {
-                factor: self.f64()?,
-            }),
-            5 => Ok(FaultEvent::LatencySpikeEnd),
-            6 => Ok(FaultEvent::ProcessCrash(self.device()?)),
-            7 => Ok(FaultEvent::Partition {
-                a: self.u32()?,
-                b: self.u32()?,
-                window: SimDuration::from_micros(self.u64()?),
-            }),
-            t => Err(format!("unknown fault tag {t}")),
-        }
-    }
-    fn request(&mut self) -> Result<WireRequest, String> {
-        let query_id = self.u32()?;
-        let action = self.str()?;
-        let event_tuple = self.tuple()?;
-        let event_binding = self.str()?;
-        let event_kind = self.kind()?;
-        let device_binding = match self.u8()? {
+fn kind(r: &mut Reader<'_>) -> Result<DeviceKind, DecodeError> {
+    let tag = r.u8()?;
+    DeviceKind::ALL
+        .get(usize::from(tag))
+        .copied()
+        .ok_or_else(|| r.bad_tag("device kind", tag))
+}
+fn device(r: &mut Reader<'_>) -> Result<DeviceId, DecodeError> {
+    Ok(DeviceId::new(kind(r)?, r.u32()?))
+}
+fn fault(r: &mut Reader<'_>) -> Result<FaultEvent<DeviceId>, DecodeError> {
+    Ok(match r.u8()? {
+        0 => FaultEvent::Crash(device(r)?),
+        1 => FaultEvent::Recover(device(r)?),
+        2 => FaultEvent::LossBurstStart {
+            extra_loss: r.f64()?,
+        },
+        3 => FaultEvent::LossBurstEnd,
+        4 => FaultEvent::LatencySpikeStart { factor: r.f64()? },
+        5 => FaultEvent::LatencySpikeEnd,
+        6 => FaultEvent::ProcessCrash(device(r)?),
+        7 => FaultEvent::Partition {
+            a: r.u32()?,
+            b: r.u32()?,
+            window: SimDuration::from_micros(r.u64()?),
+        },
+        t => return Err(r.bad_tag("fault", t)),
+    })
+}
+fn request(r: &mut Reader<'_>) -> Result<WireRequest, DecodeError> {
+    Ok(WireRequest {
+        query_id: r.u32()?,
+        action: r.str()?,
+        event_tuple: r.tuple()?,
+        event_binding: r.str()?,
+        event_kind: kind(r)?,
+        device_binding: match r.u8()? {
             0 => None,
-            1 => Some((self.str()?, self.kind()?)),
-            t => return Err(format!("unknown option tag {t}")),
-        };
-        let n = self.u32()? as usize;
-        let mut args = Vec::with_capacity(n);
-        for _ in 0..n {
-            args.push(self.str()?);
-        }
-        let n = self.u32()? as usize;
-        let mut candidates = Vec::with_capacity(n);
-        for _ in 0..n {
-            let d = self.device()?;
-            let t = self.tuple()?;
-            candidates.push((d, t));
-        }
-        Ok(WireRequest {
-            query_id,
-            action,
-            event_tuple,
-            event_binding,
-            event_kind,
-            device_binding,
-            args,
-            candidates,
-            created_at: self.time()?,
-            deadline: self.time()?,
-            degraded: self.bool()?,
-            attempts: self.u32()?,
-            hops: self.u32()?,
-        })
-    }
-    fn finish(self) -> Result<(), String> {
-        if self.pos != self.buf.len() {
-            return Err(format!(
-                "{} trailing byte(s) after record payload",
-                self.buf.len() - self.pos
-            ));
-        }
-        Ok(())
-    }
+            1 => Some((r.str()?, kind(r)?)),
+            t => return Err(r.bad_tag("device binding", t)),
+        },
+        args: r.vec(Reader::str)?,
+        candidates: r.vec(|r| Ok((device(r)?, r.tuple()?)))?,
+        created_at: time(r)?,
+        deadline: time(r)?,
+        degraded: r.bool()?,
+        attempts: r.u32()?,
+        hops: r.u32()?,
+    })
 }
 
 // --- record payload codec ----------------------------------------------------
@@ -390,11 +226,10 @@ fn encode_payload(r: &WalRecord, out: &mut Vec<u8>) {
         }
         WalRecord::FaultsInjected { events } => {
             put_u8(out, K_FAULTS);
-            put_u32(out, events.len() as u32);
-            for (t, f) in events {
+            put_vec(out, events, |out, (t, f)| {
                 put_time(out, *t);
                 put_fault(out, f);
-            }
+            });
         }
         WalRecord::RunUntil { deadline } => {
             put_u8(out, K_RUN_UNTIL);
@@ -455,39 +290,31 @@ fn encode_payload(r: &WalRecord, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
+fn decode_payload(payload: &[u8]) -> Result<WalRecord, DecodeError> {
     let mut r = Reader::new(payload);
-    let kind = r.u8()?;
-    let record = match kind {
+    let record = match r.u8()? {
         K_GENESIS => WalRecord::Genesis {
             fingerprint: r.u64()?,
         },
         K_SQL_EXEC => WalRecord::SqlExec { sql: r.str()? },
-        K_FAULTS => {
-            let n = r.u32()? as usize;
-            let mut events = Vec::with_capacity(n);
-            for _ in 0..n {
-                let t = r.time()?;
-                let f = r.fault()?;
-                events.push((t, f));
-            }
-            WalRecord::FaultsInjected { events }
-        }
+        K_FAULTS => WalRecord::FaultsInjected {
+            events: r.vec(|r| Ok((time(r)?, fault(r)?)))?,
+        },
         K_RUN_UNTIL => WalRecord::RunUntil {
-            deadline: r.time()?,
+            deadline: time(&mut r)?,
         },
         K_REQ_INJECTED => WalRecord::RequestInjected {
-            request: r.request()?,
+            request: request(&mut r)?,
         },
         K_ROUTE_PROBE => WalRecord::RouteProbe {
-            request: r.request()?,
+            request: request(&mut r)?,
         },
         K_DRAIN => WalRecord::DrainEscalated,
         K_MIGRATE_OUT => WalRecord::MigrateOut {
-            device: r.device()?,
+            device: device(&mut r)?,
         },
         K_MIGRATE_IN => WalRecord::MigrateIn {
-            device: r.device()?,
+            device: device(&mut r)?,
         },
         K_AQ_REGISTERED => WalRecord::AqRegistered {
             query_id: r.u32()?,
@@ -507,40 +334,46 @@ fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
             let stage = *LifecycleStage::ALL
                 .iter()
                 .find(|s| s.tag() == tag)
-                .ok_or_else(|| format!("unknown lifecycle stage tag {tag}"))?;
+                .ok_or_else(|| r.bad_tag("lifecycle stage", tag))?;
             WalRecord::Lifecycle {
                 query_id,
                 stage,
-                at: r.time()?,
+                at: time(&mut r)?,
             }
         }
         K_BREAKER => WalRecord::Breaker {
-            device: r.device()?,
+            device: device(&mut r)?,
             state: r.u8()?,
-            at: r.time()?,
+            at: time(&mut r)?,
         },
-        K_CRASH_APPLIED => WalRecord::CrashApplied { at: r.time()? },
-        other => return Err(format!("unknown record kind {other:#04x}")),
+        K_CRASH_APPLIED => WalRecord::CrashApplied { at: time(&mut r)? },
+        other => return Err(r.bad_tag("record kind", other)),
     };
     r.finish()?;
     Ok(record)
 }
 
+/// Appends `record` to `out` as one checksummed frame. The payload is
+/// encoded in place and the CRC read over the frame's own LSN and payload
+/// bytes, so nothing is copied.
+pub(crate) fn encode_frame_into(out: &mut Vec<u8>, record: &WalRecord, lsn: u64) {
+    let start = out.len();
+    out.extend_from_slice(&WAL_MAGIC);
+    put_u32(out, 0); // payload length, patched below
+    put_u64(out, lsn);
+    put_u64(out, 0); // CRC, patched below
+    encode_payload(record, out);
+    let frame = &mut out[start..];
+    let payload_len = (frame.len() - FRAME_HEADER_LEN) as u32;
+    let crc = crc64_of(&[&frame[8..16], &frame[FRAME_HEADER_LEN..]]);
+    frame[4..8].copy_from_slice(&payload_len.to_le_bytes());
+    frame[16..24].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// Encodes `record` as one checksummed frame.
 pub fn encode_frame(record: &WalRecord, lsn: u64) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(64);
-    encode_payload(record, &mut payload);
-    let mut crc_input = Vec::with_capacity(8 + payload.len());
-    crc_input.extend_from_slice(&lsn.to_le_bytes());
-    crc_input.extend_from_slice(&payload);
-    let crc = crc64(&crc_input);
-
-    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    frame.extend_from_slice(&WAL_MAGIC);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&lsn.to_le_bytes());
-    frame.extend_from_slice(&crc.to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + 64);
+    encode_frame_into(&mut frame, record, lsn);
     frame
 }
 
@@ -552,39 +385,34 @@ pub fn encode_frame(record: &WalRecord, lsn: u64) -> Vec<u8> {
 /// [`WalError::Corrupt`] on magic/checksum/payload damage.
 pub fn decode_frame(buf: &[u8], offset: &mut usize) -> Result<(u64, WalRecord), WalError> {
     let start = *offset;
+    let torn = WalError::TornFrame {
+        offset: start as u64,
+    };
     if buf.len() - start < FRAME_HEADER_LEN {
-        return Err(WalError::TornFrame {
-            offset: start as u64,
-        });
+        return Err(torn);
     }
-    let header = &buf[start..start + FRAME_HEADER_LEN];
-    if header[0..4] != WAL_MAGIC {
+    let mut r = Reader::new(&buf[start..]);
+    if r.bytes(4)? != WAL_MAGIC {
         return Err(WalError::Corrupt {
             lsn: 0,
             detail: format!("bad magic at byte {start}"),
         });
     }
-    let payload_len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
-    let lsn = u64::from_le_bytes(header[8..16].try_into().unwrap());
-    let crc_stored = u64::from_le_bytes(header[16..24].try_into().unwrap());
-    let payload_start = start + FRAME_HEADER_LEN;
-    if buf.len() - payload_start < payload_len {
-        return Err(WalError::TornFrame {
-            offset: start as u64,
-        });
-    }
-    let payload = &buf[payload_start..payload_start + payload_len];
-    let mut crc_input = Vec::with_capacity(8 + payload_len);
-    crc_input.extend_from_slice(&lsn.to_le_bytes());
-    crc_input.extend_from_slice(payload);
-    if crc64(&crc_input) != crc_stored {
+    let payload_len = r.u32()? as usize;
+    let lsn = r.u64()?;
+    let crc_stored = r.u64()?;
+    let payload = r.bytes(payload_len).map_err(|_| torn)?;
+    if crc64_of(&[&lsn.to_le_bytes(), payload]) != crc_stored {
         return Err(WalError::Corrupt {
             lsn,
             detail: "checksum mismatch".into(),
         });
     }
-    let record = decode_payload(payload).map_err(|detail| WalError::Corrupt { lsn, detail })?;
-    *offset = payload_start + payload_len;
+    let record = decode_payload(payload).map_err(|e| WalError::Corrupt {
+        lsn,
+        detail: e.to_string(),
+    })?;
+    *offset = start + FRAME_HEADER_LEN + payload_len;
     Ok((lsn, record))
 }
 

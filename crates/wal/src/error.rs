@@ -3,13 +3,16 @@
 
 use std::fmt;
 
+use aorta_data::codec::DecodeError;
+
 /// A log-layer failure: I/O, framing, or checksum damage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalError {
     /// The store could not be read or written.
     Io(String),
-    /// A frame's checksum does not match its payload — the record at this
-    /// LSN (and everything after it) cannot be trusted.
+    /// A frame's checksum does not match its payload, or its payload does
+    /// not decode (an unknown tag, a short field, trailing bytes) — the
+    /// record at this LSN (and everything after it) cannot be trusted.
     Corrupt {
         /// LSN claimed by the damaged frame.
         lsn: u64,
@@ -21,11 +24,6 @@ pub enum WalError {
     TornFrame {
         /// Byte offset of the torn frame.
         offset: u64,
-    },
-    /// The payload decoded to no known record kind.
-    UnknownRecord {
-        /// The unrecognized kind tag.
-        kind: u8,
     },
 }
 
@@ -39,14 +37,22 @@ impl fmt::Display for WalError {
             WalError::TornFrame { offset } => {
                 write!(f, "wal ends mid-frame at byte {offset} (torn append)")
             }
-            WalError::UnknownRecord { kind } => {
-                write!(f, "wal record kind {kind:#04x} is unknown")
-            }
         }
     }
 }
 
 impl std::error::Error for WalError {}
+
+impl From<DecodeError> for WalError {
+    /// A manifest or header field that does not decode is corruption with
+    /// no LSN; `decode_frame` maps a payload's error with the frame's LSN.
+    fn from(e: DecodeError) -> Self {
+        WalError::Corrupt {
+            lsn: 0,
+            detail: e.to_string(),
+        }
+    }
+}
 
 /// A recovery failure: the log could not be replayed into a state that
 /// matches what the log itself claims happened.

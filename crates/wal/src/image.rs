@@ -24,7 +24,9 @@
 //! that the embedded records replay against *some* genesis whose
 //! fingerprint matches the manifest.
 
-use crate::codec::{crc64, decode_frame, encode_frame};
+use aorta_data::codec::{put_u32, put_u64, Reader};
+
+use crate::codec::{crc64_of, decode_frame, encode_frame_into, FRAME_HEADER_LEN};
 use crate::error::WalError;
 use crate::record::WalRecord;
 
@@ -57,26 +59,28 @@ pub struct SnapshotImage {
 
 impl SnapshotImage {
     /// Serializes the image: manifest, then every record as a CRC64 frame
-    /// with LSNs numbered from zero, then the whole-image CRC patched into
-    /// the manifest.
+    /// with LSNs numbered from zero, then the payload length and the
+    /// whole-image CRC patched into the manifest.
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
-        for (i, record) in self.prefix.iter().chain(self.suffix.iter()).enumerate() {
-            payload.extend_from_slice(&encode_frame(record, i as u64));
-        }
-        let mut out = Vec::with_capacity(IMAGE_HEADER_LEN + payload.len());
+        let mut out = Vec::new();
         out.extend_from_slice(&IMAGE_MAGIC);
-        out.extend_from_slice(&IMAGE_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.shard.to_le_bytes());
-        out.extend_from_slice(&self.epoch.to_le_bytes());
-        out.extend_from_slice(&self.fingerprint.to_le_bytes());
-        out.extend_from_slice(&(self.prefix.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(self.suffix.len() as u32).to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&0u64.to_le_bytes()); // CRC slot, patched below
-        out.extend_from_slice(&payload);
-        let crc = crc64(&out);
+        put_u32(&mut out, IMAGE_VERSION);
+        put_u32(&mut out, self.shard);
+        put_u64(&mut out, self.epoch);
+        put_u64(&mut out, self.fingerprint);
+        put_u32(&mut out, self.prefix.len() as u32);
+        put_u32(&mut out, self.suffix.len() as u32);
+        put_u64(&mut out, 0); // payload length, patched below
+        put_u64(&mut out, 0); // CRC slot, patched below
+        for (i, record) in self.prefix.iter().chain(&self.suffix).enumerate() {
+            encode_frame_into(&mut out, record, i as u64);
+        }
+        let payload_len = (out.len() - IMAGE_HEADER_LEN) as u64;
+        out[36..44].copy_from_slice(&payload_len.to_le_bytes());
+        let crc = image_crc(&out);
         out[44..52].copy_from_slice(&crc.to_le_bytes());
+        // The image is held until it is shipped: keep no growth slack.
+        out.shrink_to_fit();
         out
     }
 
@@ -91,66 +95,51 @@ impl SnapshotImage {
     ///   mismatch, or trailing bytes. Any single flipped bit lands here or
     ///   in `TornFrame`; no damaged image ever decodes.
     pub fn decode(bytes: &[u8]) -> Result<SnapshotImage, WalError> {
+        let corrupt = |detail: String| WalError::Corrupt { lsn: 0, detail };
         if bytes.len() < IMAGE_HEADER_LEN {
             return Err(WalError::TornFrame {
                 offset: bytes.len() as u64,
             });
         }
-        let u32_at = |off: usize| {
-            u32::from_le_bytes(bytes[off..off + 4].try_into().expect("bounds checked"))
-        };
-        let u64_at = |off: usize| {
-            u64::from_le_bytes(bytes[off..off + 8].try_into().expect("bounds checked"))
-        };
-        if bytes[0..4] != IMAGE_MAGIC {
-            return Err(WalError::Corrupt {
-                lsn: 0,
-                detail: "bad image magic".into(),
-            });
+        let mut r = Reader::new(bytes);
+        let magic = r.bytes(4)?;
+        let version = r.u32()?;
+        let shard = r.u32()?;
+        let epoch = r.u64()?;
+        let fingerprint = r.u64()?;
+        let prefix = r.u32()?;
+        let suffix = r.u32()?;
+        let payload_len = r.u64()?;
+        let stored_crc = r.u64()?;
+        if magic != IMAGE_MAGIC {
+            return Err(corrupt("bad image magic".into()));
         }
-        let version = u32_at(4);
         if version != IMAGE_VERSION {
-            return Err(WalError::Corrupt {
-                lsn: 0,
-                detail: format!("unknown image version {version}"),
-            });
+            return Err(corrupt(format!("unknown image version {version}")));
         }
-        let shard = u32_at(8);
-        let epoch = u64_at(12);
-        let fingerprint = u64_at(20);
-        let prefix_frames = u32_at(28) as usize;
-        let suffix_frames = u32_at(32) as usize;
-        let payload_len = u64_at(36) as usize;
-        let stored_crc = u64_at(44);
-        if bytes.len() < IMAGE_HEADER_LEN + payload_len {
+        let payload = &bytes[IMAGE_HEADER_LEN..];
+        if (payload.len() as u64) < payload_len {
             return Err(WalError::TornFrame {
                 offset: bytes.len() as u64,
             });
         }
-        if bytes.len() > IMAGE_HEADER_LEN + payload_len {
-            return Err(WalError::Corrupt {
-                lsn: 0,
-                detail: format!(
-                    "{} trailing bytes after image payload",
-                    bytes.len() - IMAGE_HEADER_LEN - payload_len
-                ),
-            });
+        if payload.len() as u64 > payload_len {
+            return Err(corrupt(format!(
+                "{} trailing bytes after image payload",
+                payload.len() as u64 - payload_len
+            )));
         }
-        // Whole-image CRC: computed with the CRC slot zeroed, covering
-        // every byte of manifest and payload.
-        let mut check = bytes.to_vec();
-        check[44..52].fill(0);
-        let computed = crc64(&check);
+        let computed = image_crc(bytes);
         if computed != stored_crc {
-            return Err(WalError::Corrupt {
-                lsn: 0,
-                detail: format!(
-                    "image crc mismatch: stored {stored_crc:#018x}, computed {computed:#018x}"
-                ),
-            });
+            return Err(corrupt(format!(
+                "image crc mismatch: stored {stored_crc:#018x}, computed {computed:#018x}"
+            )));
         }
-        let payload = &bytes[IMAGE_HEADER_LEN..];
-        let mut records = Vec::with_capacity(prefix_frames + suffix_frames);
+        // A frame is at least a header and a kind byte, so the payload
+        // bounds the record count whatever the manifest claims.
+        let frames = u64::from(prefix) + u64::from(suffix);
+        let fit = payload.len() / (FRAME_HEADER_LEN + 1);
+        let mut records = Vec::with_capacity(frames.min(fit as u64) as usize);
         let mut off = 0usize;
         while off < payload.len() {
             let (lsn, record) = decode_frame(payload, &mut off)?;
@@ -162,17 +151,13 @@ impl SnapshotImage {
             }
             records.push(record);
         }
-        if records.len() != prefix_frames + suffix_frames {
-            return Err(WalError::Corrupt {
-                lsn: 0,
-                detail: format!(
-                    "image manifest claims {} frames, payload holds {}",
-                    prefix_frames + suffix_frames,
-                    records.len()
-                ),
-            });
+        if records.len() as u64 != frames {
+            return Err(corrupt(format!(
+                "image manifest claims {frames} frames, payload holds {}",
+                records.len()
+            )));
         }
-        let suffix = records.split_off(prefix_frames);
+        let suffix = records.split_off(prefix as usize);
         Ok(SnapshotImage {
             shard,
             epoch,
@@ -189,11 +174,12 @@ impl SnapshotImage {
         all.extend(self.suffix.iter().cloned());
         all
     }
+}
 
-    /// Encoded size in bytes (what a transfer ships).
-    pub fn byte_len(&self) -> usize {
-        self.encode().len()
-    }
+/// CRC64 over every byte of an encoded image, with the CRC slot (bytes
+/// 44..52) read as zeros.
+fn image_crc(bytes: &[u8]) -> u64 {
+    crc64_of(&[&bytes[..44], &[0; 8], &bytes[IMAGE_HEADER_LEN..]])
 }
 
 #[cfg(test)]
@@ -228,7 +214,6 @@ mod tests {
         let img = image();
         let bytes = img.encode();
         assert_eq!(SnapshotImage::decode(&bytes).unwrap(), img);
-        assert_eq!(img.byte_len(), bytes.len());
         assert_eq!(img.records().len(), 4);
     }
 

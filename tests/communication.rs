@@ -188,7 +188,7 @@ fn probe_messages_round_trip_device_status() {
     let status = PhysicalStatus::CameraHead(PtzPosition::new(-33.0, 5.0, 0.75));
     let reply = endpoint::probe_reply(&status);
     let bytes = reply.encode();
-    let decoded = Message::decode(bytes).expect("probe replies decode");
+    let decoded = Message::decode(&bytes).expect("probe replies decode");
     let Message::ProbeReply { fields } = decoded else {
         panic!("expected a probe reply");
     };
