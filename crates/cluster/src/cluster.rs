@@ -1299,10 +1299,9 @@ impl ShardManager {
         if cameras.len() < 2 {
             return;
         }
-        let Some(d) = cameras
-            .into_iter()
-            .find(|&d| source.registry().get(d).is_some_and(|e| e.online) && source.device_idle(d))
-        else {
+        let Some(d) = cameras.into_iter().find(|&d| {
+            source.registry().get(d).is_some_and(|e| e.online()) && source.device_idle(d)
+        }) else {
             return;
         };
         let Some(entry) = self.shards[max_s].migrate_out(d) else {

@@ -20,7 +20,7 @@ use crate::expr::{eval_expr, eval_predicate, Env, EvalContext};
 use crate::lock::LockManager;
 use crate::pindex::PredicateIndex;
 use crate::plan::AqPlan;
-use crate::shared::SharedActionOperator;
+use crate::shared::{JoinGroups, SharedActionOperator};
 use crate::{EngineConfig, EngineError};
 
 /// What a successfully executed statement produced.
@@ -88,6 +88,11 @@ pub struct Aorta {
     /// register/drop and rebuilt lazily by the next epoch, so bulk
     /// registration of 10⁵⁺ AQs never pays a per-register walk.
     pub(crate) scan_kinds: Option<ScanKinds>,
+    /// The distinct candidate joins of the registered plans, with the
+    /// static ones' outcomes memoised per event source while the registry's
+    /// membership holds still ([`JoinGroups`]). Derived state: emptied on
+    /// register/drop, empty in a snapshot fork, outside the state digest.
+    pub(crate) joins: JoinGroups,
     pub(crate) raw_stats: RawStats,
     /// Execution trace for debugging and tests (ring buffer).
     pub(crate) trace: TraceBuffer,
@@ -193,6 +198,7 @@ impl Aorta {
             push_stats: PushdownStats::default(),
             bad_id_reported: BTreeSet::new(),
             scan_kinds: None,
+            joins: JoinGroups::default(),
             raw_stats: RawStats::default(),
             trace: TraceBuffer::with_capacity(4096),
             faults: FaultPlan::new(),
@@ -307,6 +313,7 @@ impl Aorta {
             push_stats: self.push_stats,
             bad_id_reported: self.bad_id_reported.clone(),
             scan_kinds: self.scan_kinds.clone(),
+            joins: JoinGroups::default(),
             raw_stats: self.raw_stats,
             trace: self.trace.clone(),
             faults: self.faults.clone(),
@@ -670,6 +677,7 @@ impl Aorta {
         let schema = self.registry.schema(registered.event_kind);
         self.pindex.register(registered, schema);
         self.scan_kinds = None;
+        self.joins = JoinGroups::default();
         self.wal_emit(|| WalRecord::AqRegistered {
             query_id: id,
             name: name.clone(),
@@ -693,6 +701,7 @@ impl Aorta {
         // per register/drop cycle, forever.
         self.pindex.unregister(&dropped);
         self.scan_kinds = None;
+        self.joins = JoinGroups::default();
         self.wal_emit(|| WalRecord::AqDropped {
             query_id: dropped.query_id,
             name: name.to_string(),

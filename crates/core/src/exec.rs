@@ -453,7 +453,7 @@ impl Aorta {
                     // the device for a result nobody can use.
                     if self.now >= request.deadline {
                         self.expire_request(&request, device);
-                    } else if self.registry.get(device).is_some_and(|e| !e.online) {
+                    } else if self.registry.get(device).is_some_and(|e| !e.online()) {
                         // A device that crashed since assignment orphans the
                         // action: fail over instead of commanding a dead device.
                         self.handle_orphaned(request, device);
@@ -536,7 +536,7 @@ impl Aorta {
     fn apply_fault(&mut self, time: SimTime, fault: FaultEvent<DeviceId>) {
         match fault {
             FaultEvent::Crash(d) => {
-                if self.registry.get(d).is_none_or(|e| !e.online) {
+                if self.registry.get(d).is_none_or(|e| !e.online()) {
                     return; // unknown or already down
                 }
                 self.registry.set_online(d, false);
@@ -780,10 +780,19 @@ impl Aorta {
                 request.candidates.len()
             ),
         );
-        self.operators
-            .entry(request.action.clone())
-            .or_default()
-            .push(request);
+        self.enqueue(request);
+    }
+
+    /// Hands `request` to its action's shared operator.
+    fn enqueue(&mut self, request: ActionRequest) {
+        match self.operators.get_mut(&request.action) {
+            Some(op) => op.push(request),
+            None => self
+                .operators
+                .entry(request.action.clone())
+                .or_default()
+                .push(request),
+        }
     }
 
     /// The cheapest device on this shard able to serve `request`, with its
@@ -813,20 +822,20 @@ impl Aorta {
             if self
                 .breakers
                 .as_ref()
-                .is_some_and(|b| b.state(*d) == BreakerState::Open)
+                .is_some_and(|b| b.state(d) == BreakerState::Open)
             {
                 continue;
             }
-            let Some(st) = self.unprobed_status(*d) else {
+            let Some(st) = self.unprobed_status(d) else {
                 continue;
             };
             let Some((cost, _)) =
-                self.estimate_request_cost(&pricing, &aim, request, *d, tuple, &st)
+                self.estimate_request_cost(&pricing, &aim, request, d, tuple, &st)
             else {
                 continue;
             };
-            if best.is_none_or(|b| (cost, *d) < b) {
-                best = Some((cost, *d));
+            if best.is_none_or(|b| (cost, d) < b) {
+                best = Some((cost, d));
             }
         }
         best.map(|(cost, d)| (d, cost))
@@ -834,7 +843,8 @@ impl Aorta {
 
     /// Re-evaluates the query's device predicates against a fresh scan of
     /// this engine's registry — candidate sets are never cached across
-    /// shards (or across epochs; see `handle_sample`).
+    /// shards, and this rescan never reads the static-join memo, which
+    /// serves only the sampling epoch's own scans (see `JoinGroups`).
     fn recompute_candidates(&mut self, request: &ActionRequest) -> CandidateBlock {
         let Some(plan) = self
             .catalog
@@ -850,7 +860,7 @@ impl Aorta {
         let kind = device_part.kind;
         let mut cache = EpochScans::default();
         let scan = ScanOperator::new(kind).run(&mut self.registry, self.now, &mut self.rng);
-        cache.scans.insert(kind, scan);
+        cache.scans.insert(kind, Arc::new(scan));
         self.candidates_for(&plan, 0, &request.event_tuple, &cache)
     }
 
@@ -911,8 +921,9 @@ impl Aorta {
     fn failover_reselect(&mut self, request: &ActionRequest, failed: DeviceId) -> bool {
         let mut retry = request.clone();
         retry.attempts += 1;
-        Arc::make_mut(&mut retry.candidates)
-            .retain(|(d, _)| *d != failed && self.registry.get(*d).is_some_and(|e| e.online));
+        retry
+            .candidates
+            .retain(|d| d != failed && self.registry.get(d).is_some_and(|e| e.online()));
         if retry.candidates.is_empty() {
             return false;
         }
@@ -949,11 +960,10 @@ impl Aorta {
         let kinds = ScanKinds::cached(&mut self.scan_kinds, &self.catalog, self.config.pushdown);
         let mut cache = EpochScans::default();
         for &kind in &kinds.order {
-            cache.scans.insert(
-                kind,
-                ScanOperator::new(kind).run(&mut self.registry, self.now, &mut self.rng),
-            );
+            let scan = ScanOperator::new(kind).run(&mut self.registry, self.now, &mut self.rng);
+            cache.scans.insert(kind, Arc::new(scan));
         }
+        cache.generation = Some(self.registry.generation());
 
         self.detect(&cache);
         self.dispatch_pending();
@@ -1150,10 +1160,7 @@ impl Aorta {
                 attempts: 0,
                 hops: 0,
             };
-            self.operators
-                .entry(call.action.clone())
-                .or_default()
-                .push(request);
+            self.enqueue(request);
         }
     }
 
@@ -1298,7 +1305,7 @@ impl Aorta {
     #[doc(hidden)]
     pub fn detect_on_batch(&mut self, kind: DeviceKind, tuples: Vec<Tuple>) {
         let mut cache = EpochScans::default();
-        cache.scans.insert(kind, tuples);
+        cache.scans.insert(kind, Arc::new(tuples));
         self.detect(&cache);
         self.dispatch_pending();
     }
@@ -1320,14 +1327,16 @@ impl Aorta {
         };
         #[cfg(test)]
         if crate::shared::PER_PLAN_REFERENCE.get() {
-            return Arc::new(fire_tests::candidates_for_reference(
+            return CandidateBlock::from_vec(fire_tests::candidates_for_reference(
                 self,
                 plan,
                 event_tuple,
                 cache,
             ));
         }
-        let outcome = cache.join(plan, device_part, t, event_tuple, &self.registry);
+        let outcome = self
+            .joins
+            .outcome(plan, device_part, t, event_tuple, cache, &self.registry);
         for (idx, msg) in &outcome.errors {
             // Dedup in the same (query, conjunct) space as event-conjunct
             // errors, offset past the event conjuncts so a device conjunct
@@ -1346,7 +1355,10 @@ impl Aorta {
         for raw in &outcome.bad_ids {
             self.note_bad_device_id(plan, device_part.kind, *raw);
         }
-        outcome.candidates.clone()
+        match cache.scans.get(&device_part.kind) {
+            Some(scan) => outcome.block(scan),
+            None => CandidateBlock::default(),
+        }
     }
 
     /// Bookkeeping for a joined device tuple whose `id` cannot name a
@@ -1406,11 +1418,11 @@ impl Aorta {
         // (request, candidate) pair. The address map is only ever looked
         // up, never iterated, so it cannot leak into the order of anything.
         let mut blocks: Vec<CandidateBlock> = Vec::new();
-        let mut seen: HashMap<*const Vec<(DeviceId, Tuple)>, usize> = HashMap::new();
+        let mut seen = HashMap::new();
         let mut batch: Vec<(ActionRequest, usize)> = batch
             .into_iter()
             .map(|r| {
-                let b = *seen.entry(Arc::as_ptr(&r.candidates)).or_insert_with(|| {
+                let b = *seen.entry(r.candidates.identity()).or_insert_with(|| {
                     blocks.push(r.candidates.clone());
                     blocks.len() - 1
                 });
@@ -1422,7 +1434,7 @@ impl Aorta {
         // `predicted` are indexed by position in `devices`.
         let mut devices: Vec<DeviceId> = blocks
             .iter()
-            .flat_map(|b| b.iter().map(|(d, _)| *d))
+            .flat_map(|b| b.iter().map(|(d, _)| d))
             .collect();
         devices.sort_unstable();
         devices.dedup();
@@ -1471,7 +1483,11 @@ impl Aorta {
             .iter()
             .map(|b| {
                 b.iter()
-                    .map(|(d, _)| devices.binary_search(d).expect("collected from the blocks"))
+                    .map(|(d, _)| {
+                        devices
+                            .binary_search(&d)
+                            .expect("collected from the blocks")
+                    })
                     .collect()
             })
             .collect();
@@ -1682,7 +1698,7 @@ impl Aorta {
     /// Status without probing: the engine's last-known view.
     fn unprobed_status(&mut self, d: DeviceId) -> Option<PhysicalStatus> {
         let entry = self.registry.get(d)?;
-        if !entry.online {
+        if !entry.online() {
             return None;
         }
         Some(match &entry.sim {
@@ -1707,7 +1723,7 @@ impl Aorta {
         pricing: &Pricing,
         request: &ActionRequest,
         class: &mut PricingClass,
-        block: &[(DeviceId, Tuple)],
+        block: &CandidateBlock,
         positions: &[usize],
         predicted: &Predicted,
     ) -> Option<(SimTime, SimDuration, usize, Option<PtzPosition>)> {
@@ -1723,7 +1739,7 @@ impl Aorta {
             #[cfg(test)]
             fire_tests::ROWS_REUSED.set(fire_tests::ROWS_REUSED.get() + 1);
         }
-        let mut best: Option<(SimTime, SimDuration, usize)> = None;
+        let mut best: Option<(SimTime, SimDuration, usize, DeviceId, &Tuple)> = None;
         for (((slot, (d, tuple)), &i), quote) in
             block.iter().enumerate().zip(positions).zip(&mut class.row)
         {
@@ -1737,7 +1753,7 @@ impl Aorta {
                 }
                 quote.version = Some(predicted.version[i]);
                 quote.cost = self
-                    .estimate_request_cost(pricing, &class.aim, request, *d, tuple, st)
+                    .estimate_request_cost(pricing, &class.aim, request, d, tuple, st)
                     .map(|(cost, _)| cost);
             }
             let Some(cost) = quote.cost else {
@@ -1745,15 +1761,14 @@ impl Aorta {
             };
             let finish = predicted.free_at[i] + cost;
             if best.is_none_or(|(bf, ..)| finish < bf) {
-                best = Some((finish, cost, slot));
+                best = Some((finish, cost, slot, d, tuple));
             }
         }
         // No head depends on the predicted status, so the row keeps costs
         // only and the winner's head is worked out once more.
-        let (finish, cost, slot) = best?;
-        let (d, tuple) = &block[slot];
+        let (finish, cost, slot, d, tuple) = best?;
         let head = self
-            .head_target(&class.aim, request, *d, tuple)
+            .head_target(&class.aim, request, d, tuple)
             .expect("a costed candidate has a target");
         Some((finish, cost, positions[slot], head))
     }
@@ -2279,7 +2294,7 @@ mod tests {
         assert!(aorta.trace().any("fault", "camera-0 crashed"));
         assert!(aorta.trace().any("failover", "lock released after crash"));
         assert!(!aorta.locks.is_locked(cam, aorta.now()));
-        assert!(!aorta.registry().get(cam).unwrap().online);
+        assert!(!aorta.registry().get(cam).unwrap().online());
     }
 
     #[test]
@@ -2297,9 +2312,9 @@ mod tests {
         );
         aorta.inject_faults(plan);
         aorta.run_for(SimDuration::from_secs(10));
-        assert!(!aorta.registry().get(cam).unwrap().online);
+        assert!(!aorta.registry().get(cam).unwrap().online());
         aorta.run_for(SimDuration::from_secs(10));
-        assert!(aorta.registry().get(cam).unwrap().online);
+        assert!(aorta.registry().get(cam).unwrap().online());
         assert!(aorta.trace().any("fault", "camera-1 recovered"));
     }
 
@@ -2577,17 +2592,17 @@ mod tests {
         let mut cache = crate::shared::EpochScans::default();
         cache.scans.insert(
             DeviceKind::Sensor,
-            vec![
+            std::sync::Arc::new(vec![
                 sensor_tuple(Value::Int(u32::MAX as i64 + 4)), // truncates to 3
                 sensor_tuple(Value::Int(-1)),                  // truncates to u32::MAX
                 sensor_tuple(Value::Null),                     // no usable id at all
                 sensor_tuple(Value::Int(1)),                   // the only real device
-            ],
+            ]),
         );
         let event = sensor_tuple(Value::Int(0));
         let candidates = aorta.candidates_for(&plan, 0, &event, &cache);
         assert_eq!(
-            candidates.iter().map(|(d, _)| *d).collect::<Vec<_>>(),
+            candidates.iter().map(|(d, _)| d).collect::<Vec<_>>(),
             vec![DeviceId::new(DeviceKind::Sensor, 1)],
             "only the in-range id survives; nothing is truncated onto device 3"
         );

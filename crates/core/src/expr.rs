@@ -32,6 +32,14 @@ impl<'a> Env<'a> {
         self
     }
 
+    /// Points the most recent binding at `tuple`, so that a join walking
+    /// one binding over a scan reuses its environment row after row.
+    pub fn rebind_last(&mut self, tuple: &'a Tuple) {
+        if let Some((_, _, bound)) = self.bindings.last_mut() {
+            *bound = tuple;
+        }
+    }
+
     fn lookup(&self, qualifier: Option<&str>, name: &str) -> Result<Value, EngineError> {
         match qualifier {
             Some(q) => {

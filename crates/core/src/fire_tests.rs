@@ -31,7 +31,7 @@ pub(super) fn lerfa_choice_reference(
     pricing: &Pricing,
     request: &ActionRequest,
     aim: &Aim,
-    block: &[(DeviceId, Tuple)],
+    block: &CandidateBlock,
     positions: &[usize],
     predicted: &Predicted,
 ) -> Option<(SimTime, SimDuration, usize, Option<PtzPosition>)> {
@@ -40,7 +40,7 @@ pub(super) fn lerfa_choice_reference(
         let Some(st) = &predicted.status[i] else {
             continue;
         };
-        let Some((cost, head)) = engine.estimate_request_cost(pricing, aim, request, *d, tuple, st)
+        let Some((cost, head)) = engine.estimate_request_cost(pricing, aim, request, d, tuple, st)
         else {
             continue;
         };
@@ -92,7 +92,7 @@ pub(super) fn candidates_for_reference(
         let ctx = EvalContext {
             registry: &engine.registry,
         };
-        for dt in cache.scans.get(&device_part.kind).into_iter().flatten() {
+        for dt in cache.scan(device_part.kind) {
             let env = Env::new()
                 .bind(&plan.event_binding, &event_schema, event_tuple)
                 .bind(&device_part.binding, &device_schema, dt);
@@ -142,13 +142,11 @@ pub(super) fn candidates_for_reference(
 
 // --- harness -----------------------------------------------------------------
 
-use std::sync::Arc;
-
 use aorta_device::PervasiveLab;
 use aorta_sim::{FaultEvent, FaultPlan, SimDuration, SimTime};
 
 use super::EngineEvent;
-use crate::shared::{ActionRequest, Aim, EpochScans};
+use crate::shared::{ActionRequest, Aim, CandidateBlock, EpochScans, MEMO_HITS};
 use crate::{AdmissionConfig, EngineConfig, EngineStats};
 
 /// Runs `f` with this thread's engines on the reference path.
@@ -186,7 +184,7 @@ fn held_candidates(engine: &Aorta) -> Vec<(u32, u32, Vec<DeviceId>)> {
     held_requests(engine)
         .into_iter()
         .map(|r| {
-            let ids = r.candidates.iter().map(|(d, _)| *d).collect();
+            let ids = r.candidates.iter().map(|(d, _)| d).collect();
             (r.query_id, r.attempts, ids)
         })
         .collect()
@@ -417,7 +415,7 @@ fn requests_fired_by_one_event_hold_one_block() {
     for (n, x) in held.iter().enumerate() {
         for y in held[n + 1..].iter().filter(|y| same_event(x, y)) {
             assert_ne!(x.query_id, y.query_id);
-            assert!(Arc::ptr_eq(&x.candidates, &y.candidates));
+            assert!(CandidateBlock::ptr_eq(&x.candidates, &y.candidates));
             sharing += 1;
         }
     }
@@ -426,7 +424,7 @@ fn requests_fired_by_one_event_hold_one_block() {
     let held = held_requests(&engine);
     for (n, x) in held.iter().enumerate() {
         for y in &held[n + 1..] {
-            assert!(!Arc::ptr_eq(&x.candidates, &y.candidates));
+            assert!(!CandidateBlock::ptr_eq(&x.candidates, &y.candidates));
         }
     }
 }
@@ -449,11 +447,11 @@ fn retries_copy_on_write_and_leave_sibling_blocks_whole() {
     let original = &held[0];
     let sibling = held[1..]
         .iter()
-        .find(|r| Arc::ptr_eq(&r.candidates, &original.candidates))
+        .find(|r| CandidateBlock::ptr_eq(&r.candidates, &original.candidates))
         .expect("the other query's request for the same event is still queued");
-    let whole: Vec<DeviceId> = original.candidates.iter().map(|(d, _)| *d).collect();
+    let whole: Vec<DeviceId> = original.candidates.iter().map(|(d, _)| d).collect();
     assert!(whole.len() >= 2, "need a device to lose and one to keep");
-    let ids = |r: &ActionRequest| r.candidates.iter().map(|(d, _)| *d).collect::<Vec<_>>();
+    let ids = |r: &ActionRequest| r.candidates.iter().map(|(d, _)| d).collect::<Vec<_>>();
 
     assert!(engine.failover_reselect(original, whole[0]));
     assert!(engine.failover_reselect(sibling, whole[1]));
@@ -471,6 +469,116 @@ fn retries_copy_on_write_and_leave_sibling_blocks_whole() {
             (original.query_id, without(whole[0])),
             (sibling.query_id, without(whole[1])),
         ]
+    );
+}
+
+// --- static-join memo ------------------------------------------------------------
+
+/// (query, attempts, candidates with their scan tuples) of a held request.
+type HeldBlock = (u32, u32, Vec<(DeviceId, Tuple)>);
+
+/// The [`HeldBlock`] of every held request.
+fn held_blocks(engine: &Aorta) -> Vec<HeldBlock> {
+    held_requests(engine)
+        .into_iter()
+        .map(|r| (r.query_id, r.attempts, r.candidates.to_vec()))
+        .collect()
+}
+
+/// A static join's memo answers one source's later events only while the
+/// registry's membership holds still: a crash, a recovery, a migration out
+/// and back in, and a DROP/CREATE between that source's events each force
+/// a fresh join, and every block, trace line and counter equals the
+/// per-plan reference join's.
+#[test]
+fn static_join_memo_tracks_membership() {
+    const PERIOD_S: u64 = 20;
+    const QUERIES: u64 = 6;
+    // Both cover mote 0, the one source.
+    let crashed = DeviceId::camera(1);
+    let migrated = DeviceId::camera(2);
+    let run = || {
+        MEMO_HITS.set(0);
+        let lab = PervasiveLab::with_sizes(4, 9, 0)
+            .with_reliable_cameras()
+            .with_periodic_events(SimDuration::from_secs(PERIOD_S), SimDuration::ZERO);
+        let mut engine = Aorta::with_lab(EngineConfig::seeded(8), lab);
+        // One source, mote 0, and more queries joining alike than there
+        // are cameras covering it: some of every event's requests queue,
+        // so each event leaves held blocks to compare.
+        let aq = |name: &str| photo_aq(name, ARGS, FROM, &format!("s.id = 0 AND {COVERED}"));
+        for q in 0..QUERIES {
+            engine.execute_sql(&aq(&format!("q{q}"))).unwrap();
+        }
+        let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+        let mut faults = FaultPlan::new();
+        faults.schedule(at(PERIOD_S + 5), FaultEvent::Crash(crashed));
+        faults.schedule(at(3 * PERIOD_S + 5), FaultEvent::Recover(crashed));
+        engine.inject_faults(faults);
+        let mut seen = Vec::new();
+        for event in 0..10 {
+            let checkpoint = at(event * PERIOD_S) + SimDuration::from_millis(100);
+            engine.run_for(checkpoint.saturating_duration_since(engine.now()));
+            seen.push((MEMO_HITS.get(), held_blocks(&engine)));
+            // Halfway to the next event, clear of this one's spike.
+            let between = at(event * PERIOD_S + PERIOD_S / 2);
+            engine.run_for(between.saturating_duration_since(engine.now()));
+            match event {
+                5 => {
+                    let entry = engine.migrate_out(migrated).unwrap();
+                    engine.migrate_in(entry);
+                }
+                7 => {
+                    engine.execute_sql("DROP AQ q0").unwrap();
+                    engine.execute_sql(&aq("q0")).unwrap();
+                }
+                _ => {}
+            }
+        }
+        (seen, engine.stats(), engine.trace().render())
+    };
+    let (seen, stats, trace) = run();
+    let (reference, reference_stats, reference_trace) = on_reference_path(run);
+    assert_eq!(
+        stats.events_detected,
+        10 * QUERIES,
+        "one event per query and period"
+    );
+    assert_eq!(stats, reference_stats);
+    assert_eq!(trace, reference_trace);
+    let hits: Vec<u64> = seen.iter().map(|(h, _)| *h).collect();
+    // Every query after the first of an event reads the outcome the first
+    // one stored. Each membership change or DDL lands between an event
+    // whose first query hit and the next, whose first query joins afresh.
+    let first_hits = [0, 1, 0, 1, 0, 1, 0, 1, 0, 1];
+    let expected: Vec<u64> = first_hits
+        .iter()
+        .scan(0, |total, first| {
+            *total += QUERIES - 1 + first;
+            Some(*total)
+        })
+        .collect();
+    assert_eq!(hits, expected);
+    assert!(reference.iter().all(|(h, _)| *h == 0));
+    let blocks: Vec<_> = seen.into_iter().map(|(_, b)| b).collect();
+    let reference: Vec<_> = reference.into_iter().map(|(_, b)| b).collect();
+    assert_eq!(blocks, reference);
+    // The memo saw what the registry did: the crashed camera leaves the
+    // block of the next event and the recovered one comes back.
+    let fresh = |event: usize| {
+        let (_, _, candidates) = blocks[event]
+            .iter()
+            .find(|(_, attempts, _)| *attempts == 0)
+            .expect("the event's request is still queued at its checkpoint");
+        candidates.iter().map(|(d, _)| *d).collect::<Vec<_>>()
+    };
+    assert!(fresh(1).contains(&crashed));
+    assert!(!fresh(2).contains(&crashed) && !fresh(3).contains(&crashed));
+    assert!(fresh(4).contains(&crashed));
+    assert_eq!(
+        fresh(6),
+        fresh(5),
+        "a device migrated out and back in rejoins"
     );
 }
 

@@ -51,6 +51,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use aorta_data::{Schema, Tuple, Value};
 use aorta_device::pushdown::{numeric_sample, PushAgg, PushOp, SampleRing, WindowFold};
@@ -1223,7 +1224,7 @@ impl PredicateIndex {
     /// pushed prefix, a kind no group watches — ships.
     pub(crate) fn plan_epoch(
         &mut self,
-        cache: &BTreeMap<DeviceKind, Vec<Tuple>>,
+        cache: &BTreeMap<DeviceKind, Arc<Vec<Tuple>>>,
         ctx: &EvalContext<'_>,
         suppressible: &BTreeSet<DeviceKind>,
     ) -> EpochOutcomes {
@@ -1571,7 +1572,7 @@ mod tests {
     ) -> EpochOutcomes {
         let ctx = EvalContext { registry: reg };
         let mut cache = BTreeMap::new();
-        cache.insert(DeviceKind::Sensor, tuples);
+        cache.insert(DeviceKind::Sensor, Arc::new(tuples));
         index.plan_epoch(&cache, &ctx, &BTreeSet::new())
     }
 
@@ -1594,7 +1595,7 @@ mod tests {
     ) -> Vec<String> {
         let ctx = EvalContext { registry: reg };
         let mut cache = BTreeMap::new();
-        cache.insert(DeviceKind::Sensor, tuples);
+        cache.insert(DeviceKind::Sensor, Arc::new(tuples));
         let out = index.plan_epoch(&cache, &ctx, &BTreeSet::new());
         index.commit_epoch(out.commit);
         out.affected.into_iter().map(|(name, _)| name).collect()
@@ -1748,7 +1749,7 @@ mod tests {
         let mut cache = BTreeMap::new();
         cache.insert(
             DeviceKind::Sensor,
-            vec![sensor_tuple(&reg, Some(7), Value::Int(600))],
+            Arc::new(vec![sensor_tuple(&reg, Some(7), Value::Int(600))]),
         );
         let out = index.plan_epoch(&cache, &ctx, &BTreeSet::new());
         assert_eq!(out.affected.len(), 1, "a rises");
@@ -1832,7 +1833,7 @@ mod tests {
         let stops = {
             let ctx = EvalContext { registry: &reg };
             let mut cache = BTreeMap::new();
-            cache.insert(DeviceKind::Sensor, batch);
+            cache.insert(DeviceKind::Sensor, Arc::new(batch));
             let out = index.plan_epoch(&cache, &ctx, &BTreeSet::new());
             out.groups[out.by_query[&0]].stops.clone()
         };

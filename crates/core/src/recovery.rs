@@ -10,14 +10,12 @@
 //! by the verify sink, so a replay that diverges from the original run by
 //! even one transition fails loudly instead of resuming from a wrong state.
 
-use std::sync::Arc;
-
 use aorta_net::DeviceRegistry;
 use aorta_sim::FaultPlan;
 use aorta_wal::{RecoveryError, SnapshotImage, WalHandle, WalRecord, WireRequest};
 
 use crate::actions::CustomHandler;
-use crate::shared::ActionRequest;
+use crate::shared::{ActionRequest, CandidateBlock};
 use crate::{Aorta, EngineConfig};
 
 /// Everything needed to rebuild a shard engine from nothing: the immutable
@@ -108,7 +106,7 @@ pub fn request_from_wire(wire: &WireRequest) -> Result<ActionRequest, RecoveryEr
         event_kind: wire.event_kind,
         device_binding: wire.device_binding.clone(),
         args,
-        candidates: Arc::new(wire.candidates.clone()),
+        candidates: CandidateBlock::from_vec(wire.candidates.clone()),
         created_at: wire.created_at,
         deadline: wire.deadline,
         degraded: wire.degraded,

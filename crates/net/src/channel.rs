@@ -79,6 +79,21 @@ impl Channel {
         }
     }
 
+    /// A request/response exchange priced by its wire lengths alone, for a
+    /// caller that has the reply's content in hand already: the request
+    /// crosses first, then the reply, drawing from `rng` exactly as
+    /// [`Channel::exchange`] does for messages of these lengths.
+    ///
+    /// Returns the round-trip time, or `None` when either direction is lost.
+    pub fn exchange_len(
+        &self,
+        request_len: usize,
+        reply_len: usize,
+        rng: &mut SimRng,
+    ) -> Option<SimDuration> {
+        self.link.round_trip(request_len, reply_len, rng)
+    }
+
     /// Connect handshake: `Connect` out, `ConnectAck` back.
     ///
     /// Returns the handshake RTT, or `None` on loss.

@@ -7,7 +7,7 @@
 //! deployment would.
 
 use aorta_data::Value;
-use aorta_device::{Mote, Phone, PhysicalStatus};
+use aorta_device::{Mote, MoteReading, Phone, PhysicalStatus};
 use aorta_sim::{SimRng, SimTime};
 
 use crate::Message;
@@ -18,18 +18,22 @@ use crate::Message;
 /// SQL NULLs rather than failing the whole scan).
 pub fn mote_read_attrs(mote: &Mote, names: &[String], now: SimTime, rng: &mut SimRng) -> Message {
     let reading = mote.sample(now, rng);
-    let values = names
-        .iter()
-        .map(|name| match name.as_str() {
-            "accel_x" => Value::Int(reading.accel_x),
-            "accel_y" => Value::Int(reading.accel_y),
-            "temp" => Value::Float(reading.temp),
-            "light" => Value::Int(reading.light),
-            "battery" => Value::Float(reading.battery_volts),
-            _ => Value::Null,
-        })
-        .collect();
-    Message::AttrReply { values }
+    Message::AttrReply {
+        values: names.iter().map(|name| mote_attr(&reading, name)).collect(),
+    }
+}
+
+/// One attribute of a mote's reading as a `ReadAttrs` reply carries it:
+/// `Value::Null` for a name the sensor board does not have.
+pub fn mote_attr(reading: &MoteReading, name: &str) -> Value {
+    match name {
+        "accel_x" => Value::Int(reading.accel_x),
+        "accel_y" => Value::Int(reading.accel_y),
+        "temp" => Value::Float(reading.temp),
+        "light" => Value::Int(reading.light),
+        "battery" => Value::Float(reading.battery_volts),
+        _ => Value::Null,
+    }
 }
 
 /// Services a `Probe` on any device status, flattening the status into the

@@ -271,7 +271,7 @@ fn attempt_once(
     rng: &mut SimRng,
 ) -> Result<(PhysicalStatus, SimDuration), AttemptFailure> {
     let entry = registry.get_mut(id).ok_or(AttemptFailure::Offline)?;
-    if !entry.online {
+    if !entry.online() {
         return Err(AttemptFailure::Offline);
     }
     // Device-level availability (radio hops, coverage, connect loss).

@@ -1,6 +1,7 @@
 //! The device registry: profiles plus the dynamic, logical device view.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use aorta_data::{Location, Schema};
 use aorta_device::{
@@ -149,6 +150,14 @@ impl From<RfidReader> for DeviceSim {
     }
 }
 
+/// The source of [`DeviceRegistry::generation`] stamps, shared by every
+/// registry of the process. A unique-id counter that orders nothing else.
+static GENERATIONS: AtomicU64 = AtomicU64::new(0);
+
+fn next_generation() -> u64 {
+    GENERATIONS.fetch_add(1, Ordering::Relaxed) + 1
+}
+
 /// A registered device plus its registry-side metadata.
 #[derive(Debug, Clone)]
 pub struct DeviceEntry {
@@ -158,7 +167,17 @@ pub struct DeviceEntry {
     pub joined_at: SimTime,
     /// Administrative online flag — devices "may join, move around, or leave
     /// the network dynamically" (§4); an offline device never answers.
-    pub online: bool,
+    /// Private: only [`DeviceRegistry::set_online`] flips it, so every
+    /// change bumps the registry's [`generation`](DeviceRegistry::generation).
+    online: bool,
+}
+
+impl DeviceEntry {
+    /// Whether the device is administratively online (see
+    /// [`DeviceRegistry::set_online`]).
+    pub fn online(&self) -> bool {
+        self.online
+    }
 }
 
 /// The registry at the heart of the communication layer.
@@ -166,13 +185,16 @@ pub struct DeviceEntry {
 /// Holds every registered device, the per-kind profiles (catalog schema,
 /// atomic-operation cost table, probe TIMEOUT, link model) and supports
 /// dynamic join/leave.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct DeviceRegistry {
     devices: BTreeMap<DeviceId, DeviceEntry>,
     schemas: BTreeMap<DeviceKind, Schema>,
     cost_tables: BTreeMap<DeviceKind, OpCostTable>,
     probe_timeouts: BTreeMap<DeviceKind, SimDuration>,
     links: BTreeMap<DeviceKind, LinkModel>,
+    /// Replaced by every change to which devices are registered or online
+    /// (see [`DeviceRegistry::generation`]).
+    generation: u64,
 }
 
 impl DeviceRegistry {
@@ -199,6 +221,7 @@ impl DeviceRegistry {
             cost_tables,
             probe_timeouts,
             links,
+            generation: next_generation(),
         }
     }
 
@@ -223,6 +246,7 @@ impl DeviceRegistry {
     /// "profiles … are updated dynamically by the system administrator".
     pub fn register(&mut self, sim: DeviceSim, now: SimTime) -> DeviceId {
         let id = sim.id();
+        self.generation = next_generation();
         self.devices.insert(
             id,
             DeviceEntry {
@@ -236,7 +260,7 @@ impl DeviceRegistry {
 
     /// Unregisters (leaves) a device; returns it if present.
     pub fn unregister(&mut self, id: DeviceId) -> Option<DeviceSim> {
-        self.devices.remove(&id).map(|e| e.sim)
+        self.extract(id).map(|e| e.sim)
     }
 
     /// Removes a device *with* its registration state (join time, online
@@ -244,7 +268,9 @@ impl DeviceRegistry {
     /// registries. Pair with [`DeviceRegistry::adopt`] on the receiving
     /// side; plain [`DeviceRegistry::unregister`] would forget the state.
     pub fn extract(&mut self, id: DeviceId) -> Option<DeviceEntry> {
-        self.devices.remove(&id)
+        let entry = self.devices.remove(&id)?;
+        self.generation = next_generation();
+        Some(entry)
     }
 
     /// Installs an entry extracted from another registry, preserving its
@@ -252,6 +278,7 @@ impl DeviceRegistry {
     /// transfer. Replaces any existing entry with the same ID.
     pub fn adopt(&mut self, entry: DeviceEntry) -> DeviceId {
         let id = entry.sim.id();
+        self.generation = next_generation();
         self.devices.insert(id, entry);
         id
     }
@@ -263,10 +290,33 @@ impl DeviceRegistry {
         match self.devices.get_mut(&id) {
             Some(e) => {
                 e.online = online;
+                self.generation = next_generation();
                 true
             }
             None => false,
         }
+    }
+
+    /// A stamp that every membership change replaces: [`register`],
+    /// [`unregister`], [`extract`], [`adopt`] and [`set_online`] bump it;
+    /// reads, [`get_mut`] and scans do not. While it holds still, a scan of
+    /// any kind yields one tuple per device for the same devices in the same
+    /// order, and their non-sensory attributes are unchanged — what lets a
+    /// caller keep a result derived from those across scans. Stamps are
+    /// unique within the process, so a registry put in another's place
+    /// shows a different one unless it is an unchanged clone.
+    ///
+    /// Derived bookkeeping, not device state: it takes no part in a
+    /// registry's `Debug` rendering.
+    ///
+    /// [`register`]: DeviceRegistry::register
+    /// [`unregister`]: DeviceRegistry::unregister
+    /// [`extract`]: DeviceRegistry::extract
+    /// [`adopt`]: DeviceRegistry::adopt
+    /// [`set_online`]: DeviceRegistry::set_online
+    /// [`get_mut`]: DeviceRegistry::get_mut
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// The entry for a device.
@@ -347,6 +397,18 @@ impl DeviceRegistry {
     }
 }
 
+impl std::fmt::Debug for DeviceRegistry {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DeviceRegistry")
+            .field("devices", &self.devices)
+            .field("schemas", &self.schemas)
+            .field("cost_tables", &self.cost_tables)
+            .field("probe_timeouts", &self.probe_timeouts)
+            .field("links", &self.links)
+            .finish()
+    }
+}
+
 impl Default for DeviceRegistry {
     fn default() -> Self {
         DeviceRegistry::new()
@@ -420,9 +482,9 @@ mod tests {
         );
         assert_eq!(id, DeviceId::camera(7));
         assert_eq!(reg.len(), 1);
-        assert!(reg.get(id).unwrap().online);
+        assert!(reg.get(id).unwrap().online());
         assert!(reg.set_online(id, false));
-        assert!(!reg.get(id).unwrap().online);
+        assert!(!reg.get(id).unwrap().online());
         assert!(reg.unregister(id).is_some());
         assert!(reg.get(id).is_none());
         assert!(!reg.set_online(id, false));
@@ -476,6 +538,48 @@ mod tests {
     }
 
     #[test]
+    fn membership_mutators_bump_the_generation_and_reads_do_not() {
+        let mut reg = DeviceRegistry::from_lab(PervasiveLab::standard());
+        let cam = DeviceId::camera(1);
+        let mut last = reg.generation();
+        let mut bumped = |reg: &DeviceRegistry, what: &str| {
+            assert_ne!(reg.generation(), last, "{what} must bump the generation");
+            last = reg.generation();
+        };
+        assert!(reg.set_online(cam, false));
+        bumped(&reg, "set_online");
+        let entry = reg.extract(cam).expect("camera-1 registered");
+        bumped(&reg, "extract");
+        reg.adopt(entry);
+        bumped(&reg, "adopt");
+        reg.register(
+            Camera::ceiling_mounted(9, Location::ORIGIN).into(),
+            SimTime::ZERO,
+        );
+        bumped(&reg, "register");
+        assert!(reg.unregister(DeviceId::camera(9)).is_some());
+        bumped(&reg, "unregister");
+
+        // Reads, mutable access to a device's own state and scans leave
+        // membership alone.
+        let still = reg.generation();
+        assert!(reg.get(cam).is_some());
+        assert!(reg.get_mut(cam).is_some());
+        assert!(reg.camera_mut(DeviceId::camera(0)).is_some());
+        let mut rng = SimRng::seed(1);
+        for kind in DeviceKind::ALL {
+            crate::ScanOperator::new(kind).run(&mut reg, SimTime::ZERO, &mut rng);
+        }
+        // A call that names no device changes nothing either.
+        assert!(!reg.set_online(DeviceId::camera(77), false));
+        assert!(reg.extract(DeviceId::camera(77)).is_none());
+        assert_eq!(reg.generation(), still);
+        // Stamps are unique per registry: only an unchanged clone shares one.
+        assert_eq!(reg.clone().generation(), still);
+        assert_ne!(DeviceRegistry::new().generation(), still);
+    }
+
+    #[test]
     fn extract_adopt_preserves_registration_state() {
         let mut a = DeviceRegistry::from_lab(PervasiveLab::standard());
         let mut b = DeviceRegistry::new();
@@ -487,6 +591,6 @@ mod tests {
         assert_eq!(b.adopt(entry), id);
         let adopted = b.get(id).expect("adopt must install the device");
         assert_eq!(adopted.joined_at, joined_at);
-        assert!(!adopted.online, "online state must survive the transfer");
+        assert!(!adopted.online(), "online state must survive the transfer");
     }
 }

@@ -7,11 +7,12 @@
 //! over the wire (lossy — failed acquisitions surface as NULLs after
 //! retries); non-sensory attributes come from registry metadata.
 
+use aorta_data::codec::value_len;
 use aorta_data::{AttrKind, Schema, Tuple, Value};
-use aorta_device::{DeviceId, DeviceKind};
+use aorta_device::{DeviceId, DeviceKind, MoteReading, PtzPosition};
 use aorta_sim::{SimRng, SimTime};
 
-use crate::channel::{Channel, Exchange};
+use crate::channel::Channel;
 use crate::endpoint;
 use crate::{DeviceRegistry, DeviceSim, Message};
 
@@ -67,13 +68,13 @@ impl ScanOperator {
     /// engine's pushdown accounting to compare shipped payloads against
     /// the one-byte [`Message::Suppressed`] marker.
     pub fn reply_wire_len(schema: &aorta_data::Schema, tuple: &Tuple) -> usize {
-        let values: Vec<Value> = schema
+        let values: usize = schema
             .iter()
             .enumerate()
             .filter(|(_, a)| a.kind() == AttrKind::Sensory)
-            .map(|(i, _)| tuple.get(i).cloned().unwrap_or(Value::Null))
-            .collect();
-        Message::AttrReply { values }.wire_len()
+            .map(|(i, _)| tuple.get(i).map_or(value_len(&Value::Null), value_len))
+            .sum();
+        empty_reply_len() + values
     }
 
     /// The wire cost of a suppressed sample: the bare marker message.
@@ -93,30 +94,48 @@ impl ScanOperator {
     }
 }
 
+/// The length of an [`Message::AttrReply`] carrying no values.
+fn empty_reply_len() -> usize {
+    Message::AttrReply { values: Vec::new() }.wire_len()
+}
+
 /// What every device of one kind shares in a scan, built once per scan:
-/// the schema, the channel over the kind's link, the sensory attribute
-/// names and the `ReadAttrs` request carrying them.
+/// the schema, the channel over the kind's link, the positions of the
+/// sensory attributes and the wire length of the `ReadAttrs` request
+/// naming them.
 struct KindScan {
     schema: Schema,
     channel: Channel,
-    names: Vec<String>,
-    request: Message,
+    sensory: Vec<usize>,
+    request_len: usize,
 }
 
 impl KindScan {
     fn new(registry: &DeviceRegistry, kind: DeviceKind) -> KindScan {
         let schema = registry.schema(kind).clone();
-        let names: Vec<String> = schema.sensory().map(|a| a.name().to_string()).collect();
+        let sensory = (schema.iter().enumerate())
+            .filter(|(_, a)| a.kind() == AttrKind::Sensory)
+            .map(|(i, _)| i)
+            .collect();
+        let names = schema.sensory().map(|a| a.name().to_string()).collect();
         KindScan {
             channel: Channel::new(registry.link(kind).clone()),
-            request: Message::ReadAttrs {
-                names: names.clone(),
-            },
-            names,
+            request_len: Message::ReadAttrs { names }.wire_len(),
+            sensory,
             schema,
         }
     }
 
+    fn name(&self, i: usize) -> &str {
+        self.schema.attr(i).map_or("", |a| a.name())
+    }
+
+    /// One device's tuple, built in place: non-sensory attributes from
+    /// registry metadata, sensory ones acquired over the wire with bounded
+    /// retries — a device whose radio loses every attempt yields NULLs.
+    /// Each attempt takes the reading first, then sends the request and
+    /// the reply by their wire lengths; the reply's values are already in
+    /// the tuple, so nothing is built to cross the channel.
     fn scan_device(
         &self,
         registry: &mut DeviceRegistry,
@@ -125,26 +144,44 @@ impl KindScan {
         rng: &mut SimRng,
     ) -> Option<Tuple> {
         let entry = registry.get_mut(id)?;
-        if !entry.online {
+        if !entry.online() {
             return None;
         }
-        let sensory_values = acquire_sensory(
-            &self.channel,
-            &mut entry.sim,
-            &self.names,
-            &self.request,
-            now,
-            rng,
-        );
-
-        let mut values = Vec::with_capacity(self.schema.len());
-        let mut sensory_iter = sensory_values.into_iter();
-        for attr in self.schema.iter() {
-            let v = match attr.kind() {
-                AttrKind::Sensory => sensory_iter.next().unwrap_or(Value::Null),
-                AttrKind::NonSensory => non_sensory_value(&entry.sim, attr.name()),
-            };
-            values.push(v);
+        let sim = &mut entry.sim;
+        let mut values: Vec<Value> = self
+            .schema
+            .iter()
+            .map(|attr| match attr.kind() {
+                AttrKind::Sensory => Value::Null,
+                AttrKind::NonSensory => non_sensory_value(sim, attr.name()),
+            })
+            .collect();
+        let acquired = !self.sensory.is_empty()
+            && (0..=ACQUIRE_RETRIES).any(|_| {
+                if let DeviceSim::Mote(m) = sim {
+                    // Both the request and the reply must survive the
+                    // multi-hop radio path (the base-station link is
+                    // modelled separately by the channel).
+                    let p_round_trip = m.delivery_prob() * m.delivery_prob();
+                    if rng.chance(1.0 - p_round_trip) {
+                        return false;
+                    }
+                }
+                let reading = Reading::take(sim, now, rng);
+                let mut reply_len = empty_reply_len();
+                for &i in &self.sensory {
+                    let v = reading.value(self.name(i));
+                    reply_len += value_len(&v);
+                    values[i] = v;
+                }
+                self.channel
+                    .exchange_len(self.request_len, reply_len, rng)
+                    .is_some()
+            });
+        if !acquired {
+            for &i in &self.sensory {
+                values[i] = Value::Null;
+            }
         }
         let tuple = Tuple::new(values);
         debug_assert_eq!(
@@ -156,82 +193,46 @@ impl KindScan {
     }
 }
 
-/// Acquires sensory attributes over the wire with bounded retries; a device
-/// whose radio loses every attempt yields all-NULL sensory values.
-fn acquire_sensory(
-    channel: &Channel,
-    sim: &mut DeviceSim,
-    names: &[String],
-    request: &Message,
-    now: SimTime,
-    rng: &mut SimRng,
-) -> Vec<Value> {
-    if names.is_empty() {
-        return Vec::new();
-    }
-    for _attempt in 0..=ACQUIRE_RETRIES {
-        let reply = match sim {
-            DeviceSim::Mote(m) => {
-                // Both the request and the reply must survive the multi-hop
-                // radio path (the base-station link is modelled separately
-                // by the channel).
-                let p_round_trip = m.delivery_prob() * m.delivery_prob();
-                if rng.chance(1.0 - p_round_trip) {
-                    continue;
-                }
-                endpoint::mote_read_attrs(m, names, now, rng)
-            }
-            DeviceSim::Camera(c) => {
-                let pos = c.position_at(now);
-                Message::AttrReply {
-                    values: names
-                        .iter()
-                        .map(|n| match n.as_str() {
-                            "pan" => Value::Float(pos.pan),
-                            "tilt" => Value::Float(pos.tilt),
-                            "zoom" => Value::Float(pos.zoom),
-                            _ => Value::Null,
-                        })
-                        .collect(),
-                }
-            }
-            DeviceSim::Phone(p) => {
-                let reachable = p.is_reachable(now, rng);
-                Message::AttrReply {
-                    values: names
-                        .iter()
-                        .map(|n| match n.as_str() {
-                            "in_coverage" => Value::Bool(reachable),
-                            _ => Value::Null,
-                        })
-                        .collect(),
-                }
-            }
-            DeviceSim::Rfid(r) => {
-                let count = r.tag_count(now, rng);
-                let last = r.last_tag(now);
-                Message::AttrReply {
-                    values: names
-                        .iter()
-                        .map(|n| match n.as_str() {
-                            "tag_count" => Value::Int(count),
-                            "last_tag" => last.clone().map(Value::Str).unwrap_or(Value::Null),
-                            _ => Value::Null,
-                        })
-                        .collect(),
-                }
-            }
-        };
-        match channel.exchange(request, rng, || reply) {
-            Exchange::Reply { message, .. } => {
-                if let Message::AttrReply { values } = message {
-                    return values;
-                }
-            }
-            Exchange::Lost => continue,
+/// What a device's endpoint reads when a `ReadAttrs` reaches it, before
+/// the reply travels back.
+enum Reading {
+    Mote(MoteReading),
+    Camera(PtzPosition),
+    Phone { reachable: bool },
+    Rfid { count: i64, last: Option<String> },
+}
+
+impl Reading {
+    fn take(sim: &mut DeviceSim, now: SimTime, rng: &mut SimRng) -> Reading {
+        match sim {
+            DeviceSim::Mote(m) => Reading::Mote(m.sample(now, rng)),
+            DeviceSim::Camera(c) => Reading::Camera(c.position_at(now)),
+            DeviceSim::Phone(p) => Reading::Phone {
+                reachable: p.is_reachable(now, rng),
+            },
+            DeviceSim::Rfid(r) => Reading::Rfid {
+                count: r.tag_count(now, rng),
+                last: r.last_tag(now),
+            },
         }
     }
-    vec![Value::Null; names.len()]
+
+    /// The reply's value for attribute `name`: NULL for a name this kind
+    /// of device does not answer.
+    fn value(&self, name: &str) -> Value {
+        match (self, name) {
+            (Reading::Mote(r), _) => endpoint::mote_attr(r, name),
+            (Reading::Camera(pos), "pan") => Value::Float(pos.pan),
+            (Reading::Camera(pos), "tilt") => Value::Float(pos.tilt),
+            (Reading::Camera(pos), "zoom") => Value::Float(pos.zoom),
+            (Reading::Phone { reachable }, "in_coverage") => Value::Bool(*reachable),
+            (Reading::Rfid { count, .. }, "tag_count") => Value::Int(*count),
+            (Reading::Rfid { last, .. }, "last_tag") => {
+                last.clone().map_or(Value::Null, Value::Str)
+            }
+            _ => Value::Null,
+        }
+    }
 }
 
 fn non_sensory_value(sim: &DeviceSim, attr: &str) -> Value {
@@ -356,6 +357,48 @@ mod tests {
         assert!(len >= 5 + sensory, "{len} bytes for {sensory} attrs");
         // Suppression must always be cheaper than shipping.
         assert!(ScanOperator::suppressed_wire_len() < len);
+    }
+
+    /// The ledger's byte count is the length of the reply the scan would
+    /// have shipped, whatever the kind and however many values are NULL.
+    #[test]
+    fn reply_wire_len_is_the_attr_replys_encoded_length() {
+        let mut reg = registry();
+        let mut rng = SimRng::seed(10);
+        for kind in [DeviceKind::Sensor, DeviceKind::Camera, DeviceKind::Phone] {
+            let schema = reg.schema(kind).clone();
+            let tuples = ScanOperator::new(kind).run(&mut reg, SimTime::ZERO, &mut rng);
+            assert!(!tuples.is_empty(), "{kind}");
+            // Each tuple as scanned, with every sensory value NULL, and with
+            // the trailing attributes missing altogether.
+            let variants = tuples.iter().flat_map(|t| {
+                let nulls = schema
+                    .iter()
+                    .zip(t.values())
+                    .map(|(a, v)| match a.kind() {
+                        AttrKind::Sensory => Value::Null,
+                        AttrKind::NonSensory => v.clone(),
+                    })
+                    .collect();
+                let short = t.values()[..1].to_vec();
+                [t.clone(), Tuple::new(nulls), Tuple::new(short)]
+            });
+            for tuple in variants {
+                let values = schema
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, a)| a.kind() == AttrKind::Sensory)
+                    .map(|(i, _)| tuple.get(i).cloned().unwrap_or(Value::Null))
+                    .collect();
+                let reply = Message::AttrReply { values };
+                assert_eq!(
+                    ScanOperator::reply_wire_len(&schema, &tuple),
+                    reply.wire_len(),
+                    "{kind} {tuple:?}"
+                );
+                assert_eq!(reply.wire_len(), reply.encode().len());
+            }
+        }
     }
 
     #[test]

@@ -119,11 +119,9 @@ impl WalHandle {
                     // Coalesce: run_until(a); run_until(b) with nothing
                     // logged between is equivalent to run_until(b), so the
                     // tail frame is rewritten in place (same LSN).
-                    let frame = encode_frame(&record, *next_lsn - 1);
-                    store.replace_tail(&frame)
+                    store.replace_tail(encode_frame(&record, *next_lsn - 1))
                 } else {
-                    let frame = encode_frame(&record, *next_lsn);
-                    let r = store.append(&frame);
+                    let r = store.append(encode_frame(&record, *next_lsn));
                     if r.is_ok() {
                         *next_lsn += 1;
                         *appends += 1;

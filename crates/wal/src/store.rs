@@ -13,10 +13,11 @@ use crate::record::WalRecord;
 /// `replace_tail` exists solely for `RunUntil` tail-coalescing (rewriting
 /// the final frame in place bounds log volume under per-event stepping).
 pub trait LogStore: Send {
-    /// Appends one encoded frame.
-    fn append(&mut self, frame: &[u8]) -> Result<(), WalError>;
+    /// Appends one encoded frame. The store takes the frame over, so a store
+    /// that keeps frames in memory keeps this one without copying it.
+    fn append(&mut self, frame: Vec<u8>) -> Result<(), WalError>;
     /// Replaces the final frame with `frame`. Errors when the log is empty.
-    fn replace_tail(&mut self, frame: &[u8]) -> Result<(), WalError>;
+    fn replace_tail(&mut self, frame: Vec<u8>) -> Result<(), WalError>;
     /// Decodes every stored frame, in order. Fails loudly on any damage.
     fn read_all(&mut self) -> Result<Vec<(u64, WalRecord)>, WalError>;
     /// Number of stored frames.
@@ -39,17 +40,17 @@ impl MemStore {
 }
 
 impl LogStore for MemStore {
-    fn append(&mut self, frame: &[u8]) -> Result<(), WalError> {
-        self.frames.push(frame.to_vec());
+    fn append(&mut self, frame: Vec<u8>) -> Result<(), WalError> {
+        self.frames.push(frame);
         Ok(())
     }
 
-    fn replace_tail(&mut self, frame: &[u8]) -> Result<(), WalError> {
+    fn replace_tail(&mut self, frame: Vec<u8>) -> Result<(), WalError> {
         let tail = self
             .frames
             .last_mut()
             .ok_or_else(|| WalError::Io("replace_tail on empty log".into()))?;
-        *tail = frame.to_vec();
+        *tail = frame;
         Ok(())
     }
 
@@ -151,14 +152,14 @@ impl FileStore {
 }
 
 impl LogStore for FileStore {
-    fn append(&mut self, frame: &[u8]) -> Result<(), WalError> {
-        self.write_at(self.end, frame)?;
+    fn append(&mut self, frame: Vec<u8>) -> Result<(), WalError> {
+        self.write_at(self.end, &frame)?;
         self.offsets.push(self.end);
         self.end += frame.len() as u64;
         Ok(())
     }
 
-    fn replace_tail(&mut self, frame: &[u8]) -> Result<(), WalError> {
+    fn replace_tail(&mut self, frame: Vec<u8>) -> Result<(), WalError> {
         let &pos = self
             .offsets
             .last()
@@ -166,7 +167,7 @@ impl LogStore for FileStore {
         self.file
             .set_len(pos)
             .map_err(|e| WalError::Io(format!("truncate {}: {e}", self.path.display())))?;
-        self.write_at(pos, frame)?;
+        self.write_at(pos, &frame)?;
         self.end = pos + frame.len() as u64;
         Ok(())
     }
@@ -212,7 +213,7 @@ mod tests {
     fn mem_store_roundtrip() {
         let mut s = MemStore::new();
         for i in 0..5 {
-            s.append(&encode_frame(&rec(i), i)).unwrap();
+            s.append(encode_frame(&rec(i), i)).unwrap();
         }
         assert_eq!(s.frame_count(), 5);
         let all = s.read_all().unwrap();
@@ -226,9 +227,9 @@ mod tests {
         {
             let mut s = FileStore::create(&path).unwrap();
             for i in 0..4 {
-                s.append(&encode_frame(&rec(i), i)).unwrap();
+                s.append(encode_frame(&rec(i), i)).unwrap();
             }
-            s.replace_tail(&encode_frame(&rec(99), 3)).unwrap();
+            s.replace_tail(encode_frame(&rec(99), 3)).unwrap();
         }
         let mut s = FileStore::open(&path).unwrap();
         let all = s.read_all().unwrap();
@@ -243,7 +244,7 @@ mod tests {
         {
             let mut s = FileStore::create(&path).unwrap();
             for i in 0..3 {
-                s.append(&encode_frame(&rec(i), i)).unwrap();
+                s.append(encode_frame(&rec(i), i)).unwrap();
             }
         }
         // Simulate a crash mid-way through the next append's write: half a
@@ -276,7 +277,7 @@ mod tests {
             std::env::temp_dir().join(format!("aorta_wal_corrupt_{}.wal", std::process::id()));
         {
             let mut s = FileStore::create(&path).unwrap();
-            s.append(&encode_frame(&rec(0), 0)).unwrap();
+            s.append(encode_frame(&rec(0), 0)).unwrap();
         }
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;

@@ -245,10 +245,10 @@ fn file_store_reports_torn_tail_on_reopen() {
     {
         let mut store = FileStore::create(&path).unwrap();
         store
-            .append(&encode_frame(&WalRecord::DrainEscalated, 0))
+            .append(encode_frame(&WalRecord::DrainEscalated, 0))
             .unwrap();
         store
-            .append(&encode_frame(
+            .append(encode_frame(
                 &WalRecord::RunUntil {
                     deadline: SimTime::from_micros(5),
                 },
